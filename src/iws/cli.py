@@ -85,6 +85,9 @@ def cmd_score(args) -> int:
         for key in ("subject_id", "trial_index", "bins"):
             if key not in entry:
                 raise ConfigError(f"predictions trials[{i}]: missing field '{key}'")
+        bins = entry["bins"]
+        if not isinstance(bins, list) or any(type(b) is not int or b not in (0, 1) for b in bins):
+            raise ConfigError(f"predictions trials[{i}]: 'bins' must be a list of 0/1 integers")
         ds = datasets.get(entry["subject_id"])
         if ds is None:
             raise InvariantViolation(f"unknown subject {entry['subject_id']!r}")
@@ -93,7 +96,7 @@ def cmd_score(args) -> int:
                 f"subject {entry['subject_id']}: trial index {entry['trial_index']} out of range")
         trial = ds.trials[entry["trial_index"]]
         truth = postprocess.truth_bins(trial)
-        score = evaluate.score_trial(entry["bins"], truth, trial_id=entry["trial_index"])
+        score = evaluate.score_trial(bins, truth, trial_id=entry["trial_index"])
         scores.append(score)
         print(f"{entry['subject_id']} trial {entry['trial_index']}: "
               f"P={score.precision:.4f} R={score.recall:.4f} F1={score.f1:.4f}")

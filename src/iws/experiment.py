@@ -2,6 +2,7 @@
 score, per subject and fold, with all randomness derived from one root seed."""
 
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -9,12 +10,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import evaluate, features, learn, postprocess, preprocess
+from .data import WINDOW_SAMPLES
 from .errors import ConfigError, SegmentTooShort
 from .learn import CLASSIFIER_KINDS, ClassifierSpec
 
 log = logging.getLogger(__name__)
 
 _BASE_SETS = (1, 2, 3)
+_MIN_TRIALS = 8  # smallest subject that SubjectDataset and make_fold_plan accept
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,21 @@ class RunConfig:
             raise ConfigError("folds must be >= 1")
         if not (0.0 < self.train_ratio < 1.0):
             raise ConfigError("train_ratio must be in (0, 1)")
+        # the 8-trial split is the tightest: a ratio leaving it >= 1 training
+        # and >= 2 test trials does so for every larger subject
+        n_train = int(_MIN_TRIALS * self.train_ratio)
+        if n_train < 1 or _MIN_TRIALS - n_train < 2:
+            raise ConfigError(
+                f"train_ratio {self.train_ratio} splits a {_MIN_TRIALS}-trial subject into "
+                f"{n_train} training and {_MIN_TRIALS - n_train} test trials; "
+                "need >= 1 and >= 2")
+        if self.window_samples != WINDOW_SAMPLES:
+            raise ConfigError(
+                f"window_samples must be {WINDOW_SAMPLES} (0.5 s at 128 Hz), "
+                f"got {self.window_samples}")
+        if not (1 <= self.step_samples <= self.window_samples):
+            raise ConfigError(
+                f"step_samples must be in [1, {self.window_samples}], got {self.step_samples}")
         if not (0.0 < self.pca_target_ratio <= 1.0):
             raise ConfigError("pca_target_ratio must be in (0, 1]")
 
@@ -61,22 +79,42 @@ def _stable_seed(*parts):
     return int(seq.generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
-def _base_vectors(instance, base_sets):
-    return {fs: features.extract_features(instance, fs) for fs in base_sets}
+def _input_set(fs_id):
+    """Feature set whose matrix feeds ``fs_id``: set 5 is the PCA of set 4."""
+    return 4 if fs_id == 5 else fs_id
 
 
-def _vector_for_set(base, fs_id):
-    if fs_id in _BASE_SETS:
-        return base[fs_id]
-    return features.assemble_fs4(base[1], base[2], base[3])
+@dataclass(frozen=True)
+class _TrialFeatures:
+    """Feature matrices of one trial, keyed by input set (see ``_input_set``)."""
+
+    train: dict  # training windows in segmentation order
+    labels: np.ndarray  # one 0/1 label per training row
+    test: dict  # continuous test windows in trial order
 
 
-def _featurize_trial(trial, mode, base_sets, params):
-    if mode == "train":
-        instances = preprocess.segment_training_trial(trial, params)
-    else:
-        instances = preprocess.segment_test_trial(trial, params)
-    return [_base_vectors(inst, base_sets) for inst in instances]
+def _featurize_trial(trial, config, params):
+    """Featurize every distinct window offset of a trial once.
+
+    The training windows before the onset lie on the test grid, so both
+    sides take their rows from one set of matrices.
+    """
+    train = preprocess.segment_training_trial(trial, params)
+    test = preprocess.segment_test_trial(trial, params)
+    offsets = sorted({inst.trial_offset for inst in (*train, *test)})
+    row = {offset: i for i, offset in enumerate(offsets)}
+    windows = np.stack([trial.samples[o:o + config.window_samples] for o in offsets])
+    base = features.feature_matrices(windows, offsets, config.needed_base_sets())
+    inputs = {_input_set(fs) for fs in config.feature_set_ids}
+    if 4 in inputs:
+        base[4] = features.concat_fs4(base[1], base[2], base[3])
+    train_rows = [row[inst.trial_offset] for inst in train]
+    test_rows = [row[inst.trial_offset] for inst in test]
+    return _TrialFeatures(
+        train={s: base[s][train_rows] for s in inputs},
+        labels=np.array([inst.label for inst in train], dtype=np.int64),
+        test={s: base[s][test_rows] for s in inputs},
+    )
 
 
 def run_subject(dataset, config: RunConfig, subject_index: int):
@@ -89,15 +127,13 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
     trials = [preprocess.car_filter_trial(t) for t in dataset.trials]
     log.info("subject %s: CAR filter done (%.2fs)", dataset.subject_id, time.perf_counter() - t0)
 
-    base_sets = config.needed_base_sets()
-    train_cache, test_cache, usable = {}, {}, []
+    trial_features, usable = {}, []
     for idx, trial in enumerate(trials):
         try:
-            train_cache[idx] = _featurize_trial(trial, "train", base_sets, params)
+            trial_features[idx] = _featurize_trial(trial, config, params)
         except SegmentTooShort as exc:
             log.warning("subject %s trial %d rejected: %s", dataset.subject_id, idx, exc)
             continue
-        test_cache[idx] = _featurize_trial(trial, "test", base_sets, params)
         usable.append(idx)
     log.info("subject %s: feature extraction done (%.2fs, %d/%d trials usable)",
              dataset.subject_id, time.perf_counter() - t0, len(usable), len(trials))
@@ -113,26 +149,18 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
     for fold_idx, (train_pos, test_pos) in enumerate(plan.folds):
         train_ids = [usable[i] for i in train_pos]
         test_ids = [usable[i] for i in test_pos]
+        y_train = np.concatenate([trial_features[t].labels for t in train_ids])
         for fs in config.feature_set_ids:
-            train_vecs = [_vector_for_set(base, fs)
-                          for t in train_ids for base in train_cache[t]]
-            test_per_trial = {
-                t: [_vector_for_set(base, fs) for base in test_cache[t]]
-                for t in test_ids
-            }
-            scaler = features.scaler_fit(train_vecs)
-            train_scaled = [features.scaler_apply(scaler, v) for v in train_vecs]
-            test_scaled = {t: [features.scaler_apply(scaler, v) for v in vs]
-                           for t, vs in test_per_trial.items()}
-            pca = None
+            src = _input_set(fs)
+            X_train = np.concatenate([trial_features[t].train[src] for t in train_ids])
+            scaler = features.scaler_fit(X_train)
+            X_train = features.scaler_transform(scaler, X_train)
+            X_test = {t: features.scaler_transform(scaler, trial_features[t].test[src])
+                      for t in test_ids}
             if fs == 5:
-                pca = features.pca_fit(np.stack([v.values for v in train_scaled]),
-                                       config.pca_target_ratio)
-                train_scaled = [features.pca_apply(pca, v) for v in train_scaled]
-                test_scaled = {t: [features.pca_apply(pca, v) for v in vs]
-                               for t, vs in test_scaled.items()}
-            X_train = np.stack([v.values for v in train_scaled])
-            y_train = np.array([v.label for v in train_scaled], dtype=np.int64)
+                pca = features.pca_fit(X_train, config.pca_target_ratio)
+                X_train = features.pca_transform(pca, X_train)
+                X_test = {t: features.pca_transform(pca, X) for t, X in X_test.items()}
             for clf_idx, clf in enumerate(config.classifiers):
                 spec = ClassifierSpec(
                     kind=clf,
@@ -141,8 +169,7 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
                 model = learn.train(spec, X_train, y_train)
                 fold_scores = []
                 for t in test_ids:
-                    X_test = np.stack([v.values for v in test_scaled[t]])
-                    raw = learn.predict(model, X_test)
+                    raw = learn.predict(model, X_test[t])
                     pred = postprocess.postprocess_trial(
                         raw, trials[t], window=config.window_samples,
                         step=config.step_samples)
@@ -169,7 +196,10 @@ def run_experiment(datasets, config: RunConfig, jobs: int = 1) -> dict:
     Per-(subject, fold, classifier) seeds derive deterministically from the
     root seed, so serial and parallel schedules produce identical reports.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     payloads = [(ds, config, i) for i, ds in enumerate(datasets)]
+    jobs = min(jobs, len(payloads), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             subject_outputs = list(pool.map(_run_subject_payload, payloads))

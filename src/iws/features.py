@@ -1,4 +1,4 @@
-"""Per-window scalar features and the five feature-set layouts.
+"""Window features and the five feature-set layouts.
 
 Feature sets:
   1: band energy (IE) of the 4 wavelet detail sets + approximation, per channel (70)
@@ -6,17 +6,23 @@ Feature sets:
   3: GHE(q=1), GHE(q=2) of the cleaned window itself, per channel (28)
   4: concatenation 1 || 2 || 3 (266)
   5: PCA of z-scored set 4 keeping >= 90% of the variance (<= 266)
+
+Every feature is computed row-wise on a stack of signals, one row per
+(window, channel); ``feature_matrices`` turns a stack of windows into one
+matrix per feature set.  The scalar functions and the per-instance
+``extract_features`` are batches of one.
 """
 
 import csv
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data import CHANNEL_COUNT, SignalInstance
-from .decompose import CoefficientSet, EmdParams, dwt_bior22, emd, select_imfs_minkowski
+from .data import CHANNEL_COUNT, WINDOW_SAMPLES
+from .decompose import EmdParams, dwt_bior22, emd, select_imfs_minkowski
 from .errors import (
     DecompositionFailure,
     DegenerateScaling,
@@ -36,6 +42,15 @@ FEATURE_SET_WIDTHS = {1: 70, 2: 168, 3: 28, 4: 266}
 
 _BAND_TAGS = ("w1", "w2", "w3", "w4", "a5")
 _FS2_FEATURES = ("TE", "IE", "HFD", "KFD", "GHE_q1", "GHE_q2")
+_HIGUCHI_K_MAX = 10
+
+_LAYOUTS = {
+    1: tuple((ch, tag, "IE") for ch in range(CHANNEL_COUNT) for tag in _BAND_TAGS),
+    2: tuple((ch, f"imf{slot}", name) for ch in range(CHANNEL_COUNT)
+             for slot in (1, 2) for name in _FS2_FEATURES),
+    3: tuple((ch, "signal", name) for ch in range(CHANNEL_COUNT)
+             for name in ("GHE_q1", "GHE_q2")),
+}
 
 
 @dataclass(frozen=True)
@@ -79,175 +94,268 @@ def _values_of(w):
     return np.asarray(getattr(w, "values", w), dtype=np.float64)
 
 
-def instantaneous_energy(w) -> float:
-    """log10 of the mean squared coefficient value."""
-    x = _values_of(w)
-    if x.size == 0:
-        raise EmptyInput("instantaneous_energy of empty set")
-    ms = float(np.mean(x ** 2))
-    return float(np.log10(max(ms, LOG_CLAMP)))
+# ---------------------------------------------------------------------------
+# Row-wise features.  Each takes an (n_rows, n_samples) matrix and returns one
+# value per row.
+# ---------------------------------------------------------------------------
+
+def _ie_rows(x):
+    """log10 of the mean squared value of each row."""
+    return np.log10(np.maximum(np.mean(x ** 2, axis=1), LOG_CLAMP))
 
 
-def teager_energy(w) -> float:
+def _teager_rows(x):
     """log10 of the mean absolute energy-operator output x(r)^2 - x(r-1)x(r+1).
 
     The operator is defined on interior points only; the normalization stays
-    1/m over the full set length.
+    1/m over the full row length.
     """
-    x = _values_of(w)
-    if x.size < 3:
-        raise InputTooShort(f"teager_energy needs >= 3 samples, got {x.size}")
-    terms = np.abs(x[1:-1] ** 2 - x[:-2] * x[2:])
-    val = float(np.sum(terms)) / x.size
-    return float(np.log10(max(val, LOG_CLAMP)))
+    terms = np.abs(x[:, 1:-1] ** 2 - x[:, :-2] * x[:, 2:])
+    return np.log10(np.maximum(np.sum(terms, axis=1) / x.shape[1], LOG_CLAMP))
 
 
-def higuchi_fd(x, k_max: int = 10) -> float:
-    """Curve-length scaling dimension: slope of ln L(k) against ln(1/k).
+def _katz_rows(x):
+    """Waveform dimension log(m) / (log(m) + log(d/L)) of each row.
+
+    L is the path length with unit abscissa steps; d the farthest planar
+    distance from the first point.  Straight lines give exactly 1.
+    """
+    m = x.shape[1]
+    path = np.sum(np.sqrt(1.0 + np.diff(x, axis=1) ** 2), axis=1)
+    t = np.arange(m, dtype=np.float64)
+    d = np.max(np.sqrt(t ** 2 + (x - x[:, :1]) ** 2), axis=1)
+    denom = np.log(m) + np.log(np.maximum(d / path, LOG_CLAMP))
+    with np.errstate(divide="ignore"):
+        return np.where(denom == 0.0, 1.0, np.log(m) / denom)
+
+
+def _slopes(u, v, valid):
+    """Least-squares slope of each row of ``v`` against the shared abscissae
+    ``u``, fitted over the points where ``valid`` holds (nan below 2 points)."""
+    w = valid.astype(np.float64)
+    n = w.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        du = np.where(valid, u - ((w @ u) / n)[:, None], 0.0)
+        v = np.where(valid, v, 0.0)
+        dv = v - (v.sum(axis=1) / n)[:, None]
+        return np.sum(du * dv, axis=1) / np.sum(du * du, axis=1)
+
+
+def _higuchi_rows(x, k_max):
+    """Curve-length scaling dimension of each row: slope of ln L(k) against ln(1/k).
 
     L(k) averages, over the k subsampled series starting at offsets
     m = 0..k-1, the absolute increments normalized by (N-1)/(n_seg*k).
-    Constants have zero curve length and return 0 by convention.
+    Rows with zero curve length at some k (constants) get 0 by convention.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    if n < k_max + 1:
-        raise InputTooShort(f"higuchi_fd needs >= {k_max + 1} samples, got {n}")
-    log_inv_k, log_l = [], []
+    n = x.shape[1]
+    mean_len = np.empty((x.shape[0], k_max))
     for k in range(1, k_max + 1):
         lengths = []
         for m in range(k):
             n_seg = (n - 1 - m) // k
             if n_seg < 1:
                 continue
-            idx = m + np.arange(n_seg + 1) * k
-            total = np.sum(np.abs(np.diff(x[idx])))
+            total = np.sum(np.abs(np.diff(x[:, m::k][:, :n_seg + 1], axis=1)), axis=1)
             lengths.append(total * (n - 1) / (n_seg * k) / k)
-        mean_len = float(np.mean(lengths))
-        if mean_len <= 0.0:
-            log.warning("higuchi_fd: zero curve length (constant signal); returning 0")
-            return 0.0
-        log_inv_k.append(np.log(1.0 / k))
-        log_l.append(np.log(mean_len))
-    slope = np.polyfit(log_inv_k, log_l, 1)[0]
-    return float(slope)
+        mean_len[:, k - 1] = np.mean(np.stack(lengths, axis=1), axis=1)
+    zero = np.any(mean_len <= 0.0, axis=1)
+    if zero.any():
+        log.warning("higuchi_fd: zero curve length (constant signal) on %d of %d rows; "
+                    "returning 0", int(zero.sum()), zero.size)
+    log_inv_k = np.log(1.0 / np.arange(1, k_max + 1))
+    log_len = np.log(np.where(zero[:, None], 1.0, mean_len))
+    slope = _slopes(log_inv_k, log_len, np.ones(mean_len.shape, dtype=bool))
+    return np.where(zero, 0.0, slope)
+
+
+def _ghe_rows(x, q, params):
+    """Scaling exponent H(q) of each row, and the number of lag points it used.
+
+    K_q(tau) = mean|x(t+tau) - x(t)|^q / mean|x(t)|^q; H(q) is the
+    least-squares slope of ln K_q against ln tau, divided by q.  Lags with a
+    non-positive or non-finite K_q are skipped.
+    """
+    taus = np.arange(params.tau_min, params.tau_max + 1)
+    denom = np.mean(np.abs(x) ** q, axis=1)
+    num = np.stack([np.mean(np.abs(x[:, tau:] - x[:, :-tau]) ** q, axis=1) for tau in taus],
+                   axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k_val = num / denom[:, None]
+    valid = (denom > 0.0)[:, None] & np.isfinite(k_val) & (k_val > 0.0)
+    log_k = np.log(np.where(valid, k_val, 1.0))
+    return _slopes(np.log(taus), log_k, valid) / q, valid.sum(axis=1)
+
+
+def _degenerate_message(n_points, q):
+    return f"only {n_points} valid lag points (need >= 3) for q={q}"
+
+
+def _hurst_pair(x, params, where):
+    """(H(1), H(2)) of each row.  Raises DegenerateScaling for the first row
+    with fewer than 3 valid lag points, prefixed by ``where(row)``."""
+    h1, n1 = _ghe_rows(x, 1, params)
+    h2, n2 = _ghe_rows(x, 2, params)
+    bad = np.flatnonzero((n1 < 3) | (n2 < 3))
+    if bad.size:
+        r = int(bad[0])
+        q, n_points = (1, n1[r]) if n1[r] < 3 else (2, n2[r])
+        raise DegenerateScaling(f"{where(r)}: {_degenerate_message(n_points, q)}")
+    return h1, h2
+
+
+# ---------------------------------------------------------------------------
+# Scalar forms: one signal as a batch of one
+# ---------------------------------------------------------------------------
+
+def instantaneous_energy(w) -> float:
+    """log10 of the mean squared coefficient value."""
+    x = _values_of(w)
+    if x.size == 0:
+        raise EmptyInput("instantaneous_energy of empty set")
+    return float(_ie_rows(x.reshape(1, -1))[0])
+
+
+def teager_energy(w) -> float:
+    """log10 of the mean absolute energy-operator output (see ``_teager_rows``)."""
+    x = _values_of(w)
+    if x.size < 3:
+        raise InputTooShort(f"teager_energy needs >= 3 samples, got {x.size}")
+    return float(_teager_rows(x.reshape(1, -1))[0])
+
+
+def higuchi_fd(x, k_max: int = _HIGUCHI_K_MAX) -> float:
+    """Higuchi fractal dimension (see ``_higuchi_rows``); constants return 0."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.size < k_max + 1:
+        raise InputTooShort(f"higuchi_fd needs >= {k_max + 1} samples, got {x.size}")
+    return float(_higuchi_rows(x.reshape(1, -1), k_max)[0])
 
 
 def katz_fd(x) -> float:
-    """Waveform dimension log(m) / (log(m) + log(d/L)).
-
-    L is the path length with unit abscissa steps; d the farthest planar
-    distance from the first point.  Straight lines give exactly 1.
-    """
+    """Katz waveform dimension (see ``_katz_rows``); straight lines give 1."""
     x = np.asarray(x, dtype=np.float64)
-    m = x.size
-    if m < 2:
-        raise InputTooShort(f"katz_fd needs >= 2 samples, got {m}")
-    path = float(np.sum(np.sqrt(1.0 + np.diff(x) ** 2)))
-    t = np.arange(m, dtype=np.float64)
-    d = float(np.max(np.sqrt(t ** 2 + (x - x[0]) ** 2)))
-    ratio = max(d / path, LOG_CLAMP)
-    denom = np.log(m) + np.log(ratio)
-    if denom == 0.0:
-        return 1.0
-    return float(np.log(m) / denom)
+    if x.size < 2:
+        raise InputTooShort(f"katz_fd needs >= 2 samples, got {x.size}")
+    return float(_katz_rows(x.reshape(1, -1))[0])
 
 
 def ghe(x, q, params: GheParams = GheParams()) -> float:
-    """Scaling exponent H(q) of the q-th moment of increments versus lag.
-
-    K_q(tau) = mean|x(t+tau) - x(t)|^q / mean|x(t)|^q; H(q) is the
-    least-squares slope of ln K_q against ln tau, divided by q.
-    """
+    """Generalized Hurst exponent H(q) (see ``_ghe_rows``)."""
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2 * params.tau_max:
         raise InputTooShort(f"ghe needs >= {2 * params.tau_max} samples, got {x.size}")
-    denom = float(np.mean(np.abs(x) ** q))
-    log_tau, log_k = [], []
-    for tau in range(params.tau_min, params.tau_max + 1):
-        num = float(np.mean(np.abs(x[tau:] - x[:-tau]) ** q))
-        if denom <= 0.0:
+    h, n_points = _ghe_rows(x.reshape(1, -1), q, params)
+    if n_points[0] < 3:
+        raise DegenerateScaling(_degenerate_message(n_points[0], q))
+    return float(h[0])
+
+
+# ---------------------------------------------------------------------------
+# Feature sets of a window stack.  Rows are (window, channel) pairs, window
+# major, so a (n_rows, k) result reshapes to (n_windows, 14 * k) in
+# channel-major layout order.
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _dwt_band_matrices():
+    """bior2.2 analysis with anti-reflect extension is linear in the window:
+    band j of a row x is x @ M[j].  Built by decomposing the unit vectors."""
+    bands = zip(*(dwt_bior22(e) for e in np.eye(WINDOW_SAMPLES)))
+    mats = tuple(np.stack([s.values for s in band]) for band in bands)
+    for m in mats:
+        m.setflags(write=False)
+    return mats
+
+
+def _fs1_rows(rows):
+    return np.stack([_ie_rows(rows @ m) for m in _dwt_band_matrices()], axis=1)
+
+
+def _fs2_rows(rows, where, emd_params, ghe_params):
+    selected = np.empty((rows.shape[0], 2, rows.shape[1]))
+    for r, x in enumerate(rows):
+        ch = r % CHANNEL_COUNT
+        try:
+            imfs, _residual = emd(x, emd_params, source_channel=ch)
+            pair = select_imfs_minkowski(x, imfs)
+        except DecompositionFailure:
+            # no oscillatory component: fill both slots from the raw window
+            log.warning("emd produced no IMF on channel %d; using the window itself", ch)
+            selected[r] = x
             continue
-        k_val = num / denom
-        if not np.isfinite(k_val) or k_val <= 0.0:
-            continue
-        log_tau.append(np.log(tau))
-        log_k.append(np.log(k_val))
-    if len(log_tau) < 3:
-        raise DegenerateScaling(
-            f"only {len(log_tau)} valid lag points (need >= 3) for q={q}"
+        except IwsError as exc:
+            raise type(exc)(f"{where(r)}: {exc}") from exc
+        selected[r, 0] = pair[0].values
+        selected[r, 1] = pair[1].values
+    imf_rows = selected.reshape(-1, rows.shape[1])  # row r's slots at 2r, 2r + 1
+    h1, h2 = _hurst_pair(imf_rows, ghe_params, lambda i: where(i // 2))
+    values = np.stack([
+        _teager_rows(imf_rows),
+        _ie_rows(imf_rows),
+        _higuchi_rows(imf_rows, _HIGUCHI_K_MAX),
+        _katz_rows(imf_rows),
+        h1,
+        h2,
+    ], axis=1)
+    return values.reshape(rows.shape[0], 2 * len(_FS2_FEATURES))
+
+
+def feature_matrices(windows, offsets, feature_set_ids,
+                     emd_params: EmdParams = EmdParams(),
+                     ghe_params: GheParams = GheParams()) -> dict:
+    """Feature sets 1, 2 and/or 3 of a stack of windows.
+
+    ``windows`` is (n_windows, 64, 14); ``offsets`` gives each window's trial
+    offset, which errors name together with the channel.  Returns
+    {feature_set_id: (n_windows, width) matrix}, columns in layout order.
+    """
+    windows = np.asarray(windows, dtype=np.float64)
+    n_windows = len(offsets)
+    if windows.shape != (n_windows, WINDOW_SAMPLES, CHANNEL_COUNT):
+        raise InvariantViolation(
+            f"expected {n_windows} windows of {WINDOW_SAMPLES} x {CHANNEL_COUNT}, "
+            f"got shape {windows.shape}"
         )
-    slope = np.polyfit(log_tau, log_k, 1)[0]
-    return float(slope) / q
+    rows = windows.transpose(0, 2, 1).reshape(-1, WINDOW_SAMPLES)
+
+    def where(r):
+        return f"channel {r % CHANNEL_COUNT}, instance offset {offsets[r // CHANNEL_COUNT]}"
+
+    finite = np.all(np.isfinite(rows), axis=1)
+    if not finite.all():
+        raise InvariantViolation(f"{where(int(np.argmin(finite)))}: non-finite values in signal")
+    out = {}
+    for fs in feature_set_ids:
+        if fs == 1:
+            values = _fs1_rows(rows)
+        elif fs == 2:
+            values = _fs2_rows(rows, where, emd_params, ghe_params)
+        elif fs == 3:
+            values = np.stack(_hurst_pair(rows, ghe_params, where), axis=1)
+        else:
+            raise InvariantViolation(f"feature_matrices handles sets 1-3, got {fs}")
+        out[fs] = values.reshape(n_windows, FEATURE_SET_WIDTHS[fs])
+    return out
 
 
-# ---------------------------------------------------------------------------
-# Feature-set assembly
-# ---------------------------------------------------------------------------
-
-def _fs1_channel(x, ch):
-    sets = dwt_bior22(x, source_channel=ch)
-    values = [instantaneous_energy(s) for s in sets]
-    layout = [(ch, tag, "IE") for tag in _BAND_TAGS]
-    return values, layout
+def concat_fs4(m1, m2, m3) -> np.ndarray:
+    """Feature set 4 rows: sets 1, 2, 3 of the same windows side by side."""
+    return np.concatenate([m1, m2, m3], axis=1)
 
 
-def _fs2_channel(x, ch, emd_params, ghe_params):
-    try:
-        imfs, _residual = emd(x, emd_params, source_channel=ch)
-        selected = select_imfs_minkowski(x, imfs)
-    except DecompositionFailure:
-        # no oscillatory component: fill both slots from the raw window
-        log.warning("emd produced no IMF on channel %d; using the window itself", ch)
-        pseudo = CoefficientSet(values=x, kind="imf", source_channel=ch)
-        selected = [pseudo, pseudo]
-    values, layout = [], []
-    for slot, imf in enumerate(selected, start=1):
-        v = imf.values
-        values.extend([
-            teager_energy(v),
-            instantaneous_energy(v),
-            higuchi_fd(v),
-            katz_fd(v),
-            ghe(v, 1, ghe_params),
-            ghe(v, 2, ghe_params),
-        ])
-        layout.extend([(ch, f"imf{slot}", name) for name in _FS2_FEATURES])
-    return values, layout
-
-
-def _fs3_channel(x, ch, ghe_params):
-    values = [ghe(x, 1, ghe_params), ghe(x, 2, ghe_params)]
-    layout = [(ch, "signal", "GHE_q1"), (ch, "signal", "GHE_q2")]
-    return values, layout
-
-
-def extract_features(instance: SignalInstance, feature_set_id: int,
+def extract_features(instance, feature_set_id: int,
                      emd_params: EmdParams = EmdParams(),
                      ghe_params: GheParams = GheParams()) -> FeatureVector:
-    """Compute feature set 1, 2 or 3 for one instance, channel-major order."""
+    """Compute feature set 1, 2 or 3 for one SignalInstance, channel-major order."""
     if feature_set_id not in (1, 2, 3):
         raise InvariantViolation(f"extract_features handles sets 1-3, got {feature_set_id}")
-    values, layout = [], []
-    for ch in range(CHANNEL_COUNT):
-        x = instance.samples[:, ch]
-        try:
-            if feature_set_id == 1:
-                v, l = _fs1_channel(x, ch)
-            elif feature_set_id == 2:
-                v, l = _fs2_channel(x, ch, emd_params, ghe_params)
-            else:
-                v, l = _fs3_channel(x, ch, ghe_params)
-        except IwsError as exc:
-            raise type(exc)(
-                f"channel {ch}, instance offset {instance.trial_offset}: {exc}"
-            ) from exc
-        values.extend(v)
-        layout.extend(l)
+    values = feature_matrices(instance.samples[None], [instance.trial_offset], (feature_set_id,),
+                              emd_params, ghe_params)[feature_set_id][0]
     return FeatureVector(
-        values=np.asarray(values),
+        values=values,
         feature_set_id=feature_set_id,
-        layout=layout,
+        layout=_LAYOUTS[feature_set_id],
         label=instance.label,
         source_offset=instance.trial_offset,
     )
@@ -264,7 +372,7 @@ def assemble_fs4(v1: FeatureVector, v2: FeatureVector, v3: FeatureVector) -> Fea
     if len(offsets) > 1:
         raise LayoutMismatch(f"vectors come from different instances: offsets {sorted(offsets)}")
     return FeatureVector(
-        values=np.concatenate([v1.values, v2.values, v3.values]),
+        values=concat_fs4(v1.values[None], v2.values[None], v3.values[None])[0],
         feature_set_id=4,
         layout=v1.layout + v2.layout + v3.layout,
         label=v1.label,
@@ -273,7 +381,7 @@ def assemble_fs4(v1: FeatureVector, v2: FeatureVector, v3: FeatureVector) -> Fea
 
 
 # ---------------------------------------------------------------------------
-# Standard-score normalization and PCA, fitted on training vectors only
+# Standard-score normalization and PCA, fitted on training rows only
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -283,22 +391,29 @@ class ScalerModel:
 
 
 def scaler_fit(train) -> ScalerModel:
-    if not train:
+    """Fit on training rows: an (n, d) matrix or a sequence of FeatureVectors."""
+    if len(train) == 0:
         raise EmptyInput("scaler_fit on empty training set")
-    matrix = np.stack([v.values for v in train])
+    matrix = np.stack([_values_of(v) for v in train])
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)  # population (divide by n)
     std = np.where(std > 0.0, std, 1.0)
     return ScalerModel(mean=mean, std=std)
 
 
-def scaler_apply(model: ScalerModel, v: FeatureVector) -> FeatureVector:
-    if v.values.size != model.mean.size:
+def scaler_transform(model: ScalerModel, matrix) -> np.ndarray:
+    """Z-score every row of an (n, d) matrix."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] != model.mean.size:
         raise LayoutMismatch(
-            f"vector width {v.values.size} does not match scaler width {model.mean.size}"
+            f"vector width {matrix.shape[-1]} does not match scaler width {model.mean.size}"
         )
+    return (matrix - model.mean) / model.std
+
+
+def scaler_apply(model: ScalerModel, v: FeatureVector) -> FeatureVector:
     return FeatureVector(
-        values=(v.values - model.mean) / model.std,
+        values=scaler_transform(model, v.values[None])[0],
         feature_set_id=v.feature_set_id,
         layout=v.layout,
         label=v.label,
@@ -352,12 +467,18 @@ def pca_fit(train_matrix, target_ratio: float = 0.90) -> PcaModel:
     )
 
 
-def pca_apply(model: PcaModel, v: FeatureVector) -> FeatureVector:
-    if v.values.size != model.mean.size:
+def pca_transform(model: PcaModel, matrix) -> np.ndarray:
+    """Project every row of an (n, d) matrix onto the kept components."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[1] != model.mean.size:
         raise LayoutMismatch(
-            f"vector width {v.values.size} does not match PCA input width {model.mean.size}"
+            f"vector width {matrix.shape[-1]} does not match PCA input width {model.mean.size}"
         )
-    projected = model.components @ (v.values - model.mean)
+    return (matrix - model.mean) @ model.components.T
+
+
+def pca_apply(model: PcaModel, v: FeatureVector) -> FeatureVector:
+    projected = pca_transform(model, v.values[None])[0]
     layout = [("pca", f"pc{i:03d}", "proj") for i in range(projected.size)]
     return FeatureVector(
         values=projected,

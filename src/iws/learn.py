@@ -63,7 +63,7 @@ def make_fold_plan(dataset, seed, n_folds=4, train_ratio=0.75) -> FoldPlan:
     n_trials = len(dataset.trials) if hasattr(dataset, "trials") else int(dataset)
     if n_trials < 8:
         raise TooFewTrials(f"{n_trials} trials < 8; cannot split 75/25 with >= 2 test trials")
-    n_train = (n_trials * 3) // 4 if train_ratio == 0.75 else int(n_trials * train_ratio)
+    n_train = int(n_trials * train_ratio)
     folds = []
     for f in range(n_folds):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), f)))

@@ -108,6 +108,24 @@ class TestRun:
         assert proc.returncode == 2
         assert "feature_set_ids" in proc.stderr
 
+    @pytest.mark.parametrize("field,value", [("window_samples", 32), ("step_samples", 80),
+                                             ("train_ratio", 0.1)])
+    def test_unrunnable_geometry_exits_2(self, dataset_dir, tmp_path, field, value):
+        doc = dict(self.run_config(dataset_dir), **{field: value})
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 2
+        assert field in proc.stderr
+
+    def test_zero_jobs_exits_2(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.run_config(dataset_dir)))
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+                       "--jobs", "0")
+        assert proc.returncode == 2
+        assert "jobs" in proc.stderr
+
     def test_missing_dataset_exits_3(self, tmp_path):
         doc = self.run_config(tmp_path / "nowhere")
         cfg = tmp_path / "run.json"
@@ -178,3 +196,13 @@ class TestScore:
         pred.write_text(json.dumps(doc))
         proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("bad", [2, 0.7, 1.0, True, "1", None])
+    def test_non_binary_bins_exit_2(self, dataset_dir, tmp_path, bad):
+        doc = self.make_predictions(dataset_dir)
+        doc["trials"][1]["bins"] = [bad] * len(doc["trials"][1]["bins"])
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(doc))
+        proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
+        assert proc.returncode == 2
+        assert "trials[1]" in proc.stderr and "bins" in proc.stderr

@@ -1,7 +1,10 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
+from iws import experiment, features, preprocess
 from iws.data import SynthConfig, generate_synthetic_dataset
 from iws.errors import ConfigError
 from iws.evaluate import write_report
@@ -24,6 +27,21 @@ class TestRunConfig:
             RunConfig(dataset_path="x", classifiers=("svm",))
         with pytest.raises(ConfigError, match="train_ratio"):
             RunConfig(dataset_path="x", train_ratio=1.5)
+
+    @pytest.mark.parametrize("field,value", [
+        ("window_samples", 32), ("window_samples", 128),
+        ("step_samples", 0), ("step_samples", 80),
+        ("train_ratio", 0.1), ("train_ratio", 0.95),
+    ])
+    def test_configs_the_pipeline_cannot_run_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(dataset_path="x", **{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("step_samples", 1), ("step_samples", 64), ("train_ratio", 0.125), ("train_ratio", 0.87),
+    ])
+    def test_boundary_configs_accepted(self, field, value):
+        RunConfig(dataset_path="x", **{field: value})
 
     def test_needed_base_sets(self):
         assert RunConfig(dataset_path="x", feature_set_ids=(1,)).needed_base_sets() == (1,)
@@ -78,3 +96,80 @@ class TestRunExperiment:
         assert report["config"]["dataset_path"] == "somewhere"
         assert report["config"]["feature_set_ids"] == [1]
         assert report["seed"] == 5
+
+
+class TestJobs:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Worker counts of every pool run_experiment opens; starts no process."""
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return [fn(p) for p in payloads]
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        return opened
+
+    RC = RunConfig(dataset_path="mem", feature_set_ids=(1,), classifiers=("knn",),
+                   folds=1, seed=3)
+
+    def test_clamped_to_subjects(self, tiny_datasets, pools, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        report = run_experiment(tiny_datasets, self.RC, jobs=1000)
+        assert pools == [len(tiny_datasets)]
+        assert report == run_experiment(tiny_datasets, self.RC, jobs=1)
+
+    def test_clamped_to_cpus(self, tiny_datasets, pools, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        run_experiment(tiny_datasets, self.RC, jobs=2)
+        assert pools == []  # one worker: runs in-process
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_below_one_rejected(self, tiny_datasets, pools, jobs):
+        with pytest.raises(ConfigError, match="jobs"):
+            run_experiment(tiny_datasets, self.RC, jobs=jobs)
+        assert pools == []
+
+
+class TestTrialFeatures:
+    def test_rows_match_per_instance_extraction(self, tiny_datasets, monkeypatch):
+        trial = preprocess.car_filter_trial(tiny_datasets[0].trials[0])
+        params = preprocess.WindowingParams()
+        rc = RunConfig(dataset_path="mem", feature_set_ids=(1, 3, 4))
+        computed = []
+        engine = features.feature_matrices
+
+        def recording(windows, offsets, sets, *args):
+            computed.extend(offsets)
+            return engine(windows, offsets, sets, *args)
+
+        monkeypatch.setattr(features, "feature_matrices", recording)
+        # FS2 per instance is slow; stand in for it with a cheap fixed matrix
+        monkeypatch.setattr(features, "_fs2_rows",
+                            lambda rows, *a: rows[:, :12].copy())
+        tf = experiment._featurize_trial(trial, rc, params)
+
+        train = preprocess.segment_training_trial(trial, params)
+        test = preprocess.segment_test_trial(trial, params)
+        shared = {i.trial_offset for i in train} & {i.trial_offset for i in test}
+        assert shared  # the pre-onset windows
+        assert sorted(computed) == sorted({i.trial_offset for i in (*train, *test)})
+        assert set(tf.train) == set(tf.test) == {1, 3, 4}
+        np.testing.assert_array_equal(tf.labels, [i.label for i in train])
+        for matrix_set, instances in ((tf.train, train), (tf.test, test)):
+            for fs in (1, 3):
+                expected = np.stack([features.extract_features(i, fs).values
+                                     for i in instances])
+                np.testing.assert_allclose(matrix_set[fs], expected, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(matrix_set[4][:, :70], matrix_set[1])
+            np.testing.assert_array_equal(matrix_set[4][:, 70 + 168:], matrix_set[3])

@@ -64,6 +64,11 @@ class TestFoldPlan:
     def test_seed_changes_plan(self):
         assert make_fold_plan(40, seed=9).folds != make_fold_plan(40, seed=10).folds
 
+    def test_default_split_is_floor_of_three_quarters(self):
+        for n in range(8, 300):
+            tr, te = make_fold_plan(n, seed=0, n_folds=1).folds[0]
+            assert len(tr) == 3 * n // 4 and len(te) == n - 3 * n // 4
+
     def test_too_few_trials(self):
         with pytest.raises(TooFewTrials):
             make_fold_plan(7, seed=0)
