@@ -77,14 +77,19 @@ def cmd_run(args) -> int:
 
 def cmd_score(args) -> int:
     doc = _load_json(args.pred, "predictions")
-    if not isinstance(doc, dict) or "trials" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("trials"), list):
         raise ConfigError("predictions file must be an object with a 'trials' list")
     datasets = {ds.subject_id: ds for ds in data.read_dataset(args.dataset)}
     scores = []
     for i, entry in enumerate(doc["trials"]):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"predictions trials[{i}] must be an object")
         for key in ("subject_id", "trial_index", "bins"):
             if key not in entry:
                 raise ConfigError(f"predictions trials[{i}]: missing field '{key}'")
+        if not isinstance(entry["subject_id"], str):
+            raise ConfigError(f"predictions trials[{i}]: 'subject_id' must be a string")
+        data.check_int(f"predictions trials[{i}]: 'trial_index'", entry["trial_index"])
         bins = entry["bins"]
         if not isinstance(bins, list) or any(type(b) is not int or b not in (0, 1) for b in bins):
             raise ConfigError(f"predictions trials[{i}]: 'bins' must be a list of 0/1 integers")

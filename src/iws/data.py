@@ -2,6 +2,7 @@
 
 import json
 import logging
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,9 +15,13 @@ from .errors import ConfigError, InvariantViolation, MalformedFile
 
 log = logging.getLogger(__name__)
 
+# The one recording geometry the detector handles: 14-channel EEG at 128 Hz,
+# 0.5 s windows sliding by 0.1 s, scored in 0.1 s bins.
 SAMPLING_RATE = 128
 CHANNEL_COUNT = 14
-WINDOW_SAMPLES = 64  # 0.5 s at 128 Hz
+WINDOW_SAMPLES = 64  # 0.5 s
+STEP_SAMPLES = 13  # default window step and scoring bin: 0.1 s is 12.8 samples, rounded
+MIN_TRIALS = 8  # a 75/25 trial split of 8 leaves 2 test trials
 
 PROTOCOL_TAGS = ("dataset1", "dataset2", "dataset3", "synthetic")
 
@@ -25,6 +30,12 @@ _SCHEMA_VERSION = 1
 
 def _channel_names():
     return [f"ch{i:02d}" for i in range(CHANNEL_COUNT)]
+
+
+def check_int(field, value):
+    """Raise ConfigError naming ``field`` unless ``value`` is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +50,6 @@ class Trial:
     samples: np.ndarray  # n_samples x CHANNEL_COUNT, microvolts
     onset_sample: int
     ending_sample: int
-    sampling_rate: int = SAMPLING_RATE
-    channel_count: int = CHANNEL_COUNT
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -53,9 +62,9 @@ class Trial:
         return self.samples.shape[0]
 
     def validate(self):
-        if self.samples.ndim != 2 or self.samples.shape[1] != self.channel_count:
+        if self.samples.ndim != 2 or self.samples.shape[1] != CHANNEL_COUNT:
             raise InvariantViolation(
-                f"trial {self.subject_id}: samples must be n x {self.channel_count}, "
+                f"trial {self.subject_id}: samples must be n x {CHANNEL_COUNT}, "
                 f"got shape {self.samples.shape}"
             )
         if not np.all(np.isfinite(self.samples)):
@@ -78,15 +87,11 @@ class Trial:
             samples=samples,
             onset_sample=self.onset_sample,
             ending_sample=self.ending_sample,
-            sampling_rate=self.sampling_rate,
-            channel_count=self.channel_count,
         )
 
     def equals(self, other):
         return (
             self.subject_id == other.subject_id
-            and self.sampling_rate == other.sampling_rate
-            and self.channel_count == other.channel_count
             and self.onset_sample == other.onset_sample
             and self.ending_sample == other.ending_sample
             and self.samples.shape == other.samples.shape
@@ -96,7 +101,7 @@ class Trial:
 
 @dataclass(frozen=True)
 class SubjectDataset:
-    """All trials of one subject, sharing sampling rate and channel layout."""
+    """All trials of one subject."""
 
     subject_id: str
     trials: tuple
@@ -111,16 +116,10 @@ class SubjectDataset:
             raise InvariantViolation(
                 f"subject {self.subject_id}: unknown protocol_tag {self.protocol_tag!r}"
             )
-        if len(self.trials) < 8:
+        if len(self.trials) < MIN_TRIALS:
             raise InvariantViolation(
-                f"subject {self.subject_id}: {len(self.trials)} trials < 8 "
+                f"subject {self.subject_id}: {len(self.trials)} trials < {MIN_TRIALS} "
                 "(75/25 split needs at least 2 test trials)"
-            )
-        rates = {t.sampling_rate for t in self.trials}
-        chans = {t.channel_count for t in self.trials}
-        if len(rates) > 1 or len(chans) > 1:
-            raise InvariantViolation(
-                f"subject {self.subject_id}: trials disagree on sampling rate/channels"
             )
 
 
@@ -166,6 +165,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_subjects", "trials_per_subject", "trial_length_samples", "seed"):
+            check_int(name, getattr(self, name))
+        for v in self.iws_length_range:
+            check_int("iws_length_range", v)
         object.__setattr__(self, "iws_length_range", tuple(int(v) for v in self.iws_length_range))
         object.__setattr__(self, "carrier_band_hz", tuple(float(v) for v in self.carrier_band_hz))
         self.validate()
@@ -173,8 +176,9 @@ class SynthConfig:
     def validate(self):
         if self.n_subjects < 1:
             raise ConfigError("n_subjects must be >= 1")
-        if self.trials_per_subject < 8:
-            raise ConfigError("trials_per_subject must be >= 8 (SubjectDataset minimum)")
+        if self.trials_per_subject < MIN_TRIALS:
+            raise ConfigError(
+                f"trials_per_subject must be >= {MIN_TRIALS} (SubjectDataset minimum)")
         lo, hi = self.iws_length_range
         if not (0 < lo <= hi):
             raise ConfigError("iws_length_range must satisfy 0 < min <= max")
@@ -205,7 +209,7 @@ def write_trial_file(trial: Trial, path) -> None:
     trial.validate()
     doc = {
         "subject_id": trial.subject_id,
-        "sampling_rate": trial.sampling_rate,
+        "sampling_rate": SAMPLING_RATE,
         "channels": _channel_names(),
         "onset_sample": int(trial.onset_sample),
         "ending_sample": int(trial.ending_sample),
@@ -235,6 +239,8 @@ def read_trial_file(path) -> Trial:
         raise MalformedFile(f"{where}: top-level value must be an object")
     subject_id = _require(doc, "subject_id", str, where)
     rate = _require(doc, "sampling_rate", int, where)
+    if rate != SAMPLING_RATE:
+        raise MalformedFile(f"{where}: field 'sampling_rate' must be {SAMPLING_RATE}, got {rate}")
     channels = _require(doc, "channels", list, where)
     if len(channels) != CHANNEL_COUNT:
         raise MalformedFile(f"{where}: field 'channels' must list {CHANNEL_COUNT} names")
@@ -252,7 +258,6 @@ def read_trial_file(path) -> Trial:
         samples=samples,
         onset_sample=onset,
         ending_sample=ending,
-        sampling_rate=rate,
     )
 
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import WINDOW_SAMPLES
 from .errors import DecompositionFailure, EmptyInput, InvariantViolation
 
 log = logging.getLogger(__name__)
@@ -126,8 +127,8 @@ def dwt_bior22(signal, levels=DWT_LEVELS, source_channel=0):
     Returns [w1, w2, w3, w4, a5] as CoefficientSets, finest detail first.
     """
     x = _check_signal(signal)
-    if x.size != 64:
-        raise InvariantViolation(f"expected a 64-sample window, got {x.size}")
+    if x.size != WINDOW_SAMPLES:
+        raise InvariantViolation(f"expected a {WINDOW_SAMPLES}-sample window, got {x.size}")
     details = []
     cur = x
     for _ in range(levels):
@@ -141,7 +142,7 @@ def dwt_bior22(signal, levels=DWT_LEVELS, source_channel=0):
     return sets
 
 
-def idwt_bior22(sets, n_samples=64):
+def idwt_bior22(sets, n_samples=WINDOW_SAMPLES):
     """Reconstruct the window from dwt_bior22 output (perfect to ~1e-12)."""
     if len(sets) != DWT_LEVELS + 1:
         raise InvariantViolation(f"expected {DWT_LEVELS + 1} coefficient sets, got {len(sets)}")

@@ -10,14 +10,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import evaluate, features, learn, postprocess, preprocess
-from .data import WINDOW_SAMPLES
+from .data import MIN_TRIALS, STEP_SAMPLES, WINDOW_SAMPLES, check_int
 from .errors import ConfigError, SegmentTooShort
 from .learn import CLASSIFIER_KINDS, ClassifierSpec
 
 log = logging.getLogger(__name__)
 
 _BASE_SETS = (1, 2, 3)
-_MIN_TRIALS = 8  # smallest subject that SubjectDataset and make_fold_plan accept
 
 
 @dataclass(frozen=True)
@@ -27,12 +26,17 @@ class RunConfig:
     classifiers: tuple = ("random_forest",)
     folds: int = 4
     train_ratio: float = 0.75
-    window_samples: int = 64
-    step_samples: int = 13
+    step_samples: int = STEP_SAMPLES
     pca_target_ratio: float = 0.90
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.dataset_path, str):
+            raise ConfigError(f"dataset_path must be a string, got {self.dataset_path!r}")
+        for name in ("folds", "step_samples", "seed"):
+            check_int(name, getattr(self, name))
+        for i in self.feature_set_ids:
+            check_int("feature_set_ids", i)
         object.__setattr__(self, "feature_set_ids", tuple(int(i) for i in self.feature_set_ids))
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
         self.validate()
@@ -50,19 +54,15 @@ class RunConfig:
             raise ConfigError("train_ratio must be in (0, 1)")
         # the 8-trial split is the tightest: a ratio leaving it >= 1 training
         # and >= 2 test trials does so for every larger subject
-        n_train = int(_MIN_TRIALS * self.train_ratio)
-        if n_train < 1 or _MIN_TRIALS - n_train < 2:
+        n_train = int(MIN_TRIALS * self.train_ratio)
+        if n_train < 1 or MIN_TRIALS - n_train < 2:
             raise ConfigError(
-                f"train_ratio {self.train_ratio} splits a {_MIN_TRIALS}-trial subject into "
-                f"{n_train} training and {_MIN_TRIALS - n_train} test trials; "
+                f"train_ratio {self.train_ratio} splits a {MIN_TRIALS}-trial subject into "
+                f"{n_train} training and {MIN_TRIALS - n_train} test trials; "
                 "need >= 1 and >= 2")
-        if self.window_samples != WINDOW_SAMPLES:
+        if not (1 <= self.step_samples <= WINDOW_SAMPLES):
             raise ConfigError(
-                f"window_samples must be {WINDOW_SAMPLES} (0.5 s at 128 Hz), "
-                f"got {self.window_samples}")
-        if not (1 <= self.step_samples <= self.window_samples):
-            raise ConfigError(
-                f"step_samples must be in [1, {self.window_samples}], got {self.step_samples}")
+                f"step_samples must be in [1, {WINDOW_SAMPLES}], got {self.step_samples}")
         if not (0.0 < self.pca_target_ratio <= 1.0):
             raise ConfigError("pca_target_ratio must be in (0, 1]")
 
@@ -93,17 +93,17 @@ class _TrialFeatures:
     test: dict  # continuous test windows in trial order
 
 
-def _featurize_trial(trial, config, params):
+def _featurize_trial(trial, config):
     """Featurize every distinct window offset of a trial once.
 
     The training windows before the onset lie on the test grid, so both
     sides take their rows from one set of matrices.
     """
-    train = preprocess.segment_training_trial(trial, params)
-    test = preprocess.segment_test_trial(trial, params)
+    train = preprocess.segment_training_trial(trial, config.step_samples)
+    test = preprocess.segment_test_trial(trial, config.step_samples)
     offsets = sorted({inst.trial_offset for inst in (*train, *test)})
     row = {offset: i for i, offset in enumerate(offsets)}
-    windows = np.stack([trial.samples[o:o + config.window_samples] for o in offsets])
+    windows = np.stack([trial.samples[o:o + WINDOW_SAMPLES] for o in offsets])
     base = features.feature_matrices(windows, offsets, config.needed_base_sets())
     inputs = {_input_set(fs) for fs in config.feature_set_ids}
     if 4 in inputs:
@@ -123,14 +123,13 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
     Returns {(feature_set_id, classifier): subject_result_block}.
     """
     t0 = time.perf_counter()
-    params = preprocess.WindowingParams(config.window_samples, config.step_samples)
     trials = [preprocess.car_filter_trial(t) for t in dataset.trials]
     log.info("subject %s: CAR filter done (%.2fs)", dataset.subject_id, time.perf_counter() - t0)
 
     trial_features, usable = {}, []
     for idx, trial in enumerate(trials):
         try:
-            trial_features[idx] = _featurize_trial(trial, config, params)
+            trial_features[idx] = _featurize_trial(trial, config)
         except SegmentTooShort as exc:
             log.warning("subject %s trial %d rejected: %s", dataset.subject_id, idx, exc)
             continue
@@ -170,9 +169,7 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
                 fold_scores = []
                 for t in test_ids:
                     raw = learn.predict(model, X_test[t])
-                    pred = postprocess.postprocess_trial(
-                        raw, trials[t], window=config.window_samples,
-                        step=config.step_samples)
+                    pred = postprocess.postprocess_trial(raw, trials[t], step=config.step_samples)
                     fold_scores.append(evaluate.score_trial(
                         pred.corrected_labels, pred.truth_labels, trial_id=t))
                 out[(fs, clf)]["fold_scores"].append(fold_scores)

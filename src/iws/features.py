@@ -13,7 +13,6 @@ matrix per feature set.  The scalar functions and the per-instance
 ``extract_features`` are batches of one.
 """
 
-import csv
 import functools
 import logging
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .data import CHANNEL_COUNT, WINDOW_SAMPLES
-from .decompose import EmdParams, dwt_bior22, emd, select_imfs_minkowski
+from .decompose import dwt_bior22, emd, select_imfs_minkowski
 from .errors import (
     DecompositionFailure,
     DegenerateScaling,
@@ -272,12 +271,12 @@ def _fs1_rows(rows):
     return np.stack([_ie_rows(rows @ m) for m in _dwt_band_matrices()], axis=1)
 
 
-def _fs2_rows(rows, where, emd_params, ghe_params):
+def _fs2_rows(rows, where):
     selected = np.empty((rows.shape[0], 2, rows.shape[1]))
     for r, x in enumerate(rows):
         ch = r % CHANNEL_COUNT
         try:
-            imfs, _residual = emd(x, emd_params, source_channel=ch)
+            imfs, _residual = emd(x, source_channel=ch)
             pair = select_imfs_minkowski(x, imfs)
         except DecompositionFailure:
             # no oscillatory component: fill both slots from the raw window
@@ -289,7 +288,7 @@ def _fs2_rows(rows, where, emd_params, ghe_params):
         selected[r, 0] = pair[0].values
         selected[r, 1] = pair[1].values
     imf_rows = selected.reshape(-1, rows.shape[1])  # row r's slots at 2r, 2r + 1
-    h1, h2 = _hurst_pair(imf_rows, ghe_params, lambda i: where(i // 2))
+    h1, h2 = _hurst_pair(imf_rows, GheParams(), lambda i: where(i // 2))
     values = np.stack([
         _teager_rows(imf_rows),
         _ie_rows(imf_rows),
@@ -301,9 +300,7 @@ def _fs2_rows(rows, where, emd_params, ghe_params):
     return values.reshape(rows.shape[0], 2 * len(_FS2_FEATURES))
 
 
-def feature_matrices(windows, offsets, feature_set_ids,
-                     emd_params: EmdParams = EmdParams(),
-                     ghe_params: GheParams = GheParams()) -> dict:
+def feature_matrices(windows, offsets, feature_set_ids) -> dict:
     """Feature sets 1, 2 and/or 3 of a stack of windows.
 
     ``windows`` is (n_windows, 64, 14); ``offsets`` gives each window's trial
@@ -330,9 +327,9 @@ def feature_matrices(windows, offsets, feature_set_ids,
         if fs == 1:
             values = _fs1_rows(rows)
         elif fs == 2:
-            values = _fs2_rows(rows, where, emd_params, ghe_params)
+            values = _fs2_rows(rows, where)
         elif fs == 3:
-            values = np.stack(_hurst_pair(rows, ghe_params, where), axis=1)
+            values = np.stack(_hurst_pair(rows, GheParams(), where), axis=1)
         else:
             raise InvariantViolation(f"feature_matrices handles sets 1-3, got {fs}")
         out[fs] = values.reshape(n_windows, FEATURE_SET_WIDTHS[fs])
@@ -344,14 +341,12 @@ def concat_fs4(m1, m2, m3) -> np.ndarray:
     return np.concatenate([m1, m2, m3], axis=1)
 
 
-def extract_features(instance, feature_set_id: int,
-                     emd_params: EmdParams = EmdParams(),
-                     ghe_params: GheParams = GheParams()) -> FeatureVector:
+def extract_features(instance, feature_set_id: int) -> FeatureVector:
     """Compute feature set 1, 2 or 3 for one SignalInstance, channel-major order."""
     if feature_set_id not in (1, 2, 3):
         raise InvariantViolation(f"extract_features handles sets 1-3, got {feature_set_id}")
-    values = feature_matrices(instance.samples[None], [instance.trial_offset], (feature_set_id,),
-                              emd_params, ghe_params)[feature_set_id][0]
+    values = feature_matrices(instance.samples[None], [instance.trial_offset],
+                              (feature_set_id,))[feature_set_id][0]
     return FeatureVector(
         values=values,
         feature_set_id=feature_set_id,
@@ -487,19 +482,3 @@ def pca_apply(model: PcaModel, v: FeatureVector) -> FeatureVector:
         label=v.label,
         source_offset=v.source_offset,
     )
-
-
-def export_features_csv(vectors, path) -> None:
-    """Dump feature vectors as CSV with layout descriptors as the header."""
-    if not vectors:
-        raise EmptyInput("no feature vectors to export")
-    layout = vectors[0].layout
-    header = ["label"] + [":".join(str(p) for p in entry) for entry in layout]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for v in vectors:
-            if v.layout != layout:
-                raise LayoutMismatch("vectors with differing layouts in one export")
-            writer.writerow([("" if v.label is None else v.label)]
-                            + [repr(float(x)) for x in v.values])

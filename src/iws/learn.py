@@ -1,13 +1,13 @@
 """From-scratch classifiers (random forest, k-NN, logistic regression) and the
 per-subject 4-fold 75/25 trial-level validation scheme."""
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .data import MIN_TRIALS
 from .errors import (
     InvariantViolation,
     SingleClassTraining,
@@ -18,8 +18,6 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 CLASSIFIER_KINDS = ("random_forest", "knn", "logreg")
-
-_MODEL_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -53,16 +51,15 @@ class FoldPlan:
                 raise InvariantViolation("train and test trials overlap")
 
 
-def make_fold_plan(dataset, seed, n_folds=4, train_ratio=0.75) -> FoldPlan:
+def make_fold_plan(n_trials, seed, n_folds=4, train_ratio=0.75) -> FoldPlan:
     """Shuffle trial indices ``n_folds`` times and split each shuffle 75/25.
 
-    ``dataset`` is a SubjectDataset or a plain trial count.  Splits are at
-    trial granularity, never window granularity, so no windows of a test
-    trial can leak into training.
+    Splits are at trial granularity, never window granularity, so no
+    windows of a test trial can leak into training.
     """
-    n_trials = len(dataset.trials) if hasattr(dataset, "trials") else int(dataset)
-    if n_trials < 8:
-        raise TooFewTrials(f"{n_trials} trials < 8; cannot split 75/25 with >= 2 test trials")
+    if n_trials < MIN_TRIALS:
+        raise TooFewTrials(
+            f"{n_trials} trials < {MIN_TRIALS}; cannot split 75/25 with >= 2 test trials")
     n_train = int(n_trials * train_ratio)
     folds = []
     for f in range(n_folds):
@@ -149,13 +146,6 @@ class RandomForestModel:
         # strict majority of trees; exact ties resolve to 0
         return (votes * 2 > len(self.trees)).astype(np.int64)
 
-    def to_blob(self):
-        return {"trees": self.trees, "n_features": self.n_features}
-
-    @classmethod
-    def from_blob(cls, blob):
-        return cls(trees=blob["trees"], n_features=blob["n_features"])
-
 
 def _train_random_forest(spec, X, y):
     n, m = X.shape
@@ -194,13 +184,6 @@ class KnnModel:
         ones = self.y[nearest].sum(axis=1)
         return (ones * 2 > self.k).astype(np.int64)
 
-    def to_blob(self):
-        return {"X": self.X.tolist(), "y": self.y.tolist(), "k": self.k}
-
-    @classmethod
-    def from_blob(cls, blob):
-        return cls(X=np.asarray(blob["X"]), y=np.asarray(blob["y"]), k=blob["k"])
-
 
 def _train_knn(spec, X, y):
     k = spec.knn_k
@@ -231,13 +214,6 @@ class LogRegModel:
         if X.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
         return (self.decision(X) > 0.0).astype(np.int64)
-
-    def to_blob(self):
-        return {"weights": self.weights.tolist(), "intercept": self.intercept}
-
-    @classmethod
-    def from_blob(cls, blob):
-        return cls(weights=np.asarray(blob["weights"]), intercept=blob["intercept"])
 
 
 def _logreg_loss_grad(w, b, X, y_pm, lam):
@@ -315,25 +291,3 @@ def train(spec: ClassifierSpec, X, y):
 
 def predict(model, X):
     return model.predict(X)
-
-
-_MODEL_CLASSES = {cls.kind: cls for cls in (RandomForestModel, KnnModel, LogRegModel)}
-
-
-def model_to_json(model) -> str:
-    """Serialize any trained model to a versioned JSON blob."""
-    return json.dumps({
-        "format_version": _MODEL_FORMAT_VERSION,
-        "kind": model.kind,
-        "blob": model.to_blob(),
-    })
-
-
-def model_from_json(text):
-    doc = json.loads(text)
-    if doc.get("format_version") != _MODEL_FORMAT_VERSION:
-        raise InvariantViolation(f"unsupported model format {doc.get('format_version')!r}")
-    cls = _MODEL_CLASSES.get(doc.get("kind"))
-    if cls is None:
-        raise InvariantViolation(f"unknown model kind {doc.get('kind')!r}")
-    return cls.from_blob(doc["blob"])

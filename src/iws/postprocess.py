@@ -3,11 +3,8 @@
 import math
 from dataclasses import dataclass
 
-from .data import Trial
+from .data import STEP_SAMPLES, WINDOW_SAMPLES, Trial
 from .errors import EmptyInput, InvariantViolation
-
-WINDOW = 64
-STEP = 13
 
 
 @dataclass(frozen=True)
@@ -25,19 +22,19 @@ class TrialPrediction:
             raise InvariantViolation(f"bin/corrected/truth lengths disagree: {lens}")
 
 
-def n_bins_for(n_samples, step=STEP) -> int:
+def n_bins_for(n_samples, step=STEP_SAMPLES) -> int:
     """Number of 0.1 s bins covering an n-sample trial (last bin may be partial)."""
     return math.ceil(n_samples / step)
 
 
-def covering_windows(b, n_windows, window=WINDOW, step=STEP):
+def covering_windows(b, n_windows, step=STEP_SAMPLES):
     """Indices of test windows whose sample span overlaps bin ``b``.
 
-    Window w spans [step*w, step*w + window); bin b spans
-    [step*b, step*(b+1)).  At most ceil(window/step) = 5 windows overlap an
-    interior bin; edge bins see fewer.
+    Window w spans [step*w, step*w + WINDOW_SAMPLES); bin b spans
+    [step*b, step*(b+1)).  At most ceil(WINDOW_SAMPLES/step) = 5 windows
+    overlap an interior bin; edge bins see fewer.
     """
-    lo = max(0, b - (window - 1) // step)
+    lo = max(0, b - (WINDOW_SAMPLES - 1) // step)
     hi = min(b, n_windows - 1)
     return list(range(lo, hi + 1))
 
@@ -47,13 +44,13 @@ def _majority(votes):
     return 1 if 2 * ones > len(votes) else 0  # ties (and no votes) give 0
 
 
-def reduce_windows(raw, n_bins, window=WINDOW, step=STEP) -> list:
+def reduce_windows(raw, n_bins, step=STEP_SAMPLES) -> list:
     """Collapse overlapped window labels into per-bin labels by majority vote."""
     raw = list(raw)
     if not raw:
         raise EmptyInput("no window labels to reduce")
     return [
-        _majority([raw[w] for w in covering_windows(b, len(raw), window, step)])
+        _majority([raw[w] for w in covering_windows(b, len(raw), step)])
         for b in range(n_bins)
     ]
 
@@ -73,7 +70,7 @@ def correct_errors(bins) -> list:
     return out
 
 
-def truth_bins(trial: Trial, n_bins=None, step=STEP) -> list:
+def truth_bins(trial: Trial, n_bins=None, step=STEP_SAMPLES) -> list:
     """Ground-truth bin labels: 1 where more than half the bin's samples are IWS."""
     if n_bins is None:
         n_bins = n_bins_for(trial.n_samples, step)
@@ -85,10 +82,10 @@ def truth_bins(trial: Trial, n_bins=None, step=STEP) -> list:
     return labels
 
 
-def postprocess_trial(raw_window_labels, trial: Trial, window=WINDOW, step=STEP) -> TrialPrediction:
+def postprocess_trial(raw_window_labels, trial: Trial, step=STEP_SAMPLES) -> TrialPrediction:
     """Full reduction + correction + truth discretization for one test trial."""
     n_bins = n_bins_for(trial.n_samples, step)
-    bins = reduce_windows(list(raw_window_labels), n_bins, window, step)
+    bins = reduce_windows(list(raw_window_labels), n_bins, step)
     corrected = correct_errors(bins)
     truth = truth_bins(trial, n_bins, step)
     return TrialPrediction(

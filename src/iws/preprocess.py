@@ -1,30 +1,9 @@
 """Common average reference cleaning and trial windowing."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import WINDOW_SAMPLES, SignalInstance, Trial
+from .data import STEP_SAMPLES, WINDOW_SAMPLES, SignalInstance, Trial
 from .errors import InvariantViolation, SegmentTooShort
-
-
-@dataclass(frozen=True)
-class WindowingParams:
-    """Sliding-window geometry.
-
-    64 samples = 0.5 s at 128 Hz.  The 0.1 s step is 12.8 samples, which is
-    not integral; 13 is the canonical rounding and stays configurable for
-    sensitivity studies.
-    """
-
-    window_samples: int = WINDOW_SAMPLES
-    step_samples: int = 13
-
-    def __post_init__(self):
-        if not (0 < self.step_samples <= self.window_samples):
-            raise InvariantViolation(
-                f"need 0 < step ({self.step_samples}) <= window ({self.window_samples})"
-            )
 
 
 def car_filter(samples) -> np.ndarray:
@@ -44,24 +23,20 @@ def car_filter_trial(trial: Trial) -> Trial:
     return trial.with_samples(car_filter(trial.samples))
 
 
-def _starts(begin, end_exclusive, window, step):
+def _starts(begin, end_exclusive, step):
     """Window start indices in [begin, ...] with start + window <= end_exclusive."""
-    out = []
-    start = begin
-    while start + window <= end_exclusive:
-        out.append(start)
-        start += step
-    return out
+    if not 0 < step <= WINDOW_SAMPLES:
+        raise InvariantViolation(f"need 0 < step ({step}) <= window ({WINDOW_SAMPLES})")
+    return range(begin, end_exclusive - WINDOW_SAMPLES + 1, step)
 
 
-def segment_training_trial(trial: Trial, params: WindowingParams = WindowingParams()):
+def segment_training_trial(trial: Trial, step=STEP_SAMPLES):
     """Cut a marker-labeled trial into pure-class instances.
 
     Three independent passes: ISS windows from the trial start up to the
     onset, IWS windows from the onset up to the ending, ISS windows from the
     ending to the end of the trial.  No instance ever mixes classes.
     """
-    w, s = params.window_samples, params.step_samples
     n = trial.n_samples
     segments = [
         (0, trial.onset_sample, 0),
@@ -70,16 +45,16 @@ def segment_training_trial(trial: Trial, params: WindowingParams = WindowingPara
     ]
     instances = []
     for begin, end, label in segments:
-        starts = _starts(begin, end, w, s)
+        starts = _starts(begin, end, step)
         if not starts:
             raise SegmentTooShort(
                 f"trial {trial.subject_id}: segment [{begin}, {end}) of length "
-                f"{end - begin} admits no {w}-sample window"
+                f"{end - begin} admits no {WINDOW_SAMPLES}-sample window"
             )
         for start in starts:
             instances.append(
                 SignalInstance(
-                    samples=trial.samples[start:start + w, :],
+                    samples=trial.samples[start:start + WINDOW_SAMPLES, :],
                     trial_offset=start,
                     label=label,
                 )
@@ -87,20 +62,12 @@ def segment_training_trial(trial: Trial, params: WindowingParams = WindowingPara
     return instances
 
 
-def segment_test_trial(trial: Trial, params: WindowingParams = WindowingParams()):
+def segment_test_trial(trial: Trial, step=STEP_SAMPLES):
     """Cut a trial into unlabeled instances continuously, ignoring markers."""
-    w, s = params.window_samples, params.step_samples
     n = trial.n_samples
-    if n < w:
-        raise SegmentTooShort(f"trial {trial.subject_id}: {n} samples < window {w}")
+    if n < WINDOW_SAMPLES:
+        raise SegmentTooShort(f"trial {trial.subject_id}: {n} samples < window {WINDOW_SAMPLES}")
     return [
-        SignalInstance(samples=trial.samples[start:start + w, :], trial_offset=start)
-        for start in _starts(0, n, w, s)
+        SignalInstance(samples=trial.samples[start:start + WINDOW_SAMPLES, :], trial_offset=start)
+        for start in _starts(0, n, step)
     ]
-
-
-def count_test_instances(n_samples, params: WindowingParams = WindowingParams()) -> int:
-    """Closed form for the number of continuous windows in an n-sample trial."""
-    if n_samples < params.window_samples:
-        return 0
-    return (n_samples - params.window_samples) // params.step_samples + 1

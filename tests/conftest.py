@@ -15,16 +15,3 @@ settings.load_profile("default")
 def rng():
     return np.random.default_rng(12345)
 
-
-@pytest.fixture
-def small_trial():
-    """Deterministic 320-sample trial with markers at 128/192."""
-    from iws.data import Trial
-
-    gen = np.random.default_rng(7)
-    return Trial(
-        subject_id="t01",
-        samples=gen.standard_normal((320, 14)),
-        onset_sample=128,
-        ending_sample=192,
-    )

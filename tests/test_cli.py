@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -52,6 +53,17 @@ class TestGenerate:
         proc = run_cli("generate", "--config", str(cfg), "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
         assert "wavelength" in proc.stderr
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_subjects", 1.5), ("trials_per_subject", 8.0), ("trial_length_samples", 320.0),
+        ("seed", 1.5), ("seed", True), ("iws_length_range", ["a", 64]),
+    ])
+    def test_non_integer_field_exits_2(self, tmp_path, field, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(SYNTH_CFG, **{field: value})))
+        proc = run_cli("generate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert proc.returncode == 2
+        assert field in proc.stderr and "Traceback" not in proc.stderr
 
     def test_rerun_identical_content(self, dataset_dir, tmp_path):
         cfg = tmp_path / "synth.json"
@@ -108,15 +120,32 @@ class TestRun:
         assert proc.returncode == 2
         assert "feature_set_ids" in proc.stderr
 
-    @pytest.mark.parametrize("field,value", [("window_samples", 32), ("step_samples", 80),
-                                             ("train_ratio", 0.1)])
+    @pytest.mark.parametrize("field,value", [
+        ("window_samples", 32), ("window_samples", 64), ("step_samples", 80),
+        ("step_samples", 13.0), ("folds", 1.5), ("seed", 1.5), ("train_ratio", 0.1),
+        ("feature_set_ids", ["x"]), ("feature_set_ids", [1.7]), ("dataset_path", 5),
+    ])
     def test_unrunnable_geometry_exits_2(self, dataset_dir, tmp_path, field, value):
         doc = dict(self.run_config(dataset_dir), **{field: value})
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(doc))
         proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 2
-        assert field in proc.stderr
+        assert field in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_other_sampling_rate_exits_3(self, dataset_dir, tmp_path):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        trial = ds / "s01_000.json"
+        doc = json.loads(trial.read_text())
+        doc["sampling_rate"] = 256
+        trial.write_text(json.dumps(doc))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.run_config(ds)))
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 3
+        assert "sampling_rate" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "r.json").exists()
 
     def test_zero_jobs_exits_2(self, dataset_dir, tmp_path):
         cfg = tmp_path / "run.json"
@@ -206,3 +235,24 @@ class TestScore:
         proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
         assert proc.returncode == 2
         assert "trials[1]" in proc.stderr and "bins" in proc.stderr
+
+    @pytest.mark.parametrize("field,value", [
+        ("trial_index", 1.5), ("trial_index", "1"), ("trial_index", True), ("subject_id", 1),
+    ])
+    def test_mistyped_entry_field_exits_2(self, dataset_dir, tmp_path, field, value):
+        doc = self.make_predictions(dataset_dir)
+        doc["trials"][1][field] = value
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(doc))
+        proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
+        assert proc.returncode == 2
+        assert "trials[1]" in proc.stderr and field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("trials", [5, [5]])
+    def test_trials_not_a_list_of_objects_exits_2(self, dataset_dir, tmp_path, trials):
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({"trials": trials}))
+        proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
+        assert proc.returncode == 2
+        assert "trials" in proc.stderr and "Traceback" not in proc.stderr

@@ -90,6 +90,16 @@ class TestTrialFiles:
         with pytest.raises(MalformedFile, match=field):
             read_trial_file(path)
 
+    def test_other_sampling_rate_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_trial_file(make_trial(), path)
+        doc = json.loads(path.read_text())
+        assert doc["sampling_rate"] == 128
+        doc["sampling_rate"] = 256
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFile, match="sampling_rate"):
+            read_trial_file(path)
+
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text("{ not json")

@@ -29,7 +29,6 @@ class TestRunConfig:
             RunConfig(dataset_path="x", train_ratio=1.5)
 
     @pytest.mark.parametrize("field,value", [
-        ("window_samples", 32), ("window_samples", 128),
         ("step_samples", 0), ("step_samples", 80),
         ("train_ratio", 0.1), ("train_ratio", 0.95),
     ])
@@ -144,7 +143,6 @@ class TestJobs:
 class TestTrialFeatures:
     def test_rows_match_per_instance_extraction(self, tiny_datasets, monkeypatch):
         trial = preprocess.car_filter_trial(tiny_datasets[0].trials[0])
-        params = preprocess.WindowingParams()
         rc = RunConfig(dataset_path="mem", feature_set_ids=(1, 3, 4))
         computed = []
         engine = features.feature_matrices
@@ -157,10 +155,10 @@ class TestTrialFeatures:
         # FS2 per instance is slow; stand in for it with a cheap fixed matrix
         monkeypatch.setattr(features, "_fs2_rows",
                             lambda rows, *a: rows[:, :12].copy())
-        tf = experiment._featurize_trial(trial, rc, params)
+        tf = experiment._featurize_trial(trial, rc)
 
-        train = preprocess.segment_training_trial(trial, params)
-        test = preprocess.segment_test_trial(trial, params)
+        train = preprocess.segment_training_trial(trial)
+        test = preprocess.segment_test_trial(trial)
         shared = {i.trial_offset for i in train} & {i.trial_offset for i in test}
         assert shared  # the pre-onset windows
         assert sorted(computed) == sorted({i.trial_offset for i in (*train, *test)})

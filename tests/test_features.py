@@ -12,7 +12,6 @@ from iws.errors import (
 from iws.features import (
     FeatureVector,
     assemble_fs4,
-    export_features_csv,
     extract_features,
     ghe,
     higuchi_fd,
@@ -328,16 +327,3 @@ class TestPca:
     def test_needs_two_rows(self):
         with pytest.raises(EmptyInput):
             pca_fit(np.zeros((1, 4)), 0.90)
-
-
-class TestCsvExport:
-    def test_round_trippable_header(self, tmp_path):
-        inst = labeled_instance(4, label=1)
-        vecs = [extract_features(inst, 1), extract_features(labeled_instance(5, 0), 1)]
-        path = tmp_path / "f.csv"
-        export_features_csv(vecs, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("label,0:w1:IE,")
-        assert len(lines) == 3
-        first_val = float(lines[1].split(",")[1])
-        assert first_val == pytest.approx(vecs[0].values[0])

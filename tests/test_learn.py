@@ -13,8 +13,6 @@ from iws.learn import (
     RandomForestModel,
     _logreg_loss_grad,
     make_fold_plan,
-    model_from_json,
-    model_to_json,
     predict,
     train,
 )
@@ -72,13 +70,6 @@ class TestFoldPlan:
     def test_too_few_trials(self):
         with pytest.raises(TooFewTrials):
             make_fold_plan(7, seed=0)
-
-    def test_accepts_dataset_object(self, small_trial):
-        from iws.data import SubjectDataset
-
-        ds = SubjectDataset(subject_id="t01", trials=[small_trial] * 8)
-        plan = make_fold_plan(ds, seed=3)
-        assert len(plan.folds) == 4
 
 
 class TestTraining:
@@ -219,24 +210,3 @@ class TestDeterminismAndProperties:
         single = RandomForestModel(trees=ensemble.trees, n_features=4)
         probe = np.random.default_rng(0).standard_normal((60, 4)) * 3
         assert np.array_equal(predict(ensemble, probe), predict(single, probe))
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("kind", ["random_forest", "knn", "logreg"])
-    def test_round_trip_predictions(self, kind):
-        X, y = blobs(n_per_class=40, margin=1.5, seed=6)
-        model = train(ClassifierSpec(kind=kind, seed=11), X, y)
-        clone = model_from_json(model_to_json(model))
-        probe = np.random.default_rng(4).standard_normal((80, 4)) * 2
-        assert np.array_equal(predict(model, probe), predict(clone, probe))
-        assert type(clone) is type(model)
-
-    def test_version_checked(self):
-        X, y = blobs(n_per_class=20)
-        blob = model_to_json(train(ClassifierSpec(kind="logreg"), X, y))
-        import json
-
-        doc = json.loads(blob)
-        doc["format_version"] = 999
-        with pytest.raises(InvariantViolation):
-            model_from_json(json.dumps(doc))

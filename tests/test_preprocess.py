@@ -5,11 +5,10 @@ from hypothesis import given, strategies as st
 from iws.data import Trial
 from iws.errors import InvariantViolation, SegmentTooShort
 from iws.preprocess import (
-    WindowingParams,
+    _starts,
     car_filter,
     segment_test_trial,
     segment_training_trial,
-    count_test_instances,
 )
 
 
@@ -100,10 +99,9 @@ class TestTestSegmentation:
         assert all(i.label is None for i in instances)
 
     def test_closed_form_matches_enumeration(self):
-        params = WindowingParams()
         for n in range(64, 5001):
-            enumerated = sum(1 for s in range(0, n, 13) if s + 64 <= n)
-            assert count_test_instances(n, params) == enumerated
+            enumerated = [s for s in range(0, n, 13) if s + 64 <= n]
+            assert list(_starts(0, n, 13)) == enumerated
 
     def test_single_window(self):
         gen = np.random.default_rng(0)
@@ -112,11 +110,12 @@ class TestTestSegmentation:
         # 192 samples -> 10 windows; a 64-sample trial is below the Trial
         # minimum, so exercise the windowing math directly as well
         assert len(segment_test_trial(trial)) == 10
-        assert count_test_instances(64) == 1
-        assert count_test_instances(63) == 0
+        assert list(_starts(0, 64, 13)) == [0]
+        assert list(_starts(0, 63, 13)) == []
 
     def test_window_params_validation(self):
-        with pytest.raises(InvariantViolation):
-            WindowingParams(window_samples=64, step_samples=0)
-        with pytest.raises(InvariantViolation):
-            WindowingParams(window_samples=64, step_samples=65)
+        trial = trial_with_geometry(320, 128, 192)
+        for segment in (segment_training_trial, segment_test_trial):
+            for step in (0, 65):
+                with pytest.raises(InvariantViolation):
+                    segment(trial, step=step)
