@@ -167,8 +167,15 @@ class SynthConfig:
     def __post_init__(self):
         for name in ("n_subjects", "trials_per_subject", "trial_length_samples", "seed"):
             check_int(name, getattr(self, name))
+        for name in ("iws_length_range", "carrier_band_hz"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ConfigError(f"{name} must have exactly two entries, got {pair!r}")
         for v in self.iws_length_range:
             check_int("iws_length_range", v)
+        for v in self.carrier_band_hz:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ConfigError(f"carrier_band_hz entries must be numbers, got {v!r}")
         object.__setattr__(self, "iws_length_range", tuple(int(v) for v in self.iws_length_range))
         object.__setattr__(self, "carrier_band_hz", tuple(float(v) for v in self.carrier_band_hz))
         self.validate()

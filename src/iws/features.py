@@ -21,14 +21,14 @@ from typing import Optional
 import numpy as np
 
 from .data import CHANNEL_COUNT, WINDOW_SAMPLES
-from .decompose import dwt_bior22, emd, select_imfs_minkowski
+from .decompose import dwt_bior22, emd_rows, select_imf_pairs
+# the per-signal forms stay importable from here: perfbench/tracing.py wraps them
+from .decompose import emd, select_imfs_minkowski  # noqa: F401
 from .errors import (
-    DecompositionFailure,
     DegenerateScaling,
     EmptyInput,
     InputTooShort,
     InvariantViolation,
-    IwsError,
     LayoutMismatch,
     NumericalFailure,
 )
@@ -272,21 +272,20 @@ def _fs1_rows(rows):
 
 
 def _fs2_rows(rows, where):
-    selected = np.empty((rows.shape[0], 2, rows.shape[1]))
-    for r, x in enumerate(rows):
-        ch = r % CHANNEL_COUNT
-        try:
-            imfs, _residual = emd(x, source_channel=ch)
-            pair = select_imfs_minkowski(x, imfs)
-        except DecompositionFailure:
-            # no oscillatory component: fill both slots from the raw window
-            log.warning("emd produced no IMF on channel %d; using the window itself", ch)
-            selected[r] = x
-            continue
-        except IwsError as exc:
-            raise type(exc)(f"{where(r)}: {exc}") from exc
-        selected[r, 0] = pair[0].values
-        selected[r, 1] = pair[1].values
+    dec = emd_rows(rows)
+    finite = np.all(np.isfinite(dec.imfs), axis=(1, 2))
+    if not finite.all():
+        raise InvariantViolation(
+            f"{where(int(np.argmin(finite)))}: coefficient set imf: non-finite values")
+    pairs = select_imf_pairs(rows, dec.imfs, dec.counts)
+    selected = np.take_along_axis(dec.imfs, pairs[:, :, None], axis=1)
+    # no oscillatory component: fill both slots from the raw window
+    fallback = dec.counts == 0
+    selected[fallback] = rows[fallback, None]
+    if fallback.any() or dec.capped.any():
+        log.warning("emd on %d rows: %d produced no IMF and use the window itself, "
+                    "%d stopped at the sift-iteration cap", rows.shape[0],
+                    int(fallback.sum()), int(dec.capped.sum()))
     imf_rows = selected.reshape(-1, rows.shape[1])  # row r's slots at 2r, 2r + 1
     h1, h2 = _hurst_pair(imf_rows, GheParams(), lambda i: where(i // 2))
     values = np.stack([

@@ -65,6 +65,19 @@ class TestGenerate:
         assert proc.returncode == 2
         assert field in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("field,value", [
+        ("carrier_band_hz", ["a", 12]), ("carrier_band_hz", [True, 12]),
+        ("carrier_band_hz", [8]), ("carrier_band_hz", "8-12"),
+        ("iws_length_range", [96, 160, 200]), ("iws_length_range", 96),
+    ])
+    def test_malformed_pair_field_exits_2(self, tmp_path, field, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(SYNTH_CFG, **{field: value})))
+        proc = run_cli("generate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert proc.returncode == 2
+        assert field in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "x").exists()
+
     def test_rerun_identical_content(self, dataset_dir, tmp_path):
         cfg = tmp_path / "synth.json"
         cfg.write_text(json.dumps(SYNTH_CFG))

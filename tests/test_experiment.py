@@ -81,6 +81,19 @@ class TestRunExperiment:
             for dim in sub["pca_dims"]:
                 assert 1 <= dim <= 266
 
+    def test_fs5_random_forest_detects_imagined_words(self):
+        # the paper's headline detector end to end; F1 over 11 recorded
+        # (data seed, run seed) pairs of this geometry spans 0.733-0.831
+        cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=224,
+                          iws_length_range=(64, 96), carrier_band_hz=(8, 12),
+                          snr=5.0, seed=424242)
+        rc = RunConfig(dataset_path="mem", feature_set_ids=(5,),
+                       classifiers=("random_forest",), seed=99)
+        report = run_experiment(generate_synthetic_dataset(cfg), rc)
+        (block,) = report["results"]
+        assert (block["feature_set_id"], block["classifier"]) == (5, "random_forest")
+        assert block["population"]["f1"]["mean"] >= 0.65
+
     def test_report_json_serializable_and_deterministic(self, tiny_datasets):
         rc = RunConfig(dataset_path="mem", feature_set_ids=(1,),
                        classifiers=("knn",), folds=2, seed=6)

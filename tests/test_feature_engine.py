@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from iws.data import CHANNEL_COUNT, SignalInstance
-from iws.decompose import CoefficientSet, EmdParams, dwt_bior22, emd, select_imfs_minkowski
+from iws.decompose import (
+    CoefficientSet,
+    EmdParams,
+    dwt_bior22,
+    emd,
+    emd_rows,
+    select_imfs_minkowski,
+)
 from iws.errors import (
     DecompositionFailure,
     DegenerateScaling,
@@ -299,6 +306,31 @@ def test_emd_fallback_fills_both_slots_from_window():
     channel = matrix[0, 2 * 12:3 * 12]
     np.testing.assert_array_equal(channel[:6], channel[6:])
     assert channel[3] == pytest.approx(1.0, abs=1e-9)  # Katz of a straight line
+
+
+def test_emd_warns_once_per_stack_with_fallback_and_cap_counts(caplog):
+    windows = eeg_like_windows(7, 3)
+    windows[0, :, 2] = 0.1 * np.arange(64) + 1.0  # monotonic: no IMF at all
+    windows[2, :, 5] = -0.2 * np.arange(64)
+    rows = windows.transpose(0, 2, 1).reshape(-1, 64)
+    capped = int(emd_rows(rows).capped.sum())
+    assert capped > 0  # colored noise runs into the sift cap now and then
+    with caplog.at_level("WARNING", logger="iws.features"):
+        feature_matrices(windows, offsets_for(3), (2,))
+    emd_records = [r for r in caplog.records if r.getMessage().startswith("emd")]
+    assert len(emd_records) == 1
+    assert emd_records[0].getMessage() == (
+        f"emd on {3 * CHANNEL_COUNT} rows: 2 produced no IMF and use the window itself, "
+        f"{capped} stopped at the sift-iteration cap")
+
+
+def test_emd_silent_without_fallback_or_cap(caplog):
+    windows = eeg_like_windows(9, 1)
+    dec = emd_rows(windows[0].T)
+    assert not dec.capped.any() and dec.counts.min() > 0
+    with caplog.at_level("WARNING", logger="iws.features"):
+        feature_matrices(windows, offsets_for(1), (2,))
+    assert not [r for r in caplog.records if r.getMessage().startswith("emd")]
 
 
 def test_window_stack_shape_checked():
