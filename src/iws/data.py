@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -9,7 +10,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError, InvariantViolation, MalformedFile
 
@@ -36,6 +36,12 @@ def check_int(field, value):
     """Raise ConfigError naming ``field`` unless ``value`` is an integer (not a bool)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{field} must be an integer, got {value!r}")
+
+
+def check_real(field, value):
+    """Raise ConfigError naming ``field`` unless ``value`` is a finite number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{field} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -174,8 +180,8 @@ class SynthConfig:
         for v in self.iws_length_range:
             check_int("iws_length_range", v)
         for v in self.carrier_band_hz:
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ConfigError(f"carrier_band_hz entries must be numbers, got {v!r}")
+            check_real("carrier_band_hz", v)
+        check_real("snr", self.snr)
         object.__setattr__(self, "iws_length_range", tuple(int(v) for v in self.iws_length_range))
         object.__setattr__(self, "carrier_band_hz", tuple(float(v) for v in self.carrier_band_hz))
         self.validate()
@@ -301,12 +307,19 @@ def read_dataset(in_dir):
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedFile(f"{manifest_path}: not valid JSON ({exc})") from exc
-    subjects = _require(manifest, "subjects", list, str(manifest_path))
+    where = str(manifest_path)
+    if not isinstance(manifest, dict):
+        raise MalformedFile(f"{where}: top-level value must be an object")
+    subjects = _require(manifest, "subjects", list, where)
     datasets = []
-    for entry in subjects:
-        sid = _require(entry, "subject_id", str, str(manifest_path))
+    for i, entry in enumerate(subjects):
+        if not isinstance(entry, dict):
+            raise MalformedFile(f"{where}: field 'subjects[{i}]' must be an object")
+        sid = _require(entry, "subject_id", str, where)
         tag = entry.get("protocol_tag", "synthetic")
-        files = _require(entry, "files", list, str(manifest_path))
+        files = _require(entry, "files", list, where)
+        if not all(isinstance(name, str) for name in files):
+            raise MalformedFile(f"{where}: field 'subjects[{i}].files' must list file names")
         trials = [read_trial_file(in_dir / name) for name in files]
         datasets.append(SubjectDataset(subject_id=sid, trials=trials, protocol_tag=tag))
     return datasets
@@ -321,7 +334,9 @@ def _background(rng, n_samples):
     """White noise plus first-order low-passed noise, roughly unit variance."""
     white = rng.standard_normal((n_samples, CHANNEL_COUNT))
     driven = rng.standard_normal((n_samples, CHANNEL_COUNT))
-    lowpassed = lfilter([1.0], [1.0, -0.9], driven, axis=0)
+    lowpassed = driven.copy()
+    for t in range(1, n_samples):  # AR(1): y[t] = x[t] + 0.9 y[t-1]
+        lowpassed[t] += 0.9 * lowpassed[t - 1]
     lowpassed = lowpassed / np.sqrt(1.0 / (1.0 - 0.9 ** 2))
     return 0.7 * white + 0.7 * lowpassed
 

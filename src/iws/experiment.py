@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import evaluate, features, learn, postprocess, preprocess
-from .data import MIN_TRIALS, STEP_SAMPLES, WINDOW_SAMPLES, check_int
+from .data import MIN_TRIALS, STEP_SAMPLES, WINDOW_SAMPLES, check_int, check_real
 from .errors import ConfigError, SegmentTooShort
 from .learn import CLASSIFIER_KINDS, ClassifierSpec
 
@@ -35,6 +35,8 @@ class RunConfig:
             raise ConfigError(f"dataset_path must be a string, got {self.dataset_path!r}")
         for name in ("folds", "step_samples", "seed"):
             check_int(name, getattr(self, name))
+        for name in ("train_ratio", "pca_target_ratio"):
+            check_real(name, getattr(self, name))
         for i in self.feature_set_ids:
             check_int("feature_set_ids", i)
         object.__setattr__(self, "feature_set_ids", tuple(int(i) for i in self.feature_set_ids))
@@ -48,6 +50,10 @@ class RunConfig:
         bad = [c for c in self.classifiers if c not in CLASSIFIER_KINDS]
         if bad or not self.classifiers:
             raise ConfigError(f"classifiers must be a non-empty subset of {CLASSIFIER_KINDS}")
+        for name in ("feature_set_ids", "classifiers"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat an entry, got {list(values)}")
         if self.folds < 1:
             raise ConfigError("folds must be >= 1")
         if not (0.0 < self.train_ratio < 1.0):

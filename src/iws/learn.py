@@ -5,7 +5,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .data import MIN_TRIALS
 from .errors import (
@@ -163,6 +162,15 @@ def _train_random_forest(spec, X, y):
 # k nearest neighbors
 # ---------------------------------------------------------------------------
 
+def _sq_distances(A, B):
+    """Squared Euclidean distances between the rows of ``A`` and ``B``, summed
+    one feature at a time: each entry is the sequential sum of a per-pair loop."""
+    d2 = np.zeros((A.shape[0], B.shape[0]))
+    for j in range(A.shape[1]):
+        d2 += (A[:, j, None] - B[None, :, j]) ** 2
+    return d2
+
+
 class KnnModel:
     """Stored training set; majority label among the k nearest by Euclidean
     (Minkowski p=2) distance, prediction ties resolving to class 0."""
@@ -179,7 +187,7 @@ class KnnModel:
         X = _check_predict_input(X, self.n_features)
         if X.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
-        d2 = cdist(X, self.X, metric="sqeuclidean")
+        d2 = _sq_distances(X, self.X)
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :self.k]
         ones = self.y[nearest].sum(axis=1)
         return (ones * 2 > self.k).astype(np.int64)

@@ -57,6 +57,7 @@ class TestGenerate:
     @pytest.mark.parametrize("field,value", [
         ("n_subjects", 1.5), ("trials_per_subject", 8.0), ("trial_length_samples", 320.0),
         ("seed", 1.5), ("seed", True), ("iws_length_range", ["a", 64]),
+        ("snr", float("nan")), ("snr", float("inf")), ("snr", True), ("snr", "5"),
     ])
     def test_non_integer_field_exits_2(self, tmp_path, field, value):
         cfg = tmp_path / "bad.json"
@@ -64,6 +65,7 @@ class TestGenerate:
         proc = run_cli("generate", "--config", str(cfg), "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
         assert field in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("field,value", [
         ("carrier_band_hz", ["a", 12]), ("carrier_band_hz", [True, 12]),
@@ -137,6 +139,9 @@ class TestRun:
         ("window_samples", 32), ("window_samples", 64), ("step_samples", 80),
         ("step_samples", 13.0), ("folds", 1.5), ("seed", 1.5), ("train_ratio", 0.1),
         ("feature_set_ids", ["x"]), ("feature_set_ids", [1.7]), ("dataset_path", 5),
+        ("feature_set_ids", [1, 1]), ("classifiers", ["logreg", "logreg"]),
+        ("pca_target_ratio", True), ("pca_target_ratio", float("nan")),
+        ("train_ratio", "0.75"), ("train_ratio", float("inf")),
     ])
     def test_unrunnable_geometry_exits_2(self, dataset_dir, tmp_path, field, value):
         doc = dict(self.run_config(dataset_dir), **{field: value})
@@ -159,6 +164,18 @@ class TestRun:
         assert proc.returncode == 3
         assert "sampling_rate" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
+
+    def test_malformed_manifest_exits_3(self, dataset_dir, tmp_path):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["subjects"][0]["files"] = [5]
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.run_config(ds)))
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 3
+        assert "manifest.json" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_zero_jobs_exits_2(self, dataset_dir, tmp_path):
         cfg = tmp_path / "run.json"
@@ -269,3 +286,37 @@ class TestScore:
         proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
         assert proc.returncode == 2
         assert "trials" in proc.stderr and "Traceback" not in proc.stderr
+
+
+NUMPY_ONLY_SCRIPT = """
+import json, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from iws.cli import main
+
+out = sys.argv[1]
+synth = dict(n_subjects=1, trials_per_subject=8, trial_length_samples=320,
+             iws_length_range=[96, 160], seed=3)
+run = dict(dataset_path=out + "/ds", feature_set_ids=[1], classifiers=["knn"], folds=1)
+for name, doc in (("synth", synth), ("run", run)):
+    with open(f"{out}/{name}.json", "w") as fh:
+        json.dump(doc, fh)
+assert main(["generate", "--config", out + "/synth.json", "--out", out + "/ds"]) == 0
+assert main(["run", "--config", out + "/run.json", "--out", out + "/report.json"]) == 0
+"""
+
+
+class TestNumpyOnlyRuntime:
+    def test_pipeline_runs_without_scipy(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_SCRIPT, str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [b["classifier"] for b in report["results"]] == ["knn"]
+
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, iws, iws.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,13 +1,17 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.signal import periodogram
+from scipy.signal import lfilter, periodogram
 
 from iws.data import (
+    CHANNEL_COUNT,
     SynthConfig,
     Trial,
+    _background,
     generate_synthetic_dataset,
     read_dataset,
     read_trial_file,
@@ -193,6 +197,29 @@ class TestGenerator:
                 iss_bp.append(p_iss[band].sum())
         assert np.mean(iws_bp) >= 5.0 * np.mean(iss_bp)
 
+    @pytest.mark.parametrize("n", [224, 320, 768])
+    @pytest.mark.parametrize("seed", [0, 1, 424242])
+    def test_background_matches_lfilter_oracle(self, n, seed):
+        # oracle: the same draws with the AR(1) taken by scipy's lfilter
+        rng = np.random.default_rng(seed)
+        white = rng.standard_normal((n, CHANNEL_COUNT))
+        driven = rng.standard_normal((n, CHANNEL_COUNT))
+        lowpassed = lfilter([1.0], [1.0, -0.9], driven, axis=0)
+        lowpassed = lowpassed / np.sqrt(1.0 / (1.0 - 0.9 ** 2))
+        expected = 0.7 * white + 0.7 * lowpassed
+        assert np.array_equal(_background(np.random.default_rng(seed), n), expected)
+
+    def test_samples_digest_pinned(self):
+        # recorded when the background was filtered by scipy's lfilter
+        cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=320,
+                          iws_length_range=(96, 160), snr=5.0, seed=7)
+        digest = hashlib.sha256()
+        for ds in generate_synthetic_dataset(cfg):
+            for t in ds.trials:
+                digest.update(t.samples.tobytes())
+        assert digest.hexdigest() == (
+            "cb0584596e5357816be9e82a96b08ff8a822ce8aff4fe33aa4dc1de64fecdcc9")
+
 
 class TestDatasetDirectory:
     def test_bulk_round_trip(self, tmp_path):
@@ -216,3 +243,16 @@ class TestDatasetDirectory:
         assert len(files) == 8
         for name in files:
             assert (tmp_path / "ds" / name).exists()
+
+    @pytest.mark.parametrize("manifest,field", [
+        (5, "top-level"), ("subjects", "top-level"), ({"subjects": [5]}, "subjects[0]"),
+        ({"subjects": [{"subject_id": "s01", "files": [5]}]}, "subjects[0].files"),
+        ({"subjects": [{"subject_id": "s01", "files": ["s01_000.json", None]}]},
+         "subjects[0].files"),
+    ])
+    def test_malformed_manifest_names_path(self, tmp_path, manifest, field):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(MalformedFile, match=re.escape(field)) as exc:
+            read_dataset(tmp_path)
+        assert str(path) in str(exc.value)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.spatial.distance import cdist
 
 from iws.errors import (
     InvariantViolation,
@@ -12,6 +13,7 @@ from iws.learn import (
     ClassifierSpec,
     RandomForestModel,
     _logreg_loss_grad,
+    _sq_distances,
     make_fold_plan,
     predict,
     train,
@@ -170,6 +172,22 @@ class TestDeterminismAndProperties:
         y = np.array([0, 1])
         model = train(ClassifierSpec(kind="knn", knn_k=2), X, y)
         assert predict(model, np.array([[1.0]]))[0] == 0
+
+    @pytest.mark.parametrize("width", [70, 266])
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_knn_matches_cdist_oracle(self, width, grid):
+        # oracle: scipy's sqeuclidean cdist; grid data makes many distances tie
+        gen = np.random.default_rng(width)
+        draw = ((lambda shape: gen.integers(-1, 2, shape).astype(float)) if grid
+                else gen.standard_normal)
+        X, probe = draw((300, width)), draw((80, width))
+        y = (gen.uniform(size=300) < 0.5).astype(int)
+        d2 = cdist(probe, X, metric="sqeuclidean")
+        assert np.array_equal(_sq_distances(probe, X), d2)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :50]
+        expected = (y[nearest].sum(axis=1) * 2 > 50).astype(int)
+        model = train(ClassifierSpec(kind="knn", knn_k=50), X, y)
+        assert np.array_equal(predict(model, probe), expected)
 
     def test_logreg_loss_monotone(self):
         X, y = blobs(n_per_class=50, margin=1.0, seed=5)
