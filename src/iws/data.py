@@ -316,11 +316,18 @@ def read_dataset(in_dir):
         if not isinstance(entry, dict):
             raise MalformedFile(f"{where}: field 'subjects[{i}]' must be an object")
         sid = _require(entry, "subject_id", str, where)
+        if any(ds.subject_id == sid for ds in datasets):
+            raise MalformedFile(f"{where}: field 'subjects[{i}].subject_id' repeats {sid!r}")
         tag = entry.get("protocol_tag", "synthetic")
         files = _require(entry, "files", list, where)
         if not all(isinstance(name, str) for name in files):
             raise MalformedFile(f"{where}: field 'subjects[{i}].files' must list file names")
         trials = [read_trial_file(in_dir / name) for name in files]
+        for name, trial in zip(files, trials):
+            if trial.subject_id != sid:
+                raise MalformedFile(
+                    f"{where}: field 'subjects[{i}].subject_id' is {sid!r}, "
+                    f"but {name} belongs to {trial.subject_id!r}")
         datasets.append(SubjectDataset(subject_id=sid, trials=trials, protocol_tag=tag))
     return datasets
 

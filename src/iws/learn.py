@@ -73,48 +73,71 @@ def make_fold_plan(n_trials, seed, n_folds=4, train_ratio=0.75) -> FoldPlan:
 # Decision tree / random forest
 # ---------------------------------------------------------------------------
 
-def _best_split(X, y, feature_ids):
-    """Best (feature, threshold, weighted gini) over the candidate features."""
-    n = y.size
-    best = (None, 0.0, np.inf)
+def _dense_ranks(X):
+    """Dense ranks of each column of ``X``, as a (features, rows) matrix.
+
+    Equal values share a rank and rank order is value order, so a split
+    search on ranks sees the same boundaries as one on the values (for any
+    ``X`` without NaN)."""
+    return np.array([np.unique(col, return_inverse=True)[1] for col in X.T])
+
+
+def _best_split(X, ranks, y, rows, feature_ids):
+    """Best (feature, threshold) over the candidate features for the node
+    holding ``rows`` of ``X``; None when no candidate has two distinct values.
+
+    One argsort of the node's (candidates, rows) rank submatrix orders every
+    candidate.  Only the last position of a run of equal values is a
+    boundary, and the label count there does not depend on the order inside
+    the run, so an unstable sort gives the costs of a stable one.  Among tied
+    minima the first candidate in draw order wins."""
+    n = rows.size
+    order = ranks.take(feature_ids, axis=0).take(rows, axis=1).argsort(axis=1)
+    sorted_rows = rows[order]
+    sorted_ranks = ranks[feature_ids[:, None], sorted_rows]
     n_left = np.arange(1, n, dtype=np.float64)
     n_right = n - n_left
-    for f in feature_ids:
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ones_left = np.cumsum(y[order])[:-1].astype(np.float64)
-        ones_right = float(np.sum(y)) - ones_left
-        gini_left = 1.0 - ((ones_left / n_left) ** 2 + ((n_left - ones_left) / n_left) ** 2)
-        gini_right = 1.0 - ((ones_right / n_right) ** 2 + ((n_right - ones_right) / n_right) ** 2)
-        cost = (n_left * gini_left + n_right * gini_right) / n
-        cost[xs[1:] <= xs[:-1]] = np.inf  # only boundaries between distinct values
-        i = int(np.argmin(cost))
-        if cost[i] < best[2]:
-            best = (int(f), float(0.5 * (xs[i] + xs[i + 1])), float(cost[i]))
-    return best
+    ones_left = y[sorted_rows[:, :-1]].cumsum(axis=1)
+    ones_right = y[rows].sum() - ones_left
+    gini_left = 1.0 - ((ones_left / n_left) ** 2 + ((n_left - ones_left) / n_left) ** 2)
+    gini_right = 1.0 - ((ones_right / n_right) ** 2 + ((n_right - ones_right) / n_right) ** 2)
+    cost = (n_left * gini_left + n_right * gini_right) / n
+    cost[sorted_ranks[:, 1:] == sorted_ranks[:, :-1]] = np.inf
+    pos = cost.argmin(axis=1)
+    best = cost[np.arange(pos.size), pos]
+    j = int(best.argmin())
+    if best[j] == np.inf:
+        return None
+    i, f = pos[j], int(feature_ids[j])
+    a, b = sorted_rows[j, i], sorted_rows[j, i + 1]
+    return f, float(0.5 * (X[a, f] + X[b, f]))
 
 
-def _leaf(y):
-    ones = int(np.sum(y))
-    zeros = y.size - ones
-    return {"label": 1 if ones > zeros else 0}  # ties resolve to 0
+def _leaf(ones, n):
+    return {"label": 1 if ones > n - ones else 0}  # ties resolve to 0
 
 
-def _grow_tree(X, y, rng, n_candidates):
-    if np.all(y == y[0]) or y.size < 2:
-        return _leaf(y)
+def _grow_tree(X, ranks, y, rows, rng, n_candidates):
+    """Grow a tree on ``rows`` of ``X`` (with repeats), drawing one candidate
+    set per split node in DFS preorder."""
+    n = rows.size
+    ones = int(np.count_nonzero(y[rows]))
+    if ones == 0 or ones == n:
+        return _leaf(ones, n)
     feats = rng.choice(X.shape[1], size=n_candidates, replace=False)
-    feature, threshold, cost = _best_split(X, y, feats)
-    if feature is None or not np.isfinite(cost):
-        return _leaf(y)
-    mask = X[:, feature] < threshold
-    if not mask.any() or mask.all():
-        return _leaf(y)
+    split = _best_split(X, ranks, y, rows, feats)
+    if split is None:
+        return _leaf(ones, n)
+    feature, threshold = split
+    mask = X[rows, feature] < threshold
+    n_left = int(np.count_nonzero(mask))
+    if n_left == 0 or n_left == n:
+        return _leaf(ones, n)
     return {
         "feature": feature,
         "threshold": threshold,
-        "left": _grow_tree(X[mask], y[mask], rng, n_candidates),
-        "right": _grow_tree(X[~mask], y[~mask], rng, n_candidates),
+        "left": _grow_tree(X, ranks, y, rows[mask], rng, n_candidates),
+        "right": _grow_tree(X, ranks, y, rows[~mask], rng, n_candidates),
     }
 
 
@@ -150,11 +173,13 @@ def _train_random_forest(spec, X, y):
     n, m = X.shape
     n_candidates = spec.rf_features_per_split or max(1, int(np.floor(np.sqrt(m))))
     n_candidates = min(n_candidates, m)
+    ranks = _dense_ranks(X)
+    labels = y.astype(np.float64)  # exact 0/1, so label counts are exact sums
     trees = []
     for t in range(spec.rf_trees):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(spec.seed), t)))
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X[boot], y[boot], rng, n_candidates))
+        trees.append(_grow_tree(X, ranks, labels, boot, rng, n_candidates))
     return RandomForestModel(trees=trees, n_features=m)
 
 
@@ -282,11 +307,17 @@ def _check_predict_input(X, n_features):
 def train(spec: ClassifierSpec, X, y):
     """Train the classifier named by ``spec`` on a feature matrix and labels."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] != y.size or y.size < 2:
+    y = np.asarray(y)
+    if X.ndim != 2 or X.shape[0] != y.size or y.size < 2 or X.shape[1] < 1:
         raise InvariantViolation(
-            f"need matching X ({X.shape}) and y ({y.shape}) with >= 2 rows"
+            f"need matching X ({X.shape}) and y ({y.shape}) with >= 2 rows and >= 1 feature"
         )
+    # NaN is the one input whose rank order and float order disagree
+    if not np.isfinite(X).all():
+        raise InvariantViolation("training features must be finite")
+    if not ((y == 0) | (y == 1)).all():
+        raise InvariantViolation("training labels must be 0 or 1")
+    y = y.astype(np.int64)
     classes = np.unique(y)
     if spec.kind in ("random_forest", "logreg") and classes.size < 2:
         raise SingleClassTraining(f"{spec.kind} needs both classes in training data")

@@ -177,6 +177,30 @@ class TestRun:
         assert proc.returncode == 3
         assert "manifest.json" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["run", "score"])
+    @pytest.mark.parametrize("subject_id", ["s01", "s03"])
+    def test_manifest_subject_id_conflict_exits_3(self, dataset_dir, tmp_path, command,
+                                                  subject_id):
+        # "s01" repeats the first entry's id and "s03" disagrees with the trial
+        # files; both used to load, and ``score`` let the later subject win
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        manifest = json.loads((ds / "manifest.json").read_text())
+        manifest["subjects"][1]["subject_id"] = subject_id
+        (ds / "manifest.json").write_text(json.dumps(manifest))
+        if command == "run":
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(self.run_config(ds)))
+            args = ("--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        else:
+            pred = tmp_path / "pred.json"
+            pred.write_text(json.dumps({"trials": []}))
+            args = ("--pred", str(pred), "--dataset", str(ds))
+        proc = run_cli(command, *args)
+        assert proc.returncode == 3
+        assert "manifest.json" in proc.stderr and "subjects[1].subject_id" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_zero_jobs_exits_2(self, dataset_dir, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(self.run_config(dataset_dir)))

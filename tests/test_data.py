@@ -256,3 +256,29 @@ class TestDatasetDirectory:
         with pytest.raises(MalformedFile, match=re.escape(field)) as exc:
             read_dataset(tmp_path)
         assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("case,message", [
+        ("repeat", "'subjects[1].subject_id' repeats 's01'"),
+        ("repeat-other-files", "'subjects[1].subject_id' repeats 's01'"),
+        ("foreign-id", "is 's09', but s02_000.json belongs to 's02'"),
+        ("foreign-files", "is 's01', but s02_000.json belongs to 's02'"),
+    ], ids=["repeat", "repeat-other-files", "foreign-id", "foreign-files"])
+    def test_manifest_subject_ids_unique_and_match_trials(self, tmp_path, case, message):
+        cfg = SynthConfig(n_subjects=2, trials_per_subject=8, trial_length_samples=320,
+                          iws_length_range=(64, 128), snr=2.0, seed=13)
+        write_dataset(generate_synthetic_dataset(cfg), tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        first, second = manifest["subjects"]
+        if case == "repeat":
+            manifest["subjects"] = [first, dict(first)]
+        elif case == "repeat-other-files":
+            second["subject_id"] = "s01"
+        elif case == "foreign-id":
+            second["subject_id"] = "s09"
+        else:
+            first["files"] = second["files"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(MalformedFile, match=re.escape(message)) as exc:
+            read_dataset(tmp_path)
+        assert str(path) in str(exc.value)

@@ -1,0 +1,192 @@
+"""Equivalence of the rank-based forest with the per-feature split search it
+replaced.
+
+The oracle below is a verbatim copy of that code: ``_best_split``, ``_leaf``,
+``_grow_tree`` and ``_train_random_forest``.  It sorts the float values of one
+candidate feature at a time with a stable sort and grows each tree on a copy
+of its bootstrap rows.  The rank-based code draws the same random numbers in
+the same order and computes every Gini cost with the same arithmetic, so the
+trees must be equal as dicts, thresholds included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from iws import learn
+from iws.learn import ClassifierSpec, RandomForestModel
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-feature implementation, verbatim
+# ---------------------------------------------------------------------------
+
+def _best_split(X, y, feature_ids):
+    """Best (feature, threshold, weighted gini) over the candidate features."""
+    n = y.size
+    best = (None, 0.0, np.inf)
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = n - n_left
+    for f in feature_ids:
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        ones_left = np.cumsum(y[order])[:-1].astype(np.float64)
+        ones_right = float(np.sum(y)) - ones_left
+        gini_left = 1.0 - ((ones_left / n_left) ** 2 + ((n_left - ones_left) / n_left) ** 2)
+        gini_right = 1.0 - ((ones_right / n_right) ** 2 + ((n_right - ones_right) / n_right) ** 2)
+        cost = (n_left * gini_left + n_right * gini_right) / n
+        cost[xs[1:] <= xs[:-1]] = np.inf  # only boundaries between distinct values
+        i = int(np.argmin(cost))
+        if cost[i] < best[2]:
+            best = (int(f), float(0.5 * (xs[i] + xs[i + 1])), float(cost[i]))
+    return best
+
+
+def _leaf(y):
+    ones = int(np.sum(y))
+    zeros = y.size - ones
+    return {"label": 1 if ones > zeros else 0}  # ties resolve to 0
+
+
+def _grow_tree(X, y, rng, n_candidates):
+    if np.all(y == y[0]) or y.size < 2:
+        return _leaf(y)
+    feats = rng.choice(X.shape[1], size=n_candidates, replace=False)
+    feature, threshold, cost = _best_split(X, y, feats)
+    if feature is None or not np.isfinite(cost):
+        return _leaf(y)
+    mask = X[:, feature] < threshold
+    if not mask.any() or mask.all():
+        return _leaf(y)
+    return {
+        "feature": feature,
+        "threshold": threshold,
+        "left": _grow_tree(X[mask], y[mask], rng, n_candidates),
+        "right": _grow_tree(X[~mask], y[~mask], rng, n_candidates),
+    }
+
+
+def _train_random_forest(spec, X, y):
+    n, m = X.shape
+    n_candidates = spec.rf_features_per_split or max(1, int(np.floor(np.sqrt(m))))
+    n_candidates = min(n_candidates, m)
+    trees = []
+    for t in range(spec.rf_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(spec.seed), t)))
+        boot = rng.integers(0, n, size=n)
+        trees.append(_grow_tree(X[boot], y[boot], rng, n_candidates))
+    return RandomForestModel(trees=trees, n_features=m)
+
+
+# ---------------------------------------------------------------------------
+# Equivalence
+# ---------------------------------------------------------------------------
+
+def assert_same_forest(X, y, **spec_fields):
+    spec = ClassifierSpec(kind="random_forest", **spec_fields)
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    expected = _train_random_forest(spec, X, y).trees
+    got = learn._train_random_forest(spec, X, y).trees
+    assert got == expected
+
+
+def random_labels(gen, n):
+    y = gen.integers(0, 2, n)
+    y[:2] = (0, 1)
+    return y
+
+
+def grid_with_signed_zeros(gen, shape, levels=5):
+    """Integers in [-(levels // 2), levels // 2], about half of the zeros as -0.0."""
+    X = gen.integers(-(levels // 2), levels // 2 + 1, shape).astype(np.float64)
+    X[(X == 0) & (gen.random(shape) < 0.5)] = -0.0
+    return X
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_control_shape_noise(seed):
+    # 275 x 70 FS1 rows on noise: deep trees, as in the SNR-0 workload
+    gen = np.random.default_rng(seed)
+    assert_same_forest(gen.standard_normal((275, 70)), random_labels(gen, 275),
+                       rf_trees=20, seed=seed)
+
+
+def test_headline_shape():
+    # 25 rows of the 266 FS4 features
+    gen = np.random.default_rng(2)
+    X = gen.standard_normal((25, 266)) * gen.uniform(0.1, 10.0, 266)
+    assert_same_forest(X, random_labels(gen, 25), seed=3)
+
+
+@pytest.mark.parametrize("levels", [2, 3, 5])
+def test_tie_heavy_integer_grid(levels):
+    gen = np.random.default_rng(levels)
+    X = grid_with_signed_zeros(gen, (150, 12), levels)
+    assert_same_forest(X, random_labels(gen, 150), rf_trees=30, seed=levels)
+
+
+def test_constant_columns_and_duplicated_rows():
+    gen = np.random.default_rng(4)
+    X = gen.standard_normal((60, 8))
+    X[:, [1, 4, 5]] = 3.0
+    y = random_labels(gen, 60)
+    # duplicates with both agreeing and conflicting labels: some nodes keep
+    # rows no candidate can separate
+    X = np.vstack([X, X[:30], X[:30]])
+    y = np.concatenate([y, y[:30], 1 - y[:30]])
+    assert_same_forest(X, y, rf_trees=30, seed=4)
+    assert_same_forest(X, y, rf_trees=30, seed=4, rf_features_per_split=1)
+
+
+def test_all_columns_constant():
+    X = np.full((20, 3), 7.0)
+    assert_same_forest(X, np.arange(20) % 2, rf_trees=5)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_infinite_entries():
+    gen = np.random.default_rng(5)
+    X = gen.standard_normal((120, 9))
+    X[gen.random(X.shape) < 0.1] = np.inf
+    X[gen.random(X.shape) < 0.1] = -np.inf
+    X[:, 0] = np.where(gen.random(120) < 0.5, np.inf, -np.inf)
+    assert_same_forest(X, random_labels(gen, 120), rf_trees=30, seed=5)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("X", [[[0.0], [1.0]], [[1.0, 1.0], [1.0, 1.0]],
+                               [[np.inf, 2.0], [-np.inf, 2.0]], [[-0.0, 3.0], [0.0, -3.0]]])
+@pytest.mark.parametrize("y", [[0, 1], [1, 0], [1, 1]])
+def test_two_rows(X, y):
+    assert_same_forest(X, y, rf_trees=20)
+
+
+@pytest.mark.parametrize("per_split", [1, 11])
+def test_features_per_split_one_and_all(per_split):
+    gen = np.random.default_rng(6)
+    X = np.hstack([gen.standard_normal((90, 6)), grid_with_signed_zeros(gen, (90, 5))])
+    assert_same_forest(X, random_labels(gen, 90), rf_trees=30, seed=6,
+                       rf_features_per_split=per_split)
+
+
+@given(n=st.integers(2, 40), m=st.integers(1, 6), per_split=st.integers(0, 6),
+       grid=st.booleans(), seed=st.integers(0, 2**31 - 1))
+def test_small_shapes(n, m, per_split, grid, seed):
+    gen = np.random.default_rng(seed)
+    X = grid_with_signed_zeros(gen, (n, m), 3) if grid else gen.standard_normal((n, m))
+    assert_same_forest(X, gen.integers(0, 2, n), rf_trees=8, seed=seed,
+                       rf_features_per_split=per_split)
+
+
+def test_dense_ranks_share_equal_values_and_follow_value_order():
+    gen = np.random.default_rng(7)
+    X = np.hstack([grid_with_signed_zeros(gen, (50, 3)), gen.standard_normal((50, 2))])
+    X[gen.random(X.shape) < 0.1] = np.inf
+    X[gen.random(X.shape) < 0.1] = -np.inf
+    ranks = learn._dense_ranks(X)
+    assert ranks.shape == (5, 50)
+    for f in range(5):
+        x, r = X[:, f], ranks[f]
+        assert np.array_equal(r[:, None] == r[None, :], x[:, None] == x[None, :])
+        assert np.array_equal(r[:, None] < r[None, :], x[:, None] < x[None, :])
+        assert np.array_equal(np.unique(r), np.arange(np.unique(x).size))

@@ -115,6 +115,24 @@ class TestTraining:
         with pytest.raises(InvariantViolation):
             train(ClassifierSpec(kind="knn"), np.zeros((4, 2)), np.zeros(3))
 
+    @pytest.mark.parametrize("kind", ["random_forest", "knn", "logreg"])
+    def test_zero_width_rejected(self, kind):
+        with pytest.raises(InvariantViolation, match=">= 1 feature"):
+            train(ClassifierSpec(kind=kind), np.zeros((4, 0)), [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("kind", ["random_forest", "knn", "logreg"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "label 2", "label -1", "label 0.5"])
+    def test_non_finite_features_or_non_binary_labels_rejected(self, kind, bad):
+        X, y = blobs(n_per_class=10)
+        y = y.astype(np.float64)
+        if bad.startswith("label"):
+            y[3] = float(bad.split()[1])
+        else:
+            X[5, 1] = float(bad)
+        with pytest.raises(InvariantViolation,
+                           match="0 or 1" if bad.startswith("label") else "finite"):
+            train(ClassifierSpec(kind=kind), X, y)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvariantViolation):
             ClassifierSpec(kind="svm")
