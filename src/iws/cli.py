@@ -80,7 +80,9 @@ def cmd_score(args) -> int:
     if not isinstance(doc, dict) or not isinstance(doc.get("trials"), list):
         raise ConfigError("predictions file must be an object with a 'trials' list")
     datasets = {ds.subject_id: ds for ds in data.read_dataset(args.dataset)}
-    scores = []
+    if not doc["trials"]:
+        raise ConfigError("predictions 'trials' list is empty")
+    scores, seen = [], set()
     for i, entry in enumerate(doc["trials"]):
         if not isinstance(entry, dict):
             raise ConfigError(f"predictions trials[{i}] must be an object")
@@ -90,6 +92,11 @@ def cmd_score(args) -> int:
         if not isinstance(entry["subject_id"], str):
             raise ConfigError(f"predictions trials[{i}]: 'subject_id' must be a string")
         data.check_int(f"predictions trials[{i}]: 'trial_index'", entry["trial_index"])
+        key = (entry["subject_id"], entry["trial_index"])
+        if key in seen:
+            raise ConfigError(f"predictions trials[{i}]: subject {key[0]} trial {key[1]} "
+                              "is already scored")
+        seen.add(key)
         bins = entry["bins"]
         if not isinstance(bins, list) or any(type(b) is not int or b not in (0, 1) for b in bins):
             raise ConfigError(f"predictions trials[{i}]: 'bins' must be a list of 0/1 integers")

@@ -20,7 +20,7 @@ log = logging.getLogger(__name__)
 SAMPLING_RATE = 128
 CHANNEL_COUNT = 14
 WINDOW_SAMPLES = 64  # 0.5 s
-STEP_SAMPLES = 13  # default window step and scoring bin: 0.1 s is 12.8 samples, rounded
+STEP_SAMPLES = 13  # window step and scoring bin: 0.1 s is 12.8 samples, rounded
 MIN_TRIALS = 8  # a 75/25 trial split of 8 leaves 2 test trials
 
 PROTOCOL_TAGS = ("dataset1", "dataset2", "dataset3", "synthetic")
@@ -218,6 +218,9 @@ class SynthConfig:
 # precision (repr round-trip), so read(write(t)) is bit-for-bit equal.
 # ---------------------------------------------------------------------------
 
+_JSON_NUMBERS = frozenset((int, float))  # what json.load makes of a number; bool excluded
+
+
 def write_trial_file(trial: Trial, path) -> None:
     trial.validate()
     doc = {
@@ -233,10 +236,11 @@ def write_trial_file(trial: Trial, path) -> None:
 
 
 def _require(doc, key, kind, where):
+    """``doc[key]``, which must be exactly of JSON type ``kind`` (a bool is no int)."""
     if key not in doc:
         raise MalformedFile(f"{where}: missing field '{key}'")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if type(value) is not kind:
         raise MalformedFile(f"{where}: field '{key}' has wrong type {type(value).__name__}")
     return value
 
@@ -246,7 +250,7 @@ def read_trial_file(path) -> Trial:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's digit limit
             raise MalformedFile(f"{where}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise MalformedFile(f"{where}: top-level value must be an object")
@@ -263,9 +267,13 @@ def read_trial_file(path) -> Trial:
     if not rows:
         raise MalformedFile(f"{where}: field 'samples' is empty")
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != CHANNEL_COUNT:
+        if (not isinstance(row, list) or len(row) != CHANNEL_COUNT
+                or not _JSON_NUMBERS.issuperset(map(type, row))):
             raise MalformedFile(f"{where}: field 'samples[{i}]' must be a {CHANNEL_COUNT}-number row")
-    samples = np.asarray(rows, dtype=np.float64)
+    try:
+        samples = np.asarray(rows, dtype=np.float64)
+    except OverflowError as exc:
+        raise MalformedFile(f"{where}: field 'samples' holds an integer beyond double range") from exc
     return Trial(
         subject_id=subject_id,
         samples=samples,
@@ -305,7 +313,7 @@ def read_dataset(in_dir):
     with open(manifest_path) as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer past Python's digit limit
             raise MalformedFile(f"{manifest_path}: not valid JSON ({exc})") from exc
     where = str(manifest_path)
     if not isinstance(manifest, dict):

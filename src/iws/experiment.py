@@ -10,8 +10,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import evaluate, features, learn, postprocess, preprocess
-from .data import MIN_TRIALS, STEP_SAMPLES, WINDOW_SAMPLES, check_int, check_real
-from .errors import ConfigError, SegmentTooShort
+from .data import MIN_TRIALS, WINDOW_SAMPLES, check_int, check_real
+from .errors import ConfigError, IwsError, SegmentTooShort
 from .learn import CLASSIFIER_KINDS, ClassifierSpec
 
 log = logging.getLogger(__name__)
@@ -26,17 +26,14 @@ class RunConfig:
     classifiers: tuple = ("random_forest",)
     folds: int = 4
     train_ratio: float = 0.75
-    step_samples: int = STEP_SAMPLES
-    pca_target_ratio: float = 0.90
     seed: int = 0
 
     def __post_init__(self):
         if not isinstance(self.dataset_path, str):
             raise ConfigError(f"dataset_path must be a string, got {self.dataset_path!r}")
-        for name in ("folds", "step_samples", "seed"):
+        for name in ("folds", "seed"):
             check_int(name, getattr(self, name))
-        for name in ("train_ratio", "pca_target_ratio"):
-            check_real(name, getattr(self, name))
+        check_real("train_ratio", self.train_ratio)
         for i in self.feature_set_ids:
             check_int("feature_set_ids", i)
         object.__setattr__(self, "feature_set_ids", tuple(int(i) for i in self.feature_set_ids))
@@ -66,11 +63,6 @@ class RunConfig:
                 f"train_ratio {self.train_ratio} splits a {MIN_TRIALS}-trial subject into "
                 f"{n_train} training and {MIN_TRIALS - n_train} test trials; "
                 "need >= 1 and >= 2")
-        if not (1 <= self.step_samples <= WINDOW_SAMPLES):
-            raise ConfigError(
-                f"step_samples must be in [1, {WINDOW_SAMPLES}], got {self.step_samples}")
-        if not (0.0 < self.pca_target_ratio <= 1.0):
-            raise ConfigError("pca_target_ratio must be in (0, 1]")
 
     def needed_base_sets(self):
         need = set()
@@ -105,20 +97,20 @@ def _featurize_trial(trial, config):
     The training windows before the onset lie on the test grid, so both
     sides take their rows from one set of matrices.
     """
-    train = preprocess.segment_training_trial(trial, config.step_samples)
-    test = preprocess.segment_test_trial(trial, config.step_samples)
-    offsets = sorted({inst.trial_offset for inst in (*train, *test)})
+    train_offsets, labels = preprocess.training_grid(trial)
+    test_offsets = preprocess._starts(0, trial.n_samples)
+    offsets = sorted({*train_offsets, *test_offsets})
     row = {offset: i for i, offset in enumerate(offsets)}
     windows = np.stack([trial.samples[o:o + WINDOW_SAMPLES] for o in offsets])
     base = features.feature_matrices(windows, offsets, config.needed_base_sets())
     inputs = {_input_set(fs) for fs in config.feature_set_ids}
     if 4 in inputs:
         base[4] = features.concat_fs4(base[1], base[2], base[3])
-    train_rows = [row[inst.trial_offset] for inst in train]
-    test_rows = [row[inst.trial_offset] for inst in test]
+    train_rows = [row[offset] for offset in train_offsets]
+    test_rows = [row[offset] for offset in test_offsets]
     return _TrialFeatures(
         train={s: base[s][train_rows] for s in inputs},
-        labels=np.array([inst.label for inst in train], dtype=np.int64),
+        labels=np.array(labels, dtype=np.int64),
         test={s: base[s][test_rows] for s in inputs},
     )
 
@@ -139,6 +131,8 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
         except SegmentTooShort as exc:
             log.warning("subject %s trial %d rejected: %s", dataset.subject_id, idx, exc)
             continue
+        except IwsError as exc:  # same class, now naming the trial
+            raise type(exc)(f"subject {dataset.subject_id} trial {idx}: {exc}") from exc
         usable.append(idx)
     log.info("subject %s: feature extraction done (%.2fs, %d/%d trials usable)",
              dataset.subject_id, time.perf_counter() - t0, len(usable), len(trials))
@@ -163,7 +157,7 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
             X_test = {t: features.scaler_transform(scaler, trial_features[t].test[src])
                       for t in test_ids}
             if fs == 5:
-                pca = features.pca_fit(X_train, config.pca_target_ratio)
+                pca = features.pca_fit(X_train)
                 X_train = features.pca_transform(pca, X_train)
                 X_test = {t: features.pca_transform(pca, X) for t, X in X_test.items()}
             for clf_idx, clf in enumerate(config.classifiers):
@@ -175,7 +169,7 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
                 fold_scores = []
                 for t in test_ids:
                     raw = learn.predict(model, X_test[t])
-                    pred = postprocess.postprocess_trial(raw, trials[t], step=config.step_samples)
+                    pred = postprocess.postprocess_trial(raw, trials[t])
                     fold_scores.append(evaluate.score_trial(
                         pred.corrected_labels, pred.truth_labels, trial_id=t))
                 out[(fs, clf)]["fold_scores"].append(fold_scores)

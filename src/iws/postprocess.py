@@ -22,19 +22,19 @@ class TrialPrediction:
             raise InvariantViolation(f"bin/corrected/truth lengths disagree: {lens}")
 
 
-def n_bins_for(n_samples, step=STEP_SAMPLES) -> int:
+def n_bins_for(n_samples) -> int:
     """Number of 0.1 s bins covering an n-sample trial (last bin may be partial)."""
-    return math.ceil(n_samples / step)
+    return math.ceil(n_samples / STEP_SAMPLES)
 
 
-def covering_windows(b, n_windows, step=STEP_SAMPLES):
+def covering_windows(b, n_windows):
     """Indices of test windows whose sample span overlaps bin ``b``.
 
-    Window w spans [step*w, step*w + WINDOW_SAMPLES); bin b spans
-    [step*b, step*(b+1)).  At most ceil(WINDOW_SAMPLES/step) = 5 windows
-    overlap an interior bin; edge bins see fewer.
+    With step = STEP_SAMPLES, window w spans [step*w, step*w + WINDOW_SAMPLES)
+    and bin b spans [step*b, step*(b+1)).  At most ceil(WINDOW_SAMPLES/step) = 5
+    windows overlap an interior bin; edge bins see fewer.
     """
-    lo = max(0, b - (WINDOW_SAMPLES - 1) // step)
+    lo = max(0, b - (WINDOW_SAMPLES - 1) // STEP_SAMPLES)
     hi = min(b, n_windows - 1)
     return list(range(lo, hi + 1))
 
@@ -44,13 +44,13 @@ def _majority(votes):
     return 1 if 2 * ones > len(votes) else 0  # ties (and no votes) give 0
 
 
-def reduce_windows(raw, n_bins, step=STEP_SAMPLES) -> list:
+def reduce_windows(raw, n_bins) -> list:
     """Collapse overlapped window labels into per-bin labels by majority vote."""
     raw = list(raw)
     if not raw:
         raise EmptyInput("no window labels to reduce")
     return [
-        _majority([raw[w] for w in covering_windows(b, len(raw), step)])
+        _majority([raw[w] for w in covering_windows(b, len(raw))])
         for b in range(n_bins)
     ]
 
@@ -70,24 +70,21 @@ def correct_errors(bins) -> list:
     return out
 
 
-def truth_bins(trial: Trial, n_bins=None, step=STEP_SAMPLES) -> list:
+def truth_bins(trial: Trial) -> list:
     """Ground-truth bin labels: 1 where more than half the bin's samples are IWS."""
-    if n_bins is None:
-        n_bins = n_bins_for(trial.n_samples, step)
     labels = []
-    for b in range(n_bins):
-        start, end = step * b, step * (b + 1)
+    for b in range(n_bins_for(trial.n_samples)):
+        start, end = STEP_SAMPLES * b, STEP_SAMPLES * (b + 1)
         inside = max(0, min(end, trial.ending_sample) - max(start, trial.onset_sample))
-        labels.append(1 if 2 * inside > step else 0)
+        labels.append(1 if 2 * inside > STEP_SAMPLES else 0)
     return labels
 
 
-def postprocess_trial(raw_window_labels, trial: Trial, step=STEP_SAMPLES) -> TrialPrediction:
+def postprocess_trial(raw_window_labels, trial: Trial) -> TrialPrediction:
     """Full reduction + correction + truth discretization for one test trial."""
-    n_bins = n_bins_for(trial.n_samples, step)
-    bins = reduce_windows(list(raw_window_labels), n_bins, step)
+    bins = reduce_windows(list(raw_window_labels), n_bins_for(trial.n_samples))
     corrected = correct_errors(bins)
-    truth = truth_bins(trial, n_bins, step)
+    truth = truth_bins(trial)
     return TrialPrediction(
         raw_window_labels=tuple(int(v) for v in raw_window_labels),
         bin_labels=tuple(bins),

@@ -23,51 +23,49 @@ def car_filter_trial(trial: Trial) -> Trial:
     return trial.with_samples(car_filter(trial.samples))
 
 
-def _starts(begin, end_exclusive, step):
+def _starts(begin, end_exclusive):
     """Window start indices in [begin, ...] with start + window <= end_exclusive."""
-    if not 0 < step <= WINDOW_SAMPLES:
-        raise InvariantViolation(f"need 0 < step ({step}) <= window ({WINDOW_SAMPLES})")
-    return range(begin, end_exclusive - WINDOW_SAMPLES + 1, step)
+    return range(begin, end_exclusive - WINDOW_SAMPLES + 1, STEP_SAMPLES)
 
 
-def segment_training_trial(trial: Trial, step=STEP_SAMPLES):
-    """Cut a marker-labeled trial into pure-class instances.
+def training_grid(trial: Trial):
+    """Offsets and 0/1 labels of a marker-labeled trial's pure-class windows.
 
     Three independent passes: ISS windows from the trial start up to the
     onset, IWS windows from the onset up to the ending, ISS windows from the
-    ending to the end of the trial.  No instance ever mixes classes.
+    ending to the end of the trial.  No window ever mixes classes.
     """
-    n = trial.n_samples
     segments = [
         (0, trial.onset_sample, 0),
         (trial.onset_sample, trial.ending_sample, 1),
-        (trial.ending_sample, n, 0),
+        (trial.ending_sample, trial.n_samples, 0),
     ]
-    instances = []
+    offsets, labels = [], []
     for begin, end, label in segments:
-        starts = _starts(begin, end, step)
+        starts = _starts(begin, end)
         if not starts:
             raise SegmentTooShort(
                 f"trial {trial.subject_id}: segment [{begin}, {end}) of length "
                 f"{end - begin} admits no {WINDOW_SAMPLES}-sample window"
             )
-        for start in starts:
-            instances.append(
-                SignalInstance(
-                    samples=trial.samples[start:start + WINDOW_SAMPLES, :],
-                    trial_offset=start,
-                    label=label,
-                )
-            )
-    return instances
+        offsets.extend(starts)
+        labels.extend([label] * len(starts))
+    return offsets, labels
 
 
-def segment_test_trial(trial: Trial, step=STEP_SAMPLES):
+def _instance(trial, start, label=None):
+    return SignalInstance(samples=trial.samples[start:start + WINDOW_SAMPLES, :],
+                          trial_offset=start, label=label)
+
+
+def segment_training_trial(trial: Trial):
+    """Cut a marker-labeled trial into the pure-class instances of ``training_grid``."""
+    return [_instance(trial, start, label) for start, label in zip(*training_grid(trial))]
+
+
+def segment_test_trial(trial: Trial):
     """Cut a trial into unlabeled instances continuously, ignoring markers."""
     n = trial.n_samples
     if n < WINDOW_SAMPLES:
         raise SegmentTooShort(f"trial {trial.subject_id}: {n} samples < window {WINDOW_SAMPLES}")
-    return [
-        SignalInstance(samples=trial.samples[start:start + WINDOW_SAMPLES, :], trial_offset=start)
-        for start in _starts(0, n, step)
-    ]
+    return [_instance(trial, start) for start in _starts(0, n)]

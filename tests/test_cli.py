@@ -142,6 +142,7 @@ class TestRun:
         ("feature_set_ids", [1, 1]), ("classifiers", ["logreg", "logreg"]),
         ("pca_target_ratio", True), ("pca_target_ratio", float("nan")),
         ("train_ratio", "0.75"), ("train_ratio", float("inf")),
+        ("step_samples", 13), ("pca_target_ratio", 0.9),
     ])
     def test_unrunnable_geometry_exits_2(self, dataset_dir, tmp_path, field, value):
         doc = dict(self.run_config(dataset_dir), **{field: value})
@@ -164,6 +165,23 @@ class TestRun:
         assert proc.returncode == 3
         assert "sampling_rate" in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("feature_set", [2, 3])
+    def test_feature_error_names_the_trial(self, dataset_dir, tmp_path, feature_set):
+        # an all-zero trial leaves GHE no lag to fit: still exit 4, now
+        # naming the subject and trial as well as the channel and offset
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        trial = ds / "s01_003.json"
+        doc = json.loads(trial.read_text())
+        doc["samples"] = [[0.0] * 14 for _ in doc["samples"]]
+        trial.write_text(json.dumps(doc))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict(self.run_config(ds), feature_set_ids=[feature_set])))
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 4
+        assert "subject s01 trial 3: channel 0, instance offset 0:" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_malformed_manifest_exits_3(self, dataset_dir, tmp_path):
         ds = tmp_path / "ds"
@@ -302,6 +320,44 @@ class TestScore:
         assert proc.returncode == 2
         assert "trials[1]" in proc.stderr and field in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("field,value", [
+        ("samples", "abc"), ("samples", [1.0, 2.0]), ("samples", "1.5"), ("samples", True),
+        ("onset_sample", True),
+    ])
+    def test_non_number_in_trial_file_exits_3(self, dataset_dir, tmp_path, field, value):
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(self.make_predictions(dataset_dir)))
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        trial = ds / "s01_000.json"
+        doc = json.loads(trial.read_text())
+        if field == "samples":
+            doc["samples"][3][2] = value
+        else:
+            doc[field] = value
+        trial.write_text(json.dumps(doc))
+        proc = run_cli("score", "--pred", str(pred), "--dataset", str(ds))
+        assert proc.returncode == 3
+        assert "s01_000.json" in proc.stderr and field in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_empty_trials_exits_2(self, dataset_dir, tmp_path):
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps({"trials": []}))
+        proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
+        assert proc.returncode == 2
+        assert "trials" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_repeated_trial_exits_2(self, dataset_dir, tmp_path):
+        doc = self.make_predictions(dataset_dir)
+        doc["trials"].append(dict(doc["trials"][1]))
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(doc))
+        proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
+        assert proc.returncode == 2
+        assert f"trials[{len(doc['trials']) - 1}]" in proc.stderr
+        assert "aggregate" not in proc.stdout and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("trials", [5, [5]])
     def test_trials_not_a_list_of_objects_exits_2(self, dataset_dir, tmp_path, trials):

@@ -104,6 +104,40 @@ class TestTrialFiles:
         with pytest.raises(MalformedFile, match="sampling_rate"):
             read_trial_file(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("samples", "abc"), ("samples", [1.0, 2.0]), ("samples", "1.5"), ("samples", True),
+        ("samples", None), pytest.param("samples", 10**400, id="samples-past-double-range"),
+        ("onset_sample", True), ("onset_sample", 128.0), ("ending_sample", False),
+    ])
+    def test_only_json_numbers_read(self, tmp_path, field, value):
+        path = tmp_path / "t.json"
+        write_trial_file(make_trial(), path)
+        doc = json.loads(path.read_text())
+        if field == "samples":
+            doc["samples"][3][2] = value
+        else:
+            doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFile, match=field):
+            read_trial_file(path)
+
+    def test_integer_past_digit_limit_rejected(self, tmp_path):
+        # json.load raises a plain ValueError, not a JSONDecodeError, for it
+        path = tmp_path / "t.json"
+        write_trial_file(make_trial(), path)
+        text = path.read_text()
+        path.write_text(text.replace('"samples": [[', '"samples": [[' + "9" * 5000 + ", ", 1))
+        with pytest.raises(MalformedFile, match="not valid JSON"):
+            read_trial_file(path)
+
+    def test_integer_samples_read(self, tmp_path):
+        path = tmp_path / "t.json"
+        write_trial_file(make_trial(), path)
+        doc = json.loads(path.read_text())
+        doc["samples"][3] = list(range(14))
+        path.write_text(json.dumps(doc))
+        assert read_trial_file(path).samples[3].tolist() == [float(v) for v in range(14)]
+
     def test_garbage_file(self, tmp_path):
         path = tmp_path / "t.json"
         path.write_text("{ not json")
@@ -256,6 +290,12 @@ class TestDatasetDirectory:
         with pytest.raises(MalformedFile, match=re.escape(field)) as exc:
             read_dataset(tmp_path)
         assert str(path) in str(exc.value)
+
+    def test_manifest_integer_past_digit_limit_rejected(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"schema_version": ' + "9" * 5000 + ', "subjects": []}')
+        with pytest.raises(MalformedFile, match="not valid JSON"):
+            read_dataset(tmp_path)
 
     @pytest.mark.parametrize("case,message", [
         ("repeat", "'subjects[1].subject_id' repeats 's01'"),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -29,7 +30,6 @@ class TestRunConfig:
             RunConfig(dataset_path="x", train_ratio=1.5)
 
     @pytest.mark.parametrize("field,value", [
-        ("step_samples", 0), ("step_samples", 80),
         ("train_ratio", 0.1), ("train_ratio", 0.95),
     ])
     def test_configs_the_pipeline_cannot_run_rejected(self, field, value):
@@ -37,10 +37,14 @@ class TestRunConfig:
             RunConfig(dataset_path="x", **{field: value})
 
     @pytest.mark.parametrize("field,value", [
-        ("step_samples", 1), ("step_samples", 64), ("train_ratio", 0.125), ("train_ratio", 0.87),
+        ("train_ratio", 0.125), ("train_ratio", 0.87),
     ])
     def test_boundary_configs_accepted(self, field, value):
         RunConfig(dataset_path="x", **{field: value})
+
+    def test_window_geometry_is_not_a_setting(self):
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "dataset_path", "feature_set_ids", "classifiers", "folds", "train_ratio", "seed"]
 
     def test_needed_base_sets(self):
         assert RunConfig(dataset_path="x", feature_set_ids=(1,)).needed_base_sets() == (1,)
@@ -184,3 +188,12 @@ class TestTrialFeatures:
                 np.testing.assert_allclose(matrix_set[fs], expected, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(matrix_set[4][:, :70], matrix_set[1])
             np.testing.assert_array_equal(matrix_set[4][:, 70 + 168:], matrix_set[3])
+
+    def test_pipeline_builds_no_signal_instance(self, tiny_datasets, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the pipeline built a SignalInstance")
+
+        monkeypatch.setattr(preprocess, "SignalInstance", forbidden)
+        rc = RunConfig(dataset_path="mem", feature_set_ids=(1,), classifiers=("knn",), folds=1)
+        out = experiment.run_subject(tiny_datasets[0], rc, 0)
+        assert len(out[(1, "knn")]["fold_scores"]) == 1

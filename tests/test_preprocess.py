@@ -9,6 +9,7 @@ from iws.preprocess import (
     car_filter,
     segment_test_trial,
     segment_training_trial,
+    training_grid,
 )
 
 
@@ -88,6 +89,26 @@ class TestTrainingSegmentation:
             else:
                 assert hi <= onset or lo >= onset + length
 
+    @given(st.integers(0, 5000))
+    def test_grid_matches_enumeration(self, seed):
+        gen = np.random.default_rng(seed)
+        onset = int(gen.integers(64, 150))
+        ending = onset + int(gen.integers(64, 150))
+        n = ending + int(gen.integers(64, 150))
+        trial = trial_with_geometry(n, onset, ending, seed)
+        # every 13-step start of each segment whose window stays inside it,
+        # labeled by the class of each sample it covers
+        expected = []
+        for begin, end, label in ((0, onset, 0), (onset, ending, 1), (ending, n, 0)):
+            for start in range(begin, end, 13):
+                if start + 64 <= end:
+                    covered = {int(onset <= i < ending) for i in range(start, start + 64)}
+                    assert covered == {label}
+                    expected.append((start, label))
+        offsets, labels = training_grid(trial)
+        assert list(zip(offsets, labels)) == expected
+        assert [(i.trial_offset, i.label) for i in segment_training_trial(trial)] == expected
+
 
 class TestTestSegmentation:
     def test_example_count(self):
@@ -101,7 +122,7 @@ class TestTestSegmentation:
     def test_closed_form_matches_enumeration(self):
         for n in range(64, 5001):
             enumerated = [s for s in range(0, n, 13) if s + 64 <= n]
-            assert list(_starts(0, n, 13)) == enumerated
+            assert list(_starts(0, n)) == enumerated
 
     def test_single_window(self):
         gen = np.random.default_rng(0)
@@ -110,12 +131,5 @@ class TestTestSegmentation:
         # 192 samples -> 10 windows; a 64-sample trial is below the Trial
         # minimum, so exercise the windowing math directly as well
         assert len(segment_test_trial(trial)) == 10
-        assert list(_starts(0, 64, 13)) == [0]
-        assert list(_starts(0, 63, 13)) == []
-
-    def test_window_params_validation(self):
-        trial = trial_with_geometry(320, 128, 192)
-        for segment in (segment_training_trial, segment_test_trial):
-            for step in (0, 65):
-                with pytest.raises(InvariantViolation):
-                    segment(trial, step=step)
+        assert list(_starts(0, 64)) == [0]
+        assert list(_starts(0, 63)) == []
