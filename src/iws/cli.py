@@ -36,7 +36,7 @@ def _load_json(path, what):
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bad bytes or an over-long integer
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}")
 
 
@@ -82,7 +82,7 @@ def cmd_score(args) -> int:
     datasets = {ds.subject_id: ds for ds in data.read_dataset(args.dataset)}
     if not doc["trials"]:
         raise ConfigError("predictions 'trials' list is empty")
-    scores, seen = [], set()
+    scores, lines, seen = [], [], set()
     for i, entry in enumerate(doc["trials"]):
         if not isinstance(entry, dict):
             raise ConfigError(f"predictions trials[{i}] must be an object")
@@ -106,12 +106,13 @@ def cmd_score(args) -> int:
         if not 0 <= entry["trial_index"] < len(ds.trials):
             raise InvariantViolation(
                 f"subject {entry['subject_id']}: trial index {entry['trial_index']} out of range")
-        trial = ds.trials[entry["trial_index"]]
-        truth = postprocess.truth_bins(trial)
+        truth = postprocess.truth_bins(ds.trials[entry["trial_index"]])
         score = evaluate.score_trial(bins, truth, trial_id=entry["trial_index"])
         scores.append(score)
-        print(f"{entry['subject_id']} trial {entry['trial_index']}: "
-              f"P={score.precision:.4f} R={score.recall:.4f} F1={score.f1:.4f}")
+        lines.append(f"{entry['subject_id']} trial {entry['trial_index']}: "
+                     f"P={score.precision:.4f} R={score.recall:.4f} F1={score.f1:.4f}")
+    # nothing is printed until every entry has been checked and scored
+    print("\n".join(lines))
     agg = evaluate.aggregate(scores)
     print(f"aggregate: P={agg['precision']['mean']:.4f} "
           f"R={agg['recall']['mean']:.4f} F1={agg['f1']['mean']:.4f}")

@@ -23,6 +23,12 @@ REC_HI = np.array([-0.125, -0.25, 0.75, -0.25, -0.125]) * _R2
 
 DWT_LEVELS = 4
 
+MAX_IMFS = 8
+# the sift cap covers the long convergence tail seen on 64-sample colored
+# noise (median 10 iterations, 99th percentile ~150)
+MAX_SIFT_ITERATIONS = 300
+SIFT_TOLERANCE = 0.05  # envelope-mean bound, as a fraction of the row's std
+
 COEFF_KINDS = ("detail_level_1", "detail_level_2", "detail_level_3",
                "detail_level_4", "approximation_level_5")
 
@@ -33,7 +39,6 @@ class CoefficientSet:
 
     values: np.ndarray
     kind: str
-    source_channel: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -42,19 +47,6 @@ class CoefficientSet:
         if not np.all(np.isfinite(arr)):
             raise InvariantViolation(f"coefficient set {self.kind}: non-finite values")
         object.__setattr__(self, "values", arr)
-
-
-@dataclass(frozen=True)
-class EmdParams:
-    # the sift cap covers the long convergence tail seen on 64-sample colored
-    # noise (median 10 iterations, 99th percentile ~150)
-    max_imfs: int = 8
-    max_sift_iterations: int = 300
-    sift_tolerance: float = 0.05
-
-    def __post_init__(self):
-        if self.max_imfs <= 0 or self.max_sift_iterations <= 0 or self.sift_tolerance <= 0:
-            raise InvariantViolation("EmdParams fields must all be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +114,7 @@ def idwt_single_level(approx, detail, n_out):
     return x
 
 
-def dwt_bior22(signal, levels=DWT_LEVELS, source_channel=0):
+def dwt_bior22(signal):
     """Decompose a 64-sample window into 4 detail sets plus the approximation.
 
     Returns [w1, w2, w3, w4, a5] as CoefficientSets, finest detail first.
@@ -132,14 +124,11 @@ def dwt_bior22(signal, levels=DWT_LEVELS, source_channel=0):
         raise InvariantViolation(f"expected a {WINDOW_SAMPLES}-sample window, got {x.size}")
     details = []
     cur = x
-    for _ in range(levels):
+    for _ in range(DWT_LEVELS):
         cur, det = dwt_single_level(cur)
         details.append(det)
-    sets = [
-        CoefficientSet(values=det, kind=COEFF_KINDS[j], source_channel=source_channel)
-        for j, det in enumerate(details)
-    ]
-    sets.append(CoefficientSet(values=cur, kind=COEFF_KINDS[4], source_channel=source_channel))
+    sets = [CoefficientSet(values=det, kind=COEFF_KINDS[j]) for j, det in enumerate(details)]
+    sets.append(CoefficientSet(values=cur, kind=COEFF_KINDS[4]))
     return sets
 
 
@@ -283,32 +272,32 @@ def _envelopes(x, ext):
 class EmdRows(NamedTuple):
     """Lockstep EMD of an (n_rows, n) signal stack."""
 
-    imfs: np.ndarray       # (n_rows, max_imfs, n); row r fills its first counts[r] slots
+    imfs: np.ndarray       # (n_rows, MAX_IMFS, n); row r fills its first counts[r] slots
     counts: np.ndarray     # IMFs per row; 0 when the row has no oscillatory component
     residuals: np.ndarray  # (n_rows, n): each row minus its IMFs
     constant: np.ndarray   # rows with zero spread, never sifted
-    capped: np.ndarray     # rows whose last sift ran into max_sift_iterations
+    capped: np.ndarray     # rows whose last sift ran into MAX_SIFT_ITERATIONS
 
 
-def emd_rows(rows, params: EmdParams = EmdParams()) -> EmdRows:
+def emd_rows(rows) -> EmdRows:
     """Decompose every row of an (n_rows, n) stack into IMFs plus a residual.
 
     Each row sifts its residual until the IMF conditions hold (extremum and
     zero-crossing counts differ by at most 1, envelope mean within
-    ``sift_tolerance`` times the row's std), emits it and goes on with what is
+    ``SIFT_TOLERANCE`` times the row's std), emits it and goes on with what is
     left.  A row ends when a sift finds no maxima or no minima, when a sift
-    reaches ``max_sift_iterations``, when its residual has fewer than 2
-    extrema, or after ``max_imfs`` IMFs.
+    reaches ``MAX_SIFT_ITERATIONS``, when its residual has fewer than 2
+    extrema, or after ``MAX_IMFS`` IMFs.
     """
     rows = np.asarray(rows, dtype=np.float64)
     n_rows, n = rows.shape
     scale = np.std(rows, axis=1)
-    imfs = np.zeros((n_rows, params.max_imfs, n))
+    imfs = np.zeros((n_rows, MAX_IMFS, n))
     counts = np.zeros(n_rows, dtype=np.intp)
     residuals = rows.copy()
     constant = scale == 0.0
     capped = np.zeros(n_rows, dtype=bool)
-    tolerance = params.sift_tolerance * scale
+    tolerance = SIFT_TOLERANCE * scale
     live = np.flatnonzero(~constant)  # rows still decomposing
     h = rows[live]  # their current sift iterates
     iterations = np.zeros(live.size, dtype=np.intp)  # of the current sift
@@ -335,9 +324,9 @@ def emd_rows(rows, params: EmdParams = EmdParams()) -> EmdRows:
         res_max, res_min = _extremum_masks(residuals[done])
         more = np.zeros(k, dtype=bool)
         more[emit] = ((np.count_nonzero(res_max, axis=1) + np.count_nonzero(res_min, axis=1) >= 2)
-                      & (counts[done] < params.max_imfs))
+                      & (counts[done] < MAX_IMFS))
         iterations = np.where(emit, 0, iterations + 1)
-        at_cap = ~emit & (iterations == params.max_sift_iterations)
+        at_cap = ~emit & (iterations == MAX_SIFT_ITERATIONS)
         capped[live[at_cap]] = True
         h = np.where(emit[:, None], residuals[live], h - mean_env)
         stay = np.where(emit, more, ~at_cap)
@@ -345,7 +334,7 @@ def emd_rows(rows, params: EmdParams = EmdParams()) -> EmdRows:
     return EmdRows(imfs, counts, residuals, constant, capped)
 
 
-def emd(signal, params: EmdParams = EmdParams(), source_channel=0):
+def emd(signal):
     """Decompose into intrinsic mode functions plus a residual: a batch of one.
 
     Returns (imfs, residual) with sum(imfs) + residual == signal exactly.
@@ -353,13 +342,12 @@ def emd(signal, params: EmdParams = EmdParams(), source_channel=0):
     (e.g. strictly monotonic input).
     """
     x = _check_signal(np.asarray(signal, dtype=np.float64))
-    out = emd_rows(x[None], params)
+    out = emd_rows(x[None])
     if out.constant[0]:
         raise DecompositionFailure("constant signal has no oscillatory component")
     if not out.counts[0]:
         raise DecompositionFailure("no IMF satisfied the sifting conditions")
-    imfs = [CoefficientSet(values=imf, kind="imf", source_channel=source_channel)
-            for imf in out.imfs[0, :out.counts[0]]]
+    imfs = [CoefficientSet(values=imf, kind="imf") for imf in out.imfs[0, :out.counts[0]]]
     return imfs, out.residuals[0]
 
 

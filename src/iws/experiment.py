@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import evaluate, features, learn, postprocess, preprocess
-from .data import MIN_TRIALS, WINDOW_SAMPLES, check_int, check_real
+from .data import WINDOW_SAMPLES, check_int
 from .errors import ConfigError, IwsError, SegmentTooShort
 from .learn import CLASSIFIER_KINDS, ClassifierSpec
 
@@ -25,7 +25,6 @@ class RunConfig:
     feature_set_ids: tuple = (1,)
     classifiers: tuple = ("random_forest",)
     folds: int = 4
-    train_ratio: float = 0.75
     seed: int = 0
 
     def __post_init__(self):
@@ -33,7 +32,6 @@ class RunConfig:
             raise ConfigError(f"dataset_path must be a string, got {self.dataset_path!r}")
         for name in ("folds", "seed"):
             check_int(name, getattr(self, name))
-        check_real("train_ratio", self.train_ratio)
         for i in self.feature_set_ids:
             check_int("feature_set_ids", i)
         object.__setattr__(self, "feature_set_ids", tuple(int(i) for i in self.feature_set_ids))
@@ -53,16 +51,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must not repeat an entry, got {list(values)}")
         if self.folds < 1:
             raise ConfigError("folds must be >= 1")
-        if not (0.0 < self.train_ratio < 1.0):
-            raise ConfigError("train_ratio must be in (0, 1)")
-        # the 8-trial split is the tightest: a ratio leaving it >= 1 training
-        # and >= 2 test trials does so for every larger subject
-        n_train = int(MIN_TRIALS * self.train_ratio)
-        if n_train < 1 or MIN_TRIALS - n_train < 2:
-            raise ConfigError(
-                f"train_ratio {self.train_ratio} splits a {MIN_TRIALS}-trial subject into "
-                f"{n_train} training and {MIN_TRIALS - n_train} test trials; "
-                "need >= 1 and >= 2")
 
     def needed_base_sets(self):
         need = set()
@@ -138,7 +126,7 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
              dataset.subject_id, time.perf_counter() - t0, len(usable), len(trials))
 
     plan = learn.make_fold_plan(len(usable), _stable_seed(config.seed, subject_index),
-                                n_folds=config.folds, train_ratio=config.train_ratio)
+                                n_folds=config.folds)
     out = {
         (fs, clf): {"subject_id": dataset.subject_id, "fold_scores": [],
                     **({"pca_dims": []} if fs == 5 else {})}

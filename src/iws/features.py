@@ -42,6 +42,7 @@ FEATURE_SET_WIDTHS = {1: 70, 2: 168, 3: 28, 4: 266}
 _BAND_TAGS = ("w1", "w2", "w3", "w4", "a5")
 _FS2_FEATURES = ("TE", "IE", "HFD", "KFD", "GHE_q1", "GHE_q2")
 _HIGUCHI_K_MAX = 10
+GHE_TAUS = range(1, 20)  # lags of the scaling-of-increments fit, one-sample resolution
 
 _LAYOUTS = {
     1: tuple((ch, tag, "IE") for ch in range(CHANNEL_COUNT) for tag in _BAND_TAGS),
@@ -50,18 +51,6 @@ _LAYOUTS = {
     3: tuple((ch, "signal", name) for ch in range(CHANNEL_COUNT)
              for name in ("GHE_q1", "GHE_q2")),
 }
-
-
-@dataclass(frozen=True)
-class GheParams:
-    """Lag range for the scaling-of-increments fit; one-sample resolution."""
-
-    tau_min: int = 1
-    tau_max: int = 19
-
-    def __post_init__(self):
-        if not (0 < self.tau_min < self.tau_max):
-            raise InvariantViolation("need 0 < tau_min < tau_max")
 
 
 @dataclass(frozen=True)
@@ -168,33 +157,32 @@ def _higuchi_rows(x, k_max):
     return np.where(zero, 0.0, slope)
 
 
-def _ghe_rows(x, q, params):
+def _ghe_rows(x, q):
     """Scaling exponent H(q) of each row, and the number of lag points it used.
 
     K_q(tau) = mean|x(t+tau) - x(t)|^q / mean|x(t)|^q; H(q) is the
     least-squares slope of ln K_q against ln tau, divided by q.  Lags with a
     non-positive or non-finite K_q are skipped.
     """
-    taus = np.arange(params.tau_min, params.tau_max + 1)
     denom = np.mean(np.abs(x) ** q, axis=1)
-    num = np.stack([np.mean(np.abs(x[:, tau:] - x[:, :-tau]) ** q, axis=1) for tau in taus],
+    num = np.stack([np.mean(np.abs(x[:, tau:] - x[:, :-tau]) ** q, axis=1) for tau in GHE_TAUS],
                    axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         k_val = num / denom[:, None]
     valid = (denom > 0.0)[:, None] & np.isfinite(k_val) & (k_val > 0.0)
     log_k = np.log(np.where(valid, k_val, 1.0))
-    return _slopes(np.log(taus), log_k, valid) / q, valid.sum(axis=1)
+    return _slopes(np.log(GHE_TAUS), log_k, valid) / q, valid.sum(axis=1)
 
 
 def _degenerate_message(n_points, q):
     return f"only {n_points} valid lag points (need >= 3) for q={q}"
 
 
-def _hurst_pair(x, params, where):
+def _hurst_pair(x, where):
     """(H(1), H(2)) of each row.  Raises DegenerateScaling for the first row
     with fewer than 3 valid lag points, prefixed by ``where(row)``."""
-    h1, n1 = _ghe_rows(x, 1, params)
-    h2, n2 = _ghe_rows(x, 2, params)
+    h1, n1 = _ghe_rows(x, 1)
+    h2, n2 = _ghe_rows(x, 2)
     bad = np.flatnonzero((n1 < 3) | (n2 < 3))
     if bad.size:
         r = int(bad[0])
@@ -239,12 +227,12 @@ def katz_fd(x) -> float:
     return float(_katz_rows(x.reshape(1, -1))[0])
 
 
-def ghe(x, q, params: GheParams = GheParams()) -> float:
+def ghe(x, q) -> float:
     """Generalized Hurst exponent H(q) (see ``_ghe_rows``)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.size < 2 * params.tau_max:
-        raise InputTooShort(f"ghe needs >= {2 * params.tau_max} samples, got {x.size}")
-    h, n_points = _ghe_rows(x.reshape(1, -1), q, params)
+    if x.size < 2 * GHE_TAUS[-1]:
+        raise InputTooShort(f"ghe needs >= {2 * GHE_TAUS[-1]} samples, got {x.size}")
+    h, n_points = _ghe_rows(x.reshape(1, -1), q)
     if n_points[0] < 3:
         raise DegenerateScaling(_degenerate_message(n_points[0], q))
     return float(h[0])
@@ -287,7 +275,7 @@ def _fs2_rows(rows, where):
                     "%d stopped at the sift-iteration cap", rows.shape[0],
                     int(fallback.sum()), int(dec.capped.sum()))
     imf_rows = selected.reshape(-1, rows.shape[1])  # row r's slots at 2r, 2r + 1
-    h1, h2 = _hurst_pair(imf_rows, GheParams(), lambda i: where(i // 2))
+    h1, h2 = _hurst_pair(imf_rows, lambda i: where(i // 2))
     values = np.stack([
         _teager_rows(imf_rows),
         _ie_rows(imf_rows),
@@ -328,7 +316,7 @@ def feature_matrices(windows, offsets, feature_set_ids) -> dict:
         elif fs == 2:
             values = _fs2_rows(rows, where)
         elif fs == 3:
-            values = np.stack(_hurst_pair(rows, GheParams(), where), axis=1)
+            values = np.stack(_hurst_pair(rows, where), axis=1)
         else:
             raise InvariantViolation(f"feature_matrices handles sets 1-3, got {fs}")
         out[fs] = values.reshape(n_windows, FEATURE_SET_WIDTHS[fs])

@@ -18,21 +18,20 @@ log = logging.getLogger(__name__)
 
 CLASSIFIER_KINDS = ("random_forest", "knn", "logreg")
 
+TRAIN_RATIO = 0.75  # share of a subject's trials in each fold's training side
+RF_TREES = 100
+KNN_K = 50
+LOGREG_PENALTY = 1.0  # L2 strength
+
 
 @dataclass(frozen=True)
 class ClassifierSpec:
     kind: str
-    rf_trees: int = 100
-    knn_k: int = 50
-    logreg_penalty: float = 1.0  # L2 strength
     seed: int = 0
-    rf_features_per_split: int = 0  # 0 = floor(sqrt(n_features))
 
     def __post_init__(self):
         if self.kind not in CLASSIFIER_KINDS:
             raise InvariantViolation(f"unknown classifier kind {self.kind!r}")
-        if self.rf_trees <= 0 or self.knn_k <= 0 or self.logreg_penalty < 0:
-            raise InvariantViolation("classifier hyperparameters must be positive")
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class FoldPlan:
                 raise InvariantViolation("train and test trials overlap")
 
 
-def make_fold_plan(n_trials, seed, n_folds=4, train_ratio=0.75) -> FoldPlan:
+def make_fold_plan(n_trials, seed, n_folds=4) -> FoldPlan:
     """Shuffle trial indices ``n_folds`` times and split each shuffle 75/25.
 
     Splits are at trial granularity, never window granularity, so no
@@ -59,7 +58,7 @@ def make_fold_plan(n_trials, seed, n_folds=4, train_ratio=0.75) -> FoldPlan:
     if n_trials < MIN_TRIALS:
         raise TooFewTrials(
             f"{n_trials} trials < {MIN_TRIALS}; cannot split 75/25 with >= 2 test trials")
-    n_train = int(n_trials * train_ratio)
+    n_train = int(n_trials * TRAIN_RATIO)
     folds = []
     for f in range(n_folds):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), f)))
@@ -169,15 +168,14 @@ class RandomForestModel:
         return (votes * 2 > len(self.trees)).astype(np.int64)
 
 
-def _train_random_forest(spec, X, y):
+def _train_random_forest(X, y, seed):
     n, m = X.shape
-    n_candidates = spec.rf_features_per_split or max(1, int(np.floor(np.sqrt(m))))
-    n_candidates = min(n_candidates, m)
+    n_candidates = max(1, int(np.floor(np.sqrt(m))))
     ranks = _dense_ranks(X)
     labels = y.astype(np.float64)  # exact 0/1, so label counts are exact sums
     trees = []
-    for t in range(spec.rf_trees):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(spec.seed), t)))
+    for t in range(RF_TREES):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
         boot = rng.integers(0, n, size=n)
         trees.append(_grow_tree(X, ranks, labels, boot, rng, n_candidates))
     return RandomForestModel(trees=trees, n_features=m)
@@ -218,8 +216,8 @@ class KnnModel:
         return (ones * 2 > self.k).astype(np.int64)
 
 
-def _train_knn(spec, X, y):
-    k = spec.knn_k
+def _train_knn(X, y):
+    k = KNN_K
     if X.shape[0] < k:
         log.warning("knn: %d training rows < k=%d; falling back to k=%d",
                     X.shape[0], k, X.shape[0])
@@ -261,19 +259,19 @@ def _logreg_loss_grad(w, b, X, y_pm, lam):
     return loss, grad_w, grad_b
 
 
-def _train_logreg(spec, X, y, tol=1e-6, max_iter=5000):
+def _train_logreg(X, y):
     """Batch gradient descent with Armijo backtracking on the L2-penalized
     logistic loss; the accepted-step loss sequence is non-increasing."""
     n, m = X.shape
     y_pm = np.where(y == 1, 1.0, -1.0)
     w = np.zeros(m)
     b = 0.0
-    lam = spec.logreg_penalty
+    lam = LOGREG_PENALTY
     step = 1.0
     loss, grad_w, grad_b = _logreg_loss_grad(w, b, X, y_pm, lam)
-    for _ in range(max_iter):
+    for _ in range(5000):  # iteration cap
         gnorm2 = float(grad_w @ grad_w) + grad_b ** 2
-        if np.sqrt(gnorm2) <= tol:
+        if np.sqrt(gnorm2) <= 1e-6:  # gradient-norm tolerance
             break
         accepted = False
         while step >= 1e-12:
@@ -322,10 +320,10 @@ def train(spec: ClassifierSpec, X, y):
     if spec.kind in ("random_forest", "logreg") and classes.size < 2:
         raise SingleClassTraining(f"{spec.kind} needs both classes in training data")
     if spec.kind == "random_forest":
-        return _train_random_forest(spec, X, y)
+        return _train_random_forest(X, y, spec.seed)
     if spec.kind == "knn":
-        return _train_knn(spec, X, y)
-    return _train_logreg(spec, X, y)
+        return _train_knn(X, y)
+    return _train_logreg(X, y)
 
 
 def predict(model, X):

@@ -143,6 +143,8 @@ class TestRun:
         ("pca_target_ratio", True), ("pca_target_ratio", float("nan")),
         ("train_ratio", "0.75"), ("train_ratio", float("inf")),
         ("step_samples", 13), ("pca_target_ratio", 0.9),
+        # its own id: the default one would repeat that of ("train_ratio", "0.75")
+        pytest.param("train_ratio", 0.75, id="train_ratio-number-0.75"),
     ])
     def test_unrunnable_geometry_exits_2(self, dataset_dir, tmp_path, field, value):
         doc = dict(self.run_config(dataset_dir), **{field: value})
@@ -218,6 +220,22 @@ class TestRun:
         assert proc.returncode == 3
         assert "manifest.json" in proc.stderr and "subjects[1].subject_id" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "score"])
+    @pytest.mark.parametrize("content", [
+        b'{"seed": ' + b"9" * 5000 + b"}",  # past Python's 4300-digit integer limit
+        b"\xff\xfe" + b'{"seed": 1}'.decode().encode("utf-16-le"),  # UTF-16, not UTF-8
+    ], ids=["long-integer", "utf16-bytes"])
+    def test_undecodable_json_exits_2(self, dataset_dir, tmp_path, command, content):
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(content)
+        if command == "run":
+            args = ("--config", str(doc), "--out", str(tmp_path / "r.json"))
+        else:
+            args = ("--pred", str(doc), "--dataset", str(dataset_dir))
+        proc = run_cli(command, *args)
+        assert proc.returncode == 2
+        assert "not valid JSON" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_zero_jobs_exits_2(self, dataset_dir, tmp_path):
         cfg = tmp_path / "run.json"
@@ -358,6 +376,19 @@ class TestScore:
         assert proc.returncode == 2
         assert f"trials[{len(doc['trials']) - 1}]" in proc.stderr
         assert "aggregate" not in proc.stdout and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("bad,code", [("repeat", 2), ("unknown subject", 3)])
+    def test_bad_last_entry_prints_no_score(self, dataset_dir, tmp_path, bad, code):
+        doc = self.make_predictions(dataset_dir)
+        last = dict(doc["trials"][0])
+        if bad == "unknown subject":
+            last["subject_id"] = "s99"
+        doc["trials"].append(last)
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(doc))
+        proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
+        assert proc.returncode == code
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("trials", [5, [5]])
     def test_trials_not_a_list_of_objects_exits_2(self, dataset_dir, tmp_path, trials):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from iws import decompose
 from iws.decompose import (
     DEC_HI,
     DEC_LO,
     CoefficientSet,
-    EmdParams,
     dwt_bior22,
     emd,
     idwt_bior22,
@@ -152,9 +152,10 @@ class TestEmd:
                 v = imf.values
                 assert abs(count_extrema(v) - count_zero_crossings(v)) <= 1
 
-    def test_max_imfs_respected(self, rng):
+    def test_max_imfs_respected(self, rng, monkeypatch):
+        monkeypatch.setattr(decompose, "MAX_IMFS", 2)
         x = rng.standard_normal(64)
-        imfs, _ = emd(x, EmdParams(max_imfs=2))
+        imfs, _ = emd(x)
         assert len(imfs) <= 2
 
 

@@ -5,13 +5,16 @@ The oracle below is a verbatim copy of that per-signal code: ``_check_signal``,
 ``_sift``, ``emd`` and the Minkowski selection.  The batched code applies the same floating-point
 operations in the same order to each row, so IMFs, residuals and selections
 must be equal, not merely close.
+
+The oracle reads the sifting rules from the ``iws.decompose`` constants when it
+is called, so a test that patches them changes both sides alike.
 """
 
 import numpy as np
 import pytest
 
 from iws import decompose
-from iws.decompose import CoefficientSet, EmdParams
+from iws.decompose import CoefficientSet
 from iws.errors import DecompositionFailure, EmptyInput, InvariantViolation
 
 # ---------------------------------------------------------------------------
@@ -87,12 +90,12 @@ def _envelope(x, idx, n):
     return _natural_cubic(t, v, np.arange(n, dtype=np.float64))
 
 
-def _sift(signal, params, scale):
+def _sift(signal, scale):
     """One IMF extraction, or None if the component never satisfies the
     IMF conditions (count difference <= 1, envelope mean below tolerance)."""
     h = signal.copy()
     n = h.size
-    for _ in range(params.max_sift_iterations):
+    for _ in range(decompose.MAX_SIFT_ITERATIONS):
         maxima, minima = _local_extrema(h)
         if maxima.size == 0 or minima.size == 0:
             return None
@@ -100,13 +103,13 @@ def _sift(signal, params, scale):
         lower = _envelope(h, minima, n)
         mean_env = 0.5 * (upper + lower)
         n_ext = maxima.size + minima.size
-        if abs(n_ext - _zero_crossings(h)) <= 1 and np.max(np.abs(mean_env)) <= params.sift_tolerance * scale:
+        if abs(n_ext - _zero_crossings(h)) <= 1 and np.max(np.abs(mean_env)) <= decompose.SIFT_TOLERANCE * scale:
             return h
         h = h - mean_env
     return None
 
 
-def emd(signal, params: EmdParams = EmdParams(), source_channel=0):
+def emd(signal):
     """Decompose into intrinsic mode functions plus a residual.
 
     Returns (imfs, residual) with sum(imfs) + residual == signal exactly.
@@ -119,11 +122,11 @@ def emd(signal, params: EmdParams = EmdParams(), source_channel=0):
         raise DecompositionFailure("constant signal has no oscillatory component")
     imfs = []
     residual = x.copy()
-    for _ in range(params.max_imfs):
-        imf = _sift(residual, params, scale)
+    for _ in range(decompose.MAX_IMFS):
+        imf = _sift(residual, scale)
         if imf is None:
             break
-        imfs.append(CoefficientSet(values=imf, kind="imf", source_channel=source_channel))
+        imfs.append(CoefficientSet(values=imf, kind="imf"))
         residual = residual - imf
         maxima, minima = _local_extrema(residual)
         if maxima.size + minima.size < 2:  # residual effectively monotonic
@@ -157,37 +160,37 @@ def select_imfs_minkowski(signal, imfs):
 # Helpers
 # ---------------------------------------------------------------------------
 
-def oracle_sift_hits_cap(signal, params, scale):
+def oracle_sift_hits_cap(signal, scale):
     """Whether ``_sift`` above ends by running out of iterations (not by
     emitting an IMF or by losing its maxima or minima)."""
     h = signal.copy()
     n = h.size
-    for _ in range(params.max_sift_iterations):
+    for _ in range(decompose.MAX_SIFT_ITERATIONS):
         maxima, minima = _local_extrema(h)
         if maxima.size == 0 or minima.size == 0:
             return False
         mean_env = 0.5 * (_envelope(h, maxima, n) + _envelope(h, minima, n))
         n_ext = maxima.size + minima.size
-        if abs(n_ext - _zero_crossings(h)) <= 1 and np.max(np.abs(mean_env)) <= params.sift_tolerance * scale:
+        if abs(n_ext - _zero_crossings(h)) <= 1 and np.max(np.abs(mean_env)) <= decompose.SIFT_TOLERANCE * scale:
             return False
         h = h - mean_env
     return True
 
 
-def oracle_decompose(x, params):
+def oracle_decompose(x):
     """(IMF values, residual, whether the last sift ran into the cap) of the
     oracle; values and residual are None when it raises DecompositionFailure."""
     scale = float(np.std(x))
     try:
-        imfs, residual = emd(x, params)
+        imfs, residual = emd(x)
     except DecompositionFailure:
-        return None, None, scale != 0.0 and oracle_sift_hits_cap(x, params, scale)
+        return None, None, scale != 0.0 and oracle_sift_hits_cap(x, scale)
     values = [imf.values for imf in imfs]
     capped = False
-    if len(values) < params.max_imfs:
+    if len(values) < decompose.MAX_IMFS:
         maxima, minima = _local_extrema(residual)
         if maxima.size + minima.size >= 2:  # ended because a sift returned None
-            capped = oracle_sift_hits_cap(residual, params, scale)
+            capped = oracle_sift_hits_cap(residual, scale)
     return values, residual, capped
 
 
@@ -206,11 +209,11 @@ def mixed_rows(seed, n_rows):
     return np.stack([kinds[i % len(kinds)]() for i in range(n_rows)])
 
 
-def assert_matches_oracle(rows, params):
-    out = decompose.emd_rows(rows, params)
+def assert_matches_oracle(rows):
+    out = decompose.emd_rows(rows)
     pairs = decompose.select_imf_pairs(rows, out.imfs, out.counts)
     for r, x in enumerate(rows):
-        values, residual, capped = oracle_decompose(x, params)
+        values, residual, capped = oracle_decompose(x)
         assert out.capped[r] == capped, r
         if values is None:
             assert out.counts[r] == 0, r
@@ -232,7 +235,7 @@ def assert_matches_oracle(rows, params):
 # ---------------------------------------------------------------------------
 
 def test_mixed_batch_matches_oracle():
-    out = assert_matches_oracle(mixed_rows(11, 60), EmdParams())
+    out = assert_matches_oracle(mixed_rows(11, 60))
     assert (out.counts == 0).sum() == 24  # every monotonic and constant row
     assert out.constant.sum() == 12
     assert len(set(out.counts[out.counts > 0])) > 2  # rows end after different IMF counts
@@ -249,13 +252,15 @@ def test_row_result_does_not_depend_on_its_batch():
         assert alone.capped[0] == whole.capped[r]
 
 
-def test_max_imfs_two_matches_oracle():
-    out = assert_matches_oracle(mixed_rows(13, 40), EmdParams(max_imfs=2))
+def test_max_imfs_two_matches_oracle(monkeypatch):
+    monkeypatch.setattr(decompose, "MAX_IMFS", 2)
+    out = assert_matches_oracle(mixed_rows(13, 40))
     assert out.counts.max() == 2
 
 
-def test_small_sift_cap_matches_oracle():
-    out = assert_matches_oracle(mixed_rows(14, 40), EmdParams(max_sift_iterations=3))
+def test_small_sift_cap_matches_oracle(monkeypatch):
+    monkeypatch.setattr(decompose, "MAX_SIFT_ITERATIONS", 3)
+    out = assert_matches_oracle(mixed_rows(14, 40))
     assert out.capped.sum() > 5
 
 
@@ -264,19 +269,18 @@ def test_default_cap_stops_match_oracle():
     # 300-iteration cap
     gen = np.random.default_rng(15)
     rows = np.cumsum(gen.standard_normal((80, 64)), axis=1) + gen.standard_normal((80, 64))
-    out = assert_matches_oracle(rows, EmdParams())
+    out = assert_matches_oracle(rows)
     assert out.capped.any()
 
 
 def test_emd_is_a_batch_of_one():
     for x in mixed_rows(16, 10):
-        values, residual, _ = oracle_decompose(x, EmdParams())
+        values, residual, _ = oracle_decompose(x)
         if values is None:
             with pytest.raises(DecompositionFailure):
                 decompose.emd(x)
             continue
-        imfs, got_residual = decompose.emd(x, source_channel=3)
-        assert [i.source_channel for i in imfs] == [3] * len(imfs)
+        imfs, got_residual = decompose.emd(x)
         assert all(np.array_equal(a.values, b) for a, b in zip(imfs, values, strict=True))
         assert np.array_equal(got_residual, residual)
 

@@ -5,11 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from iws import experiment, features, preprocess
+from iws import decompose, experiment, features, preprocess
 from iws.data import SynthConfig, generate_synthetic_dataset
 from iws.errors import ConfigError
 from iws.evaluate import write_report
 from iws.experiment import RunConfig, run_experiment
+from iws.learn import ClassifierSpec
 
 
 @pytest.fixture(scope="module")
@@ -26,25 +27,14 @@ class TestRunConfig:
             RunConfig(dataset_path="x", feature_set_ids=(7,))
         with pytest.raises(ConfigError, match="classifiers"):
             RunConfig(dataset_path="x", classifiers=("svm",))
-        with pytest.raises(ConfigError, match="train_ratio"):
-            RunConfig(dataset_path="x", train_ratio=1.5)
-
-    @pytest.mark.parametrize("field,value", [
-        ("train_ratio", 0.1), ("train_ratio", 0.95),
-    ])
-    def test_configs_the_pipeline_cannot_run_rejected(self, field, value):
-        with pytest.raises(ConfigError, match=field):
-            RunConfig(dataset_path="x", **{field: value})
-
-    @pytest.mark.parametrize("field,value", [
-        ("train_ratio", 0.125), ("train_ratio", 0.87),
-    ])
-    def test_boundary_configs_accepted(self, field, value):
-        RunConfig(dataset_path="x", **{field: value})
 
     def test_window_geometry_is_not_a_setting(self):
+        # nor the split ratio, the classifier hyperparameters or the EMD/GHE rules
         assert [f.name for f in dataclasses.fields(RunConfig)] == [
-            "dataset_path", "feature_set_ids", "classifiers", "folds", "train_ratio", "seed"]
+            "dataset_path", "feature_set_ids", "classifiers", "folds", "seed"]
+        assert [f.name for f in dataclasses.fields(ClassifierSpec)] == ["kind", "seed"]
+        assert not hasattr(decompose, "EmdParams")
+        assert not hasattr(features, "GheParams")
 
     def test_needed_base_sets(self):
         assert RunConfig(dataset_path="x", feature_set_ids=(1,)).needed_base_sets() == (1,)

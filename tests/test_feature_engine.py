@@ -2,7 +2,9 @@
 scalar implementation it replaced.
 
 The oracles below are verbatim copies of that scalar code: the feature
-functions and the FS1/FS2/FS3 channel loops of ``extract_features``.
+functions and the FS1/FS2/FS3 channel loops of ``extract_features``.  They take
+the GHE lag range from ``features.GHE_TAUS`` and the EMD rules from the
+``decompose`` constants.
 """
 
 import numpy as np
@@ -11,7 +13,6 @@ import pytest
 from iws.data import CHANNEL_COUNT, SignalInstance
 from iws.decompose import (
     CoefficientSet,
-    EmdParams,
     dwt_bior22,
     emd,
     emd_rows,
@@ -26,8 +27,8 @@ from iws.errors import (
     IwsError,
 )
 from iws.features import (
+    GHE_TAUS,
     LOG_CLAMP,
-    GheParams,
     extract_features,
     feature_matrices,
     ghe,
@@ -108,13 +109,13 @@ def oracle_katz_fd(x) -> float:
     return float(np.log(m) / denom)
 
 
-def oracle_ghe(x, q, params: GheParams = GheParams()) -> float:
+def oracle_ghe(x, q) -> float:
     x = np.asarray(x, dtype=np.float64)
-    if x.size < 2 * params.tau_max:
-        raise InputTooShort(f"ghe needs >= {2 * params.tau_max} samples, got {x.size}")
+    if x.size < 2 * GHE_TAUS[-1]:
+        raise InputTooShort(f"ghe needs >= {2 * GHE_TAUS[-1]} samples, got {x.size}")
     denom = float(np.mean(np.abs(x) ** q))
     log_tau, log_k = [], []
-    for tau in range(params.tau_min, params.tau_max + 1):
+    for tau in GHE_TAUS:
         num = float(np.mean(np.abs(x[tau:] - x[:-tau]) ** q))
         if denom <= 0.0:
             continue
@@ -132,18 +133,18 @@ def oracle_ghe(x, q, params: GheParams = GheParams()) -> float:
 
 
 def _fs1_channel(x, ch):
-    sets = dwt_bior22(x, source_channel=ch)
+    sets = dwt_bior22(x)
     values = [oracle_instantaneous_energy(s) for s in sets]
     layout = [(ch, tag, "IE") for tag in _BAND_TAGS]
     return values, layout
 
 
-def _fs2_channel(x, ch, emd_params, ghe_params):
+def _fs2_channel(x, ch):
     try:
-        imfs, _residual = emd(x, emd_params, source_channel=ch)
+        imfs, _residual = emd(x)
         selected = select_imfs_minkowski(x, imfs)
     except DecompositionFailure:
-        pseudo = CoefficientSet(values=x, kind="imf", source_channel=ch)
+        pseudo = CoefficientSet(values=x, kind="imf")
         selected = [pseudo, pseudo]
     values, layout = [], []
     for slot, imf in enumerate(selected, start=1):
@@ -153,20 +154,20 @@ def _fs2_channel(x, ch, emd_params, ghe_params):
             oracle_instantaneous_energy(v),
             oracle_higuchi_fd(v),
             oracle_katz_fd(v),
-            oracle_ghe(v, 1, ghe_params),
-            oracle_ghe(v, 2, ghe_params),
+            oracle_ghe(v, 1),
+            oracle_ghe(v, 2),
         ])
         layout.extend([(ch, f"imf{slot}", name) for name in _FS2_FEATURES])
     return values, layout
 
 
-def _fs3_channel(x, ch, ghe_params):
-    values = [oracle_ghe(x, 1, ghe_params), oracle_ghe(x, 2, ghe_params)]
+def _fs3_channel(x, ch):
+    values = [oracle_ghe(x, 1), oracle_ghe(x, 2)]
     layout = [(ch, "signal", "GHE_q1"), (ch, "signal", "GHE_q2")]
     return values, layout
 
 
-def oracle_extract(instance, feature_set_id, emd_params=EmdParams(), ghe_params=GheParams()):
+def oracle_extract(instance, feature_set_id):
     """(values, layout) of one instance, channel-major."""
     values, layout = [], []
     for ch in range(CHANNEL_COUNT):
@@ -175,9 +176,9 @@ def oracle_extract(instance, feature_set_id, emd_params=EmdParams(), ghe_params=
             if feature_set_id == 1:
                 v, l = _fs1_channel(x, ch)
             elif feature_set_id == 2:
-                v, l = _fs2_channel(x, ch, emd_params, ghe_params)
+                v, l = _fs2_channel(x, ch)
             else:
-                v, l = _fs3_channel(x, ch, ghe_params)
+                v, l = _fs3_channel(x, ch)
         except IwsError as exc:
             raise type(exc)(
                 f"channel {ch}, instance offset {instance.trial_offset}: {exc}"

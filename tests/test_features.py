@@ -166,7 +166,7 @@ class TestGhe:
 
     def test_too_short(self):
         with pytest.raises(InputTooShort):
-            ghe(np.zeros(37), 1)  # needs >= 2 * tau_max = 38
+            ghe(np.zeros(37), 1)  # needs >= 2 * 19 = 38, twice the largest lag
 
     def test_degenerate_scaling(self):
         with pytest.raises(DegenerateScaling):

@@ -2,19 +2,25 @@
 replaced.
 
 The oracle below is a verbatim copy of that code: ``_best_split``, ``_leaf``,
-``_grow_tree`` and ``_train_random_forest``.  It sorts the float values of one
-candidate feature at a time with a stable sort and grows each tree on a copy
-of its bootstrap rows.  The rank-based code draws the same random numbers in
-the same order and computes every Gini cost with the same arithmetic, so the
-trees must be equal as dicts, thresholds included.
+``_grow_tree`` and ``_train_random_forest``, the last taking its seed, tree
+count and candidate count as arguments.  It sorts the float values of
+one candidate feature at a time with a stable sort and grows each tree on a
+copy of its bootstrap rows.  The rank-based code draws the same random numbers
+in the same order and computes every Gini cost with the same arithmetic, so
+the trees must be equal as dicts, thresholds included.
+
+Smaller forests patch ``learn.RF_TREES``; other candidate counts than
+``floor(sqrt(m))`` are grown tree by tree through ``learn._grow_tree``.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from iws import learn
-from iws.learn import ClassifierSpec, RandomForestModel
+from iws.learn import RandomForestModel
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-feature implementation, verbatim
@@ -65,13 +71,11 @@ def _grow_tree(X, y, rng, n_candidates):
     }
 
 
-def _train_random_forest(spec, X, y):
+def _train_random_forest(X, y, seed, n_trees, n_candidates):
     n, m = X.shape
-    n_candidates = spec.rf_features_per_split or max(1, int(np.floor(np.sqrt(m))))
-    n_candidates = min(n_candidates, m)
     trees = []
-    for t in range(spec.rf_trees):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(spec.seed), t)))
+    for t in range(n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
         boot = rng.integers(0, n, size=n)
         trees.append(_grow_tree(X[boot], y[boot], rng, n_candidates))
     return RandomForestModel(trees=trees, n_features=m)
@@ -81,12 +85,30 @@ def _train_random_forest(spec, X, y):
 # Equivalence
 # ---------------------------------------------------------------------------
 
-def assert_same_forest(X, y, **spec_fields):
-    spec = ClassifierSpec(kind="random_forest", **spec_fields)
+def _rank_trees(X, y, seed, n_trees, n_candidates):
+    """``learn._train_random_forest`` with its candidate count as an argument."""
+    ranks = learn._dense_ranks(X)
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
+        boot = rng.integers(0, X.shape[0], size=X.shape[0])
+        trees.append(learn._grow_tree(X, ranks, y.astype(np.float64), boot, rng, n_candidates))
+    return trees
+
+
+def assert_same_forest(X, y, n_trees=learn.RF_TREES, seed=0, n_candidates=None):
+    """Oracle and rank-based forests agree.  With ``n_candidates`` None the
+    whole ``learn._train_random_forest`` runs, at its floor(sqrt(m))."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    expected = _train_random_forest(spec, X, y).trees
-    got = learn._train_random_forest(spec, X, y).trees
+    if n_candidates is None:
+        sqrt_m = max(1, int(np.floor(np.sqrt(X.shape[1]))))
+        expected = _train_random_forest(X, y, seed, n_trees, sqrt_m).trees
+        with mock.patch.object(learn, "RF_TREES", n_trees):
+            got = learn._train_random_forest(X, y, seed).trees
+    else:
+        expected = _train_random_forest(X, y, seed, n_trees, n_candidates).trees
+        got = _rank_trees(X, y, seed, n_trees, n_candidates)
     assert got == expected
 
 
@@ -108,7 +130,7 @@ def test_control_shape_noise(seed):
     # 275 x 70 FS1 rows on noise: deep trees, as in the SNR-0 workload
     gen = np.random.default_rng(seed)
     assert_same_forest(gen.standard_normal((275, 70)), random_labels(gen, 275),
-                       rf_trees=20, seed=seed)
+                       n_trees=20, seed=seed)
 
 
 def test_headline_shape():
@@ -122,7 +144,7 @@ def test_headline_shape():
 def test_tie_heavy_integer_grid(levels):
     gen = np.random.default_rng(levels)
     X = grid_with_signed_zeros(gen, (150, 12), levels)
-    assert_same_forest(X, random_labels(gen, 150), rf_trees=30, seed=levels)
+    assert_same_forest(X, random_labels(gen, 150), n_trees=30, seed=levels)
 
 
 def test_constant_columns_and_duplicated_rows():
@@ -134,13 +156,13 @@ def test_constant_columns_and_duplicated_rows():
     # rows no candidate can separate
     X = np.vstack([X, X[:30], X[:30]])
     y = np.concatenate([y, y[:30], 1 - y[:30]])
-    assert_same_forest(X, y, rf_trees=30, seed=4)
-    assert_same_forest(X, y, rf_trees=30, seed=4, rf_features_per_split=1)
+    assert_same_forest(X, y, n_trees=30, seed=4)
+    assert_same_forest(X, y, n_trees=30, seed=4, n_candidates=1)
 
 
 def test_all_columns_constant():
     X = np.full((20, 3), 7.0)
-    assert_same_forest(X, np.arange(20) % 2, rf_trees=5)
+    assert_same_forest(X, np.arange(20) % 2, n_trees=5)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -150,7 +172,7 @@ def test_infinite_entries():
     X[gen.random(X.shape) < 0.1] = np.inf
     X[gen.random(X.shape) < 0.1] = -np.inf
     X[:, 0] = np.where(gen.random(120) < 0.5, np.inf, -np.inf)
-    assert_same_forest(X, random_labels(gen, 120), rf_trees=30, seed=5)
+    assert_same_forest(X, random_labels(gen, 120), n_trees=30, seed=5)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -158,15 +180,15 @@ def test_infinite_entries():
                                [[np.inf, 2.0], [-np.inf, 2.0]], [[-0.0, 3.0], [0.0, -3.0]]])
 @pytest.mark.parametrize("y", [[0, 1], [1, 0], [1, 1]])
 def test_two_rows(X, y):
-    assert_same_forest(X, y, rf_trees=20)
+    assert_same_forest(X, y, n_trees=20)
 
 
 @pytest.mark.parametrize("per_split", [1, 11])
 def test_features_per_split_one_and_all(per_split):
     gen = np.random.default_rng(6)
     X = np.hstack([gen.standard_normal((90, 6)), grid_with_signed_zeros(gen, (90, 5))])
-    assert_same_forest(X, random_labels(gen, 90), rf_trees=30, seed=6,
-                       rf_features_per_split=per_split)
+    assert_same_forest(X, random_labels(gen, 90), n_trees=30, seed=6,
+                       n_candidates=per_split)
 
 
 @given(n=st.integers(2, 40), m=st.integers(1, 6), per_split=st.integers(0, 6),
@@ -174,8 +196,9 @@ def test_features_per_split_one_and_all(per_split):
 def test_small_shapes(n, m, per_split, grid, seed):
     gen = np.random.default_rng(seed)
     X = grid_with_signed_zeros(gen, (n, m), 3) if grid else gen.standard_normal((n, m))
-    assert_same_forest(X, gen.integers(0, 2, n), rf_trees=8, seed=seed,
-                       rf_features_per_split=per_split)
+    # 0 runs the whole forest at floor(sqrt(m)) candidates
+    assert_same_forest(X, gen.integers(0, 2, n), n_trees=8, seed=seed,
+                       n_candidates=min(per_split, m) or None)
 
 
 def test_dense_ranks_share_equal_values_and_follow_value_order():

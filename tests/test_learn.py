@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.spatial.distance import cdist
 
+from iws import learn
 from iws.errors import (
     InvariantViolation,
     SingleClassTraining,
@@ -92,7 +93,7 @@ class TestTraining:
     def test_knn_falls_back_when_small(self, caplog):
         X, y = blobs(n_per_class=10)
         with caplog.at_level("WARNING"):
-            model = train(ClassifierSpec(kind="knn", knn_k=50), X, y)
+            model = train(ClassifierSpec(kind="knn"), X, y)  # k = 50 > 20 rows
         assert model.k == 20
         assert any("falling back" in r.message for r in caplog.records)
 
@@ -176,19 +177,22 @@ class TestDeterminismAndProperties:
     @given(st.integers(0, 2**31 - 1))
     def test_knn_permutation_invariant(self, seed):
         gen = np.random.default_rng(seed)
-        X = gen.standard_normal((40, 3))
-        y = (gen.uniform(size=40) < 0.5).astype(int)
-        perm = gen.permutation(40)
-        m1 = train(ClassifierSpec(kind="knn", knn_k=7), X, y)
-        m2 = train(ClassifierSpec(kind="knn", knn_k=7), X[perm], y[perm])
+        X = gen.standard_normal((120, 3))  # more rows than k = 50
+        y = (gen.uniform(size=120) < 0.5).astype(int)
+        perm = gen.permutation(120)
+        m1 = train(ClassifierSpec(kind="knn"), X, y)
+        m2 = train(ClassifierSpec(kind="knn"), X[perm], y[perm])
+        assert m1.k == learn.KNN_K
         probe = gen.standard_normal((25, 3))
         assert np.array_equal(predict(m1, probe), predict(m2, probe))
 
     def test_knn_tie_resolves_to_zero(self):
-        # 2 neighbors at equal distance, one per class -> tie -> 0
-        X = np.array([[0.0], [2.0]])
-        y = np.array([0, 1])
-        model = train(ClassifierSpec(kind="knn", knn_k=2), X, y)
+        # the k = 50 nearest are 25 rows per class at equal distance -> tie -> 0;
+        # 10 far class-1 rows keep k from falling back
+        X = np.array([[0.0]] * 25 + [[2.0]] * 25 + [[100.0]] * 10)
+        y = np.array([0] * 25 + [1] * 25 + [1] * 10)
+        model = train(ClassifierSpec(kind="knn"), X, y)
+        assert model.k == 50
         assert predict(model, np.array([[1.0]]))[0] == 0
 
     @pytest.mark.parametrize("width", [70, 266])
@@ -204,7 +208,7 @@ class TestDeterminismAndProperties:
         assert np.array_equal(_sq_distances(probe, X), d2)
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :50]
         expected = (y[nearest].sum(axis=1) * 2 > 50).astype(int)
-        model = train(ClassifierSpec(kind="knn", knn_k=50), X, y)
+        model = train(ClassifierSpec(kind="knn"), X, y)  # k = 50
         assert np.array_equal(predict(model, probe), expected)
 
     def test_logreg_loss_monotone(self):
@@ -237,12 +241,12 @@ class TestDeterminismAndProperties:
         initial_loss = _logreg_loss_grad(np.zeros(4), 0.0, X, y_pm, 1.0)[0]
         assert final_loss < initial_loss
 
-    def test_single_tree_full_features_degeneracy(self):
-        X, y = blobs(n_per_class=40, seed=2)
-        spec = ClassifierSpec(kind="random_forest", rf_trees=1,
-                              rf_features_per_split=4, seed=3)
-        ensemble = train(spec, X, y)
+    def test_single_tree_full_features_degeneracy(self, monkeypatch):
+        # one feature, so every split searches all of them
+        X, y = blobs(n_per_class=40, dim=1, seed=2)
+        monkeypatch.setattr(learn, "RF_TREES", 1)
+        ensemble = train(ClassifierSpec(kind="random_forest", seed=3), X, y)
         assert len(ensemble.trees) == 1
-        single = RandomForestModel(trees=ensemble.trees, n_features=4)
-        probe = np.random.default_rng(0).standard_normal((60, 4)) * 3
+        single = RandomForestModel(trees=ensemble.trees, n_features=1)
+        probe = np.random.default_rng(0).standard_normal((60, 1)) * 3
         assert np.array_equal(predict(ensemble, probe), predict(single, probe))
