@@ -232,7 +232,7 @@ def write_trial_file(trial: Trial, path) -> None:
         "samples": trial.samples.tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # json.dump would stream through the pure-Python encoder
 
 
 def _require(doc, key, kind, where):
@@ -274,12 +274,11 @@ def read_trial_file(path) -> Trial:
         samples = np.asarray(rows, dtype=np.float64)
     except OverflowError as exc:
         raise MalformedFile(f"{where}: field 'samples' holds an integer beyond double range") from exc
-    return Trial(
-        subject_id=subject_id,
-        samples=samples,
-        onset_sample=onset,
-        ending_sample=ending,
-    )
+    try:
+        return Trial(subject_id=subject_id, samples=samples, onset_sample=onset,
+                     ending_sample=ending)
+    except InvariantViolation as exc:  # JSON NaN/Infinity, bad markers, too short
+        raise MalformedFile(f"{where}: {exc}") from exc
 
 
 def trial_filename(subject_id, trial_index):

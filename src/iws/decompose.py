@@ -1,8 +1,9 @@
 """Wavelet filter-bank and empirical-mode decomposition of 64-sample windows."""
 
 import logging
+from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,6 +29,9 @@ MAX_IMFS = 8
 # noise (median 10 iterations, 99th percentile ~150)
 MAX_SIFT_ITERATIONS = 300
 SIFT_TOLERANCE = 0.05  # envelope-mean bound, as a fraction of the row's std
+# rows sifting at once: a narrower queue pays each step's fixed cost more
+# often; a wider one (512) ran slower and took ~3 MiB more peak memory
+EMD_QUEUE_ROWS = 256
 
 COEFF_KINDS = ("detail_level_1", "detail_level_2", "detail_level_3",
                "detail_level_4", "approximation_level_5")
@@ -148,9 +152,10 @@ def idwt_bior22(sets, n_samples=WINDOW_SAMPLES):
 # ---------------------------------------------------------------------------
 # EMD.  Sifting with cubic-spline envelopes through local extrema; envelope
 # endpoints are the first/last extremum mirrored across the window boundary
-# to suppress end swings.  The rows of a signal stack are sifted in lockstep:
-# one step does one sift iteration of every row still decomposing, and each
-# row's own stopping rules decide when it emits an IMF and when it ends.
+# to suppress end swings.  Rows sift in lockstep through one bounded queue:
+# one step does one sift iteration of every row in it, each row's own
+# stopping rules decide when it emits an IMF and when it ends, and rows from
+# the feed take the places of those that ended.
 # ---------------------------------------------------------------------------
 
 def _extremum_masks(x):
@@ -171,7 +176,7 @@ def _zero_crossings(x):
     # latest nonzero sample at or before each position (-1: none yet)
     last = np.maximum.accumulate(np.where(nonzero, np.arange(n), -1), axis=1)[:, :-1]
     before = np.take(signs, np.maximum(last, 0) + n * np.arange(n_rows)[:, None])
-    return np.count_nonzero(nonzero[:, 1:] & (last >= 0) & (signs[:, 1:] != before), axis=1)
+    return (nonzero[:, 1:] & (last >= 0) & (signs[:, 1:] != before)).sum(axis=1)
 
 
 def _second_derivatives(h, slope, n_knots):
@@ -248,19 +253,21 @@ def _envelopes(x, ext):
     """Spline of each row of ``x`` through the samples where ``ext`` holds
     (at least one per row), first/last extremum mirrored, at every sample."""
     n_rows, n = x.shape
-    counts = np.count_nonzero(ext, axis=1)
-    r, col = np.nonzero(ext)  # row-major: each row's extrema are contiguous
+    counts = ext.sum(axis=1)
+    # flat indices, row-major: each row's extrema are contiguous
+    flat = np.flatnonzero(ext)
+    r, col = np.divmod(flat, n)
     starts = np.cumsum(counts) - counts
     first, last = col[starts], col[starts + counts - 1]
     # knot 0 mirrors the first extremum left of sample 0 and knot counts + 1 the
     # last one right of sample n - 1, so sample s lies in segment cum[s]
-    cum = np.cumsum(ext, axis=1)
+    cum = np.cumsum(ext, axis=1, dtype=np.int32)  # narrower than intp: half the time
     m = int(counts.max()) + 2
     t = np.broadcast_to(np.arange(2 * n, 2 * n + m, dtype=np.float64), (n_rows, m)).copy()
     v = np.zeros((n_rows, m))
-    slot = cum[r, col]
-    t[r, slot] = col
-    v[r, slot] = x[r, col]
+    knot = r * m + cum.ravel()[flat]
+    t.ravel()[knot] = col
+    v.ravel()[knot] = x.ravel()[flat]
     rows = np.arange(n_rows)
     t[:, 0] = -first
     v[:, 0] = x[rows, first]
@@ -270,68 +277,187 @@ def _envelopes(x, ext):
 
 
 class EmdRows(NamedTuple):
-    """Lockstep EMD of an (n_rows, n) signal stack."""
+    """EMD of an (n_rows, n) signal stack, as the sifting loop hands it back."""
 
-    imfs: np.ndarray       # (n_rows, MAX_IMFS, n); row r fills its first counts[r] slots
+    # (n_rows, MAX_IMFS, n), row r in its first counts[r] slots; None unless kept
+    imfs: Optional[np.ndarray]
     counts: np.ndarray     # IMFs per row; 0 when the row has no oscillatory component
-    residuals: np.ndarray  # (n_rows, n): each row minus its IMFs
+    residuals: Optional[np.ndarray]  # (n_rows, n): each row minus its IMFs; None unless kept
     constant: np.ndarray   # rows with zero spread, never sifted
     capped: np.ndarray     # rows whose last sift ran into MAX_SIFT_ITERATIONS
+    selected: np.ndarray   # (n_rows, 2, n): the two IMFs closest to each row (see _keep_closest)
+    finite: np.ndarray     # rows whose IMFs are all finite
+
+
+class _Block:
+    """A stack read from the feed: its output, filled in as its rows end."""
+
+    def __init__(self, rows, start, keep_all):
+        n_rows, n = rows.shape
+        self.rows, self.start = rows, start  # row i has queue id start + i
+        with np.errstate(invalid="ignore"):  # a row holding inf has no spread: never sifted
+            scale = np.std(rows, axis=1)
+        self.tolerance = SIFT_TOLERANCE * scale
+        self.sifted = scale > 0.0
+        self.left = int(self.sifted.sum())  # sifted rows that have not ended yet
+        self.out = EmdRows(
+            imfs=np.zeros((n_rows, MAX_IMFS, n)) if keep_all else None,
+            counts=np.zeros(n_rows, dtype=np.intp),
+            residuals=rows.copy() if keep_all else None,
+            constant=scale == 0.0,
+            capped=np.zeros(n_rows, dtype=bool),
+            selected=np.zeros((n_rows, 2, n)),
+            finite=np.ones(n_rows, dtype=bool),
+        )
+
+
+def _start_rows(signal, tolerance, keep_all):
+    """The sift state of rows starting out: one array per quantity, one entry per row."""
+    n_rows, n = signal.shape
+    state = {
+        "signal": signal,
+        "h": signal.copy(),  # the current sift iterate
+        "residual": signal.copy(),
+        "tolerance": tolerance,
+        "iterations": np.zeros(n_rows, dtype=np.intp),  # of the current sift
+        "counts": np.zeros(n_rows, dtype=np.intp),
+        "selected": np.zeros((n_rows, 2, n)),
+        "distance": np.zeros((n_rows, 2)),
+        "finite": np.ones(n_rows, dtype=bool),
+    }
+    if keep_all:
+        state["imfs"] = np.zeros((n_rows, MAX_IMFS, n))
+    return state
+
+
+def _keep_closest(live, e, imf):
+    """Offer each emitting row ``e[j]`` its new IMF ``imf[j]``.
+
+    A row keeps the two IMFs closest to its signal (Minkowski distance), in
+    slot order: the first IMF fills both places, the second takes the second
+    place, and a later one replaces the farther of the two kept when it is
+    strictly closer, so a tie keeps the earlier IMF.
+    """
+    d = minkowski_distance(live["signal"][e], imf)
+    sel, dist, slot = live["selected"][e], live["distance"][e], live["counts"][e]
+    worst = np.where(dist[:, 0] > dist[:, 1], 0, 1)  # the later one on a tie
+    take = np.flatnonzero((slot < 2) | (d < dist[np.arange(e.size), worst]))
+    kept = 1 - worst[take]
+    sel[take, 0], dist[take, 0] = sel[take, kept], dist[take, kept]
+    sel[take, 1], dist[take, 1] = imf[take], d[take]
+    first = slot == 0
+    sel[first, 0], dist[first, 0] = imf[first], d[first]
+    live["selected"][e], live["distance"][e] = sel, dist
+
+
+def _sift_step(live, keep_all):
+    """One sift iteration of every row of ``live``, in place.  Returns the
+    rows that end, and those of them that ran into the sift-iteration cap."""
+    h = live["h"]
+    maxima, minima = _extremum_masks(h)
+    n_max, n_min = maxima.sum(axis=1), minima.sum(axis=1)
+    failed = (n_max == 0) | (n_min == 0)  # the sift fails: the row ends
+    if failed.any():  # the others sift in the next step
+        return failed, np.zeros(failed.size, dtype=bool)
+    k = h.shape[0]
+    env = _envelopes(np.concatenate([h, h]), np.concatenate([maxima, minima]))
+    mean_env = 0.5 * (env[:k] + env[k:])
+    emit = ((np.abs(n_max + n_min - _zero_crossings(h)) <= 1)
+            & (np.max(np.abs(mean_env), axis=1) <= live["tolerance"]))
+    live["iterations"] = np.where(emit, 0, live["iterations"] + 1)
+    capped = ~emit & (live["iterations"] == MAX_SIFT_ITERATIONS)
+    ended = capped.copy()
+    e = np.flatnonzero(emit)
+    if e.size:
+        imf, residual, counts = h[e], live["residual"], live["counts"]
+        residual[e] = residual[e] - imf
+        _keep_closest(live, e, imf)
+        live["finite"][e] &= np.all(np.isfinite(imf), axis=1)
+        if keep_all:
+            live["imfs"][e, counts[e]] = imf
+        counts[e] += 1
+        res_max, res_min = _extremum_masks(residual[e])
+        ended[e] = (res_max.sum(axis=1) + res_min.sum(axis=1) < 2) | (counts[e] == MAX_IMFS)
+    live["h"] = np.where(emit[:, None], live["residual"], h - mean_env)
+    return ended, capped
+
+
+def sift_blocks(blocks, keep_all=False):
+    """The EMD sifting loop.  Yields one EmdRows per stack of ``blocks``, in order.
+
+    ``blocks`` yields (n_rows, n) signal stacks.  It is read only while fewer
+    than ``EMD_QUEUE_ROWS`` rows are sifting, and each step does one sift
+    iteration of every sifting row.  A row sifts its residual until the IMF
+    conditions hold (extremum and zero-crossing counts differ by at most 1,
+    envelope mean within ``SIFT_TOLERANCE`` times the row's std), emits it
+    and goes on with what is left.  A row ends when a sift finds no maxima or
+    no minima, when a sift reaches ``MAX_SIFT_ITERATIONS``, when its residual
+    has fewer than 2 extrema, or after ``MAX_IMFS`` IMFs.  A stack is handed
+    back once its last row has ended and every stack before it is handed
+    back.  Each row's two closest IMFs are kept as they are emitted; every
+    IMF and the residual only with ``keep_all``.  A row's result does not
+    depend on the rows sifting beside it, so neither on the stacking nor on
+    the queue width.
+    """
+    fed = deque()  # stacks read and not handed back yet
+    # the stack rows are started from, its next row, and the rows read so far
+    current, cursor, n_read = None, 0, 0
+    live = None  # the sift state of the sifting rows, and their queue ids
+
+    def admit(live):
+        nonlocal current, cursor, n_read
+        parts = [] if live is None else [live]
+        room = EMD_QUEUE_ROWS - (0 if live is None else live["id"].size)
+        while room > 0:
+            if current is None or cursor == current.rows.shape[0]:
+                rows = next(blocks, None)
+                if rows is None:
+                    break
+                current = _Block(np.asarray(rows, dtype=np.float64), n_read, keep_all)
+                cursor, n_read = 0, n_read + current.rows.shape[0]
+                fed.append(current)
+            start = np.flatnonzero(current.sifted[cursor:])[:room] + cursor
+            cursor = start[-1] + 1 if start.size == room else current.rows.shape[0]
+            room -= start.size
+            parts.append({"id": start + current.start,
+                          **_start_rows(current.rows[start], current.tolerance[start], keep_all)})
+        if len(parts) < 2:
+            return parts[0] if parts else None
+        return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+
+    def finish(live, ended, capped):
+        """Copy the ended rows' results out; return the state of the others."""
+        for block in fed:
+            local = live["id"][ended] - block.start
+            mine = (local >= 0) & (local < block.rows.shape[0])
+            if not mine.any():
+                continue
+            src, dst, out = np.flatnonzero(ended)[mine], local[mine], block.out
+            out.counts[dst] = live["counts"][src]
+            out.selected[dst] = live["selected"][src]
+            out.finite[dst] = live["finite"][src]
+            out.capped[dst] = capped[src]
+            if keep_all:
+                out.imfs[dst] = live["imfs"][src]
+                out.residuals[dst] = live["residual"][src]
+            block.left -= dst.size
+        return {key: value[~ended] for key, value in live.items()}
+
+    while True:
+        live = admit(live)
+        while fed and fed[0].left == 0:
+            yield fed.popleft().out
+        if live is None or not live["id"].size:  # the feed is used up
+            return
+        ended, capped = _sift_step(live, keep_all)
+        if ended.any():
+            live = finish(live, ended, capped)
 
 
 def emd_rows(rows) -> EmdRows:
-    """Decompose every row of an (n_rows, n) stack into IMFs plus a residual.
-
-    Each row sifts its residual until the IMF conditions hold (extremum and
-    zero-crossing counts differ by at most 1, envelope mean within
-    ``SIFT_TOLERANCE`` times the row's std), emits it and goes on with what is
-    left.  A row ends when a sift finds no maxima or no minima, when a sift
-    reaches ``MAX_SIFT_ITERATIONS``, when its residual has fewer than 2
-    extrema, or after ``MAX_IMFS`` IMFs.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    n_rows, n = rows.shape
-    scale = np.std(rows, axis=1)
-    imfs = np.zeros((n_rows, MAX_IMFS, n))
-    counts = np.zeros(n_rows, dtype=np.intp)
-    residuals = rows.copy()
-    constant = scale == 0.0
-    capped = np.zeros(n_rows, dtype=bool)
-    tolerance = SIFT_TOLERANCE * scale
-    live = np.flatnonzero(~constant)  # rows still decomposing
-    h = rows[live]  # their current sift iterates
-    iterations = np.zeros(live.size, dtype=np.intp)  # of the current sift
-    while live.size:
-        maxima, minima = _extremum_masks(h)
-        n_max = np.count_nonzero(maxima, axis=1)
-        n_min = np.count_nonzero(minima, axis=1)
-        sifting = (n_max > 0) & (n_min > 0)  # otherwise the sift fails: the row ends
-        if not sifting.all():
-            live, h, iterations = live[sifting], h[sifting], iterations[sifting]
-            maxima, minima = maxima[sifting], minima[sifting]
-            n_max, n_min = n_max[sifting], n_min[sifting]
-            if not live.size:
-                break
-        k = live.size
-        env = _envelopes(np.concatenate([h, h]), np.concatenate([maxima, minima]))
-        mean_env = 0.5 * (env[:k] + env[k:])
-        emit = ((np.abs(n_max + n_min - _zero_crossings(h)) <= 1)
-                & (np.max(np.abs(mean_env), axis=1) <= tolerance[live]))
-        done = live[emit]
-        imfs[done, counts[done]] = h[emit]
-        residuals[done] = residuals[done] - h[emit]
-        counts[done] += 1
-        res_max, res_min = _extremum_masks(residuals[done])
-        more = np.zeros(k, dtype=bool)
-        more[emit] = ((np.count_nonzero(res_max, axis=1) + np.count_nonzero(res_min, axis=1) >= 2)
-                      & (counts[done] < MAX_IMFS))
-        iterations = np.where(emit, 0, iterations + 1)
-        at_cap = ~emit & (iterations == MAX_SIFT_ITERATIONS)
-        capped[live[at_cap]] = True
-        h = np.where(emit[:, None], residuals[live], h - mean_env)
-        stay = np.where(emit, more, ~at_cap)
-        live, h, iterations = live[stay], h[stay], iterations[stay]
-    return EmdRows(imfs, counts, residuals, constant, capped)
+    """Decompose every row of an (n_rows, n) stack into IMFs plus a residual,
+    keeping every IMF: ``sift_blocks`` on a feed of one stack."""
+    return next(sift_blocks(iter([rows]), keep_all=True))
 
 
 def emd(signal):

@@ -4,8 +4,8 @@ score, per subject and fold, with all randomness derived from one root seed."""
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,27 +79,42 @@ class _TrialFeatures:
     test: dict  # continuous test windows in trial order
 
 
-def _featurize_trial(trial, config):
-    """Featurize every distinct window offset of a trial once.
+class _Grid(NamedTuple):
+    """The distinct window offsets of a trial, ascending, and the rows of
+    them that its training and test windows take.
 
     The training windows before the onset lie on the test grid, so both
     sides take their rows from one set of matrices.
     """
+
+    offsets: list
+    train_rows: list
+    labels: np.ndarray
+    test_rows: list
+
+
+def _window_grid(trial):
     train_offsets, labels = preprocess.training_grid(trial)
     test_offsets = preprocess._starts(0, trial.n_samples)
     offsets = sorted({*train_offsets, *test_offsets})
     row = {offset: i for i, offset in enumerate(offsets)}
-    windows = np.stack([trial.samples[o:o + WINDOW_SAMPLES] for o in offsets])
-    base = features.feature_matrices(windows, offsets, config.needed_base_sets())
+    return _Grid(offsets, [row[offset] for offset in train_offsets],
+                 np.array(labels, dtype=np.int64), [row[offset] for offset in test_offsets])
+
+
+def _window_stack(trial, grid):
+    """The (windows, offsets) stack of a trial's distinct windows."""
+    return np.stack([trial.samples[o:o + WINDOW_SAMPLES] for o in grid.offsets]), grid.offsets
+
+
+def _trial_features(base, grid, config):
     inputs = {_input_set(fs) for fs in config.feature_set_ids}
     if 4 in inputs:
         base[4] = features.concat_fs4(base[1], base[2], base[3])
-    train_rows = [row[offset] for offset in train_offsets]
-    test_rows = [row[offset] for offset in test_offsets]
     return _TrialFeatures(
-        train={s: base[s][train_rows] for s in inputs},
-        labels=np.array(labels, dtype=np.int64),
-        test={s: base[s][test_rows] for s in inputs},
+        train={s: base[s][grid.train_rows] for s in inputs},
+        labels=grid.labels,
+        test={s: base[s][grid.test_rows] for s in inputs},
     )
 
 
@@ -112,16 +127,28 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
     trials = [preprocess.car_filter_trial(t) for t in dataset.trials]
     log.info("subject %s: CAR filter done (%.2fs)", dataset.subject_id, time.perf_counter() - t0)
 
-    trial_features, usable = {}, []
+    def named(idx, exc):  # same class, now naming the trial
+        return type(exc)(f"subject {dataset.subject_id} trial {idx}: {exc}")
+
+    grids = {}
     for idx, trial in enumerate(trials):
         try:
-            trial_features[idx] = _featurize_trial(trial, config)
+            grids[idx] = _window_grid(trial)
         except SegmentTooShort as exc:
             log.warning("subject %s trial %d rejected: %s", dataset.subject_id, idx, exc)
-            continue
-        except IwsError as exc:  # same class, now naming the trial
-            raise type(exc)(f"subject {dataset.subject_id} trial {idx}: {exc}") from exc
-        usable.append(idx)
+        except IwsError as exc:
+            raise named(idx, exc) from exc
+    usable = list(grids)
+    # one featurization pass over every usable trial, reading each as it goes
+    stacks = (_window_stack(trials[i], grids[i]) for i in usable)
+    trial_features = {}
+    try:
+        for base in features.stack_matrices(stacks, config.needed_base_sets()):
+            idx = usable[len(trial_features)]
+            trial_features[idx] = _trial_features(base, grids[idx], config)
+    except IwsError as exc:
+        idx = usable[len(trial_features)]
+        raise named(idx, exc) from exc
     log.info("subject %s: feature extraction done (%.2fs, %d/%d trials usable)",
              dataset.subject_id, time.perf_counter() - t0, len(usable), len(trials))
 
@@ -186,6 +213,8 @@ def run_experiment(datasets, config: RunConfig, jobs: int = 1) -> dict:
     payloads = [(ds, config, i) for i, ds in enumerate(datasets)]
     jobs = min(jobs, len(payloads), os.cpu_count() or 1)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when needed
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             subject_outputs = list(pool.map(_run_subject_payload, payloads))
     else:

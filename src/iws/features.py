@@ -15,13 +15,14 @@ matrix per feature set.  The scalar functions and the per-instance
 
 import functools
 import logging
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .data import CHANNEL_COUNT, WINDOW_SAMPLES
-from .decompose import dwt_bior22, emd_rows, select_imf_pairs
+from .decompose import dwt_bior22, emd_rows, sift_blocks
 # the per-signal forms stay importable from here: perfbench/tracing.py wraps them
 from .decompose import emd, select_imfs_minkowski  # noqa: F401
 from .errors import (
@@ -259,21 +260,16 @@ def _fs1_rows(rows):
     return np.stack([_ie_rows(rows @ m) for m in _dwt_band_matrices()], axis=1)
 
 
-def _fs2_rows(rows, where):
-    dec = emd_rows(rows)
-    finite = np.all(np.isfinite(dec.imfs), axis=(1, 2))
+def _fs2_values(rows, dec, finite, where):
+    """FS2 of each row from its EMD ``dec``; ``finite`` marks the rows whose
+    IMFs are all finite."""
     if not finite.all():
         raise InvariantViolation(
             f"{where(int(np.argmin(finite)))}: coefficient set imf: non-finite values")
-    pairs = select_imf_pairs(rows, dec.imfs, dec.counts)
-    selected = np.take_along_axis(dec.imfs, pairs[:, :, None], axis=1)
+    selected = dec.selected
     # no oscillatory component: fill both slots from the raw window
     fallback = dec.counts == 0
     selected[fallback] = rows[fallback, None]
-    if fallback.any() or dec.capped.any():
-        log.warning("emd on %d rows: %d produced no IMF and use the window itself, "
-                    "%d stopped at the sift-iteration cap", rows.shape[0],
-                    int(fallback.sum()), int(dec.capped.sum()))
     imf_rows = selected.reshape(-1, rows.shape[1])  # row r's slots at 2r, 2r + 1
     h1, h2 = _hurst_pair(imf_rows, lambda i: where(i // 2))
     values = np.stack([
@@ -287,13 +283,24 @@ def _fs2_rows(rows, where):
     return values.reshape(rows.shape[0], 2 * len(_FS2_FEATURES))
 
 
-def feature_matrices(windows, offsets, feature_set_ids) -> dict:
-    """Feature sets 1, 2 and/or 3 of a stack of windows.
+def _warn_emd(n_rows, no_imf, capped):
+    if no_imf or capped:
+        log.warning("emd on %d rows: %d produced no IMF and use the window itself, "
+                    "%d stopped at the sift-iteration cap", n_rows, no_imf, capped)
 
-    ``windows`` is (n_windows, 64, 14); ``offsets`` gives each window's trial
-    offset, which errors name together with the channel.  Returns
-    {feature_set_id: (n_windows, width) matrix}, columns in layout order.
-    """
+
+def _fs2_rows(rows, where):
+    """FS2 of one row stack, decomposed on its own with every IMF kept."""
+    dec = emd_rows(rows)
+    # every IMF is at hand here: check the kept IMFs themselves
+    values = _fs2_values(rows, dec, np.all(np.isfinite(dec.imfs), axis=(1, 2)), where)
+    _warn_emd(rows.shape[0], int((dec.counts == 0).sum()), int(dec.capped.sum()))
+    return values
+
+
+def _row_stack(windows, offsets):
+    """The rows of a window stack, one per (window, channel) pair, window
+    major, and the function that names row r by its channel and offset."""
     windows = np.asarray(windows, dtype=np.float64)
     n_windows = len(offsets)
     if windows.shape != (n_windows, WINDOW_SAMPLES, CHANNEL_COUNT):
@@ -301,11 +308,15 @@ def feature_matrices(windows, offsets, feature_set_ids) -> dict:
             f"expected {n_windows} windows of {WINDOW_SAMPLES} x {CHANNEL_COUNT}, "
             f"got shape {windows.shape}"
         )
-    rows = windows.transpose(0, 2, 1).reshape(-1, WINDOW_SAMPLES)
 
     def where(r):
         return f"channel {r % CHANNEL_COUNT}, instance offset {offsets[r // CHANNEL_COUNT]}"
 
+    return windows.transpose(0, 2, 1).reshape(-1, WINDOW_SAMPLES), where
+
+
+def _matrices(rows, where, feature_set_ids, fs2):
+    """{feature_set_id: matrix} of a row stack; ``fs2()`` gives set 2's rows."""
     finite = np.all(np.isfinite(rows), axis=1)
     if not finite.all():
         raise InvariantViolation(f"{where(int(np.argmin(finite)))}: non-finite values in signal")
@@ -314,13 +325,54 @@ def feature_matrices(windows, offsets, feature_set_ids) -> dict:
         if fs == 1:
             values = _fs1_rows(rows)
         elif fs == 2:
-            values = _fs2_rows(rows, where)
+            values = fs2()
         elif fs == 3:
             values = np.stack(_hurst_pair(rows, where), axis=1)
         else:
             raise InvariantViolation(f"feature_matrices handles sets 1-3, got {fs}")
-        out[fs] = values.reshape(n_windows, FEATURE_SET_WIDTHS[fs])
+        out[fs] = values.reshape(-1, FEATURE_SET_WIDTHS[fs])
     return out
+
+
+def feature_matrices(windows, offsets, feature_set_ids) -> dict:
+    """Feature sets 1, 2 and/or 3 of a stack of windows.
+
+    ``windows`` is (n_windows, 64, 14); ``offsets`` gives each window's trial
+    offset, which errors name together with the channel.  Returns
+    {feature_set_id: (n_windows, width) matrix}, columns in layout order.
+    """
+    rows, where = _row_stack(windows, offsets)
+    return _matrices(rows, where, feature_set_ids, lambda: _fs2_rows(rows, where))
+
+
+def stack_matrices(stacks, feature_set_ids):
+    """``feature_matrices`` of each (windows, offsets) stack that ``stacks``
+    yields, one dict per stack, in order.
+
+    For set 2 the rows of all stacks sift through one EMD queue
+    (``sift_blocks``): a stack is read when the queue has room for its rows,
+    and its matrices are built once its last row has ended, so an error names
+    the first stack that has one.  The EMD warning is logged once, with the
+    totals of all stacks.
+    """
+    read = deque()  # (rows, where) of the stacks read and not handed back
+
+    def feed():
+        for windows, offsets in stacks:
+            read.append(_row_stack(windows, offsets))
+            yield read[-1][0]
+
+    decs = sift_blocks(feed()) if 2 in feature_set_ids else (None for _ in feed())
+    n_rows = no_imf = capped = 0
+    for dec in decs:
+        rows, where = read.popleft()
+        yield _matrices(rows, where, feature_set_ids,
+                        lambda: _fs2_values(rows, dec, dec.finite, where))
+        if dec is not None:
+            n_rows += rows.shape[0]
+            no_imf += int((dec.counts == 0).sum())
+            capped += int(dec.capped.sum())
+    _warn_emd(n_rows, no_imf, capped)
 
 
 def concat_fs4(m1, m2, m3) -> np.ndarray:

@@ -185,6 +185,31 @@ class TestRun:
         assert "subject s01 trial 3: channel 0, instance offset 0:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("case,check", [
+        ("nan", "non-finite"), ("infinity", "non-finite"), ("markers", "markers"),
+        ("short", "minimum"),
+    ])
+    def test_invalid_trial_file_exits_3_naming_it(self, dataset_dir, tmp_path, case, check):
+        # json.load accepts NaN and Infinity; Trial rejects them, and bad
+        # markers or a short trial, naming only the subject
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        trial = ds / "s01_002.json"
+        doc = json.loads(trial.read_text())
+        if case in ("nan", "infinity"):
+            doc["samples"][3][2] = float(case)
+        elif case == "markers":
+            doc["onset_sample"], doc["ending_sample"] = 200, 150
+        else:
+            doc["samples"] = doc["samples"][:150]
+        trial.write_text(json.dumps(doc))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.run_config(ds)))
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 3
+        assert str(trial) in proc.stderr and check in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_malformed_manifest_exits_3(self, dataset_dir, tmp_path):
         ds = tmp_path / "ds"
         shutil.copytree(dataset_dir, ds)
@@ -431,3 +456,12 @@ class TestNumpyOnlyRuntime:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_import_loads_no_process_pool(self):
+        # the pool is imported only by a run with jobs > 1
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, iws, iws.cli; print('concurrent.futures.process' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

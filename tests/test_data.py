@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import re
 
@@ -15,6 +16,7 @@ from iws.data import (
     generate_synthetic_dataset,
     read_dataset,
     read_trial_file,
+    trial_filename,
     write_dataset,
     write_trial_file,
 )
@@ -80,8 +82,27 @@ class TestTrialFiles:
         doc = json.loads(path.read_text())
         doc["onset_sample"], doc["ending_sample"] = 200, 150
         path.write_text(json.dumps(doc))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(MalformedFile, match="markers must satisfy") as exc:
             read_trial_file(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("case,check", [
+        ("nan", "non-finite sample values"), ("infinity", "non-finite sample values"),
+        ("-infinity", "non-finite sample values"), ("short", "150 samples < 192 minimum"),
+    ])
+    def test_invalid_trial_names_the_file(self, tmp_path, case, check):
+        # json.load reads NaN and Infinity; the Trial check rejects them
+        path = tmp_path / "t.json"
+        write_trial_file(make_trial(), path)
+        doc = json.loads(path.read_text())
+        if case == "short":
+            doc["samples"] = doc["samples"][:150]
+        else:
+            doc["samples"][3][2] = float(case)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MalformedFile, match=check) as exc:
+            read_trial_file(path)
+        assert str(exc.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("field", ["subject_id", "sampling_rate", "onset_sample", "samples"])
     def test_missing_field_names_path(self, tmp_path, field):
@@ -267,6 +288,27 @@ class TestDatasetDirectory:
             assert ds_b.protocol_tag == "synthetic"
             for ta, tb in zip(ds_a.trials, ds_b.trials):
                 assert ta.equals(tb)
+
+    def test_trial_files_match_json_dump(self, tmp_path):
+        # trial files are written with json.dumps; the bytes must equal what
+        # json.dump, the streaming encoder, writes for the same document
+        cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=224,
+                          iws_length_range=(64, 96), snr=5.0, seed=424242)
+        [dataset] = generate_synthetic_dataset(cfg)
+        write_dataset([dataset], tmp_path / "ds")
+        for i, trial in enumerate(dataset.trials):
+            doc = {
+                "subject_id": trial.subject_id,
+                "sampling_rate": 128,
+                "channels": [f"ch{c:02d}" for c in range(CHANNEL_COUNT)],
+                "onset_sample": trial.onset_sample,
+                "ending_sample": trial.ending_sample,
+                "samples": trial.samples.tolist(),
+            }
+            oracle = io.StringIO()
+            json.dump(doc, oracle)
+            written = (tmp_path / "ds" / trial_filename(dataset.subject_id, i)).read_text()
+            assert written == oracle.getvalue(), i
 
     def test_manifest_lists_files(self, tmp_path):
         cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=320,

@@ -1,0 +1,157 @@
+"""The bounded EMD work queue: one sifting loop, fed stack by stack.
+
+A row's decomposition does not depend on the rows sifting beside it, so the
+queue's width, the order of the rows and the way they are cut into stacks
+change nothing in its result.  The streaming selection must pick what
+``select_imf_pairs`` picks from the full set of IMFs.
+"""
+
+import numpy as np
+import pytest
+
+from iws import decompose, experiment, features, preprocess
+from iws.data import CHANNEL_COUNT, SynthConfig, generate_synthetic_dataset
+from iws.errors import InvariantViolation
+from iws.experiment import RunConfig
+
+FIELDS = ("counts", "constant", "capped", "selected", "finite")
+
+
+def queue_rows(seed, n_rows):
+    """Colored noise, some of which runs into the sift cap, with a monotonic
+    ramp and a constant row mixed in."""
+    gen = np.random.default_rng(seed)
+    rows = np.cumsum(gen.standard_normal((n_rows, 64)), axis=1) + gen.standard_normal((n_rows, 64))
+    rows[3] = np.linspace(-1.0, 2.0, 64)
+    rows[7] = 4.0
+    return rows
+
+
+@pytest.fixture(scope="module")
+def reference():
+    rows = queue_rows(21, 96)
+    return rows, decompose.emd_rows(rows)
+
+
+def test_selection_matches_select_imf_pairs(reference):
+    rows, ref = reference
+    assert ref.capped.any() and (ref.counts == 0).sum() == 2 and ref.finite.all()
+    pairs = decompose.select_imf_pairs(rows, ref.imfs, ref.counts)
+    chosen = np.take_along_axis(ref.imfs, pairs[:, :, None], axis=1)
+    has_imf = ref.counts > 0
+    assert np.array_equal(ref.selected[has_imf], chosen[has_imf])
+    assert not ref.selected[~has_imf].any()
+
+
+def test_streaming_selection_ties_keep_the_earlier_imf():
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    far = np.zeros(4)  # distance sqrt(30)
+    a = np.array([1.0, 2.0, 3.0, 5.0])  # distance 1
+    c = np.array([1.0, 2.0, 2.0, 4.0])  # distance 1
+    d = np.array([0.0, 2.0, 3.0, 4.0])  # distance 1
+    live = {"signal": x[None], "selected": np.zeros((1, 2, 4)),
+            "distance": np.zeros((1, 2)), "counts": np.zeros(1, dtype=np.intp)}
+    kept = []
+    for imf in (far, a, c, d):
+        decompose._keep_closest(live, np.array([0]), imf[None])
+        live["counts"] += 1
+        kept.append(live["selected"][0].tolist())
+    assert kept == [[far.tolist()] * 2, [far.tolist(), a.tolist()],
+                    [a.tolist(), c.tolist()], [a.tolist(), c.tolist()]]
+    imfs = np.stack([far, a, c, d])[None]
+    assert decompose.select_imf_pairs(x[None], imfs, np.array([4])).tolist() == [[1, 2]]
+
+
+@pytest.mark.parametrize("budget,cuts", [(1, (5, 6, 60, 95)), (7, ()), (7, (30, 60)),
+                                         (256, (5, 6, 60, 95))])
+def test_result_independent_of_order_stacking_and_width(reference, monkeypatch, budget, cuts):
+    rows, ref = reference
+    monkeypatch.setattr(decompose, "EMD_QUEUE_ROWS", budget)
+    order = np.random.default_rng(budget + len(cuts)).permutation(rows.shape[0])
+    stacks = np.split(rows[order], cuts)
+    out = list(decompose.sift_blocks(iter(stacks), keep_all=True))
+    assert [o.counts.size for o in out] == [s.shape[0] for s in stacks]
+    back = np.argsort(order)
+    for field in FIELDS + ("imfs", "residuals"):
+        got = np.concatenate([getattr(o, field) for o in out])[back]
+        assert np.array_equal(got, getattr(ref, field)), field
+    lean = list(decompose.sift_blocks(iter(stacks)))
+    assert all(o.imfs is None and o.residuals is None for o in lean)
+    for field in FIELDS:
+        got = np.concatenate([getattr(o, field) for o in lean])[back]
+        assert np.array_equal(got, getattr(ref, field)), field
+
+
+def test_feed_read_as_the_queue_drains(monkeypatch):
+    monkeypatch.setattr(decompose, "EMD_QUEUE_ROWS", 8)
+    rows = queue_rows(22, 40)
+    read = []
+
+    def feed():
+        for i in range(0, 40, 4):
+            read.append(i)
+            yield rows[i:i + 4]
+
+    handed_back = []
+    for out in decompose.sift_blocks(feed()):
+        handed_back.append(len(read))
+        assert out.counts.size == 4
+    assert len(handed_back) == 10
+    assert handed_back[0] < 10  # the first stack came back before the feed ran dry
+
+
+def test_empty_feed_and_empty_stack():
+    assert list(decompose.sift_blocks(iter([]))) == []
+    [out] = decompose.sift_blocks(iter([np.zeros((0, 64))]))
+    assert out.counts.shape == (0,) and out.selected.shape == (0, 2, 64)
+
+
+# ---------------------------------------------------------------------------
+# The subject pass of the pipeline
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def headline_subject():
+    # the benchmark's headline geometry: 8 trials of 224 samples, 1750 EMD rows
+    cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=224,
+                      iws_length_range=(64, 96), snr=5.0, seed=424242)
+    return generate_synthetic_dataset(cfg)[0]
+
+
+def window_stacks(dataset):
+    trials = [preprocess.car_filter_trial(t) for t in dataset.trials]
+    return [experiment._window_stack(t, experiment._window_grid(t)) for t in trials]
+
+
+def test_subject_pass_equals_one_trial_calls(headline_subject, caplog):
+    stacks = window_stacks(headline_subject)
+    assert sum(len(offsets) for _, offsets in stacks) * CHANNEL_COUNT == 1750
+    with caplog.at_level("WARNING", logger="iws.features"):
+        passed = list(features.stack_matrices(iter(stacks), (2,)))
+    warnings = [r.getMessage() for r in caplog.records if r.getMessage().startswith("emd")]
+    assert warnings == ["emd on 1750 rows: 0 produced no IMF and use the window itself, "
+                        "96 stopped at the sift-iteration cap"]
+    assert len(passed) == len(stacks)
+    for got, (windows, offsets) in zip(passed, stacks):
+        assert np.array_equal(got[2], features.feature_matrices(windows, offsets, (2,))[2])
+
+
+def test_non_finite_imf_names_the_first_trial(headline_subject, monkeypatch):
+    stacks = window_stacks(headline_subject)
+    starts = np.cumsum([0] + [len(offsets) * CHANNEL_COUNT for _, offsets in stacks])
+    # one IMF of a row in trial 5 and of one in trial 2 turn infinite
+    bad = {starts[5] + 3, starts[2] + 20}
+    keep_closest = decompose._keep_closest
+
+    def poisoning(live, e, imf):
+        imf[np.isin(live["id"][e], list(bad))] = np.inf
+        keep_closest(live, e, imf)
+
+    monkeypatch.setattr(decompose, "_keep_closest", poisoning)
+    config = RunConfig(dataset_path="mem", feature_set_ids=(2,), classifiers=("knn",))
+    offset = stacks[2][1][20 // CHANNEL_COUNT]
+    with pytest.raises(InvariantViolation) as exc:
+        experiment.run_subject(headline_subject, config, 0)
+    assert str(exc.value) == (
+        f"subject {headline_subject.subject_id} trial 2: channel {20 % CHANNEL_COUNT}, "
+        f"instance offset {offset}: coefficient set imf: non-finite values")

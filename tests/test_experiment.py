@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -123,7 +124,8 @@ class TestJobs:
             def map(self, fn, payloads):
                 return [fn(p) for p in payloads]
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", SerialPool)
+        # run_experiment imports the pool class only when it opens a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         return opened
 
     RC = RunConfig(dataset_path="mem", feature_set_ids=(1,), classifiers=("knn",),
@@ -151,24 +153,18 @@ class TestTrialFeatures:
     def test_rows_match_per_instance_extraction(self, tiny_datasets, monkeypatch):
         trial = preprocess.car_filter_trial(tiny_datasets[0].trials[0])
         rc = RunConfig(dataset_path="mem", feature_set_ids=(1, 3, 4))
-        computed = []
-        engine = features.feature_matrices
-
-        def recording(windows, offsets, sets, *args):
-            computed.extend(offsets)
-            return engine(windows, offsets, sets, *args)
-
-        monkeypatch.setattr(features, "feature_matrices", recording)
         # FS2 per instance is slow; stand in for it with a cheap fixed matrix
-        monkeypatch.setattr(features, "_fs2_rows",
-                            lambda rows, *a: rows[:, :12].copy())
-        tf = experiment._featurize_trial(trial, rc)
+        monkeypatch.setattr(features, "_fs2_values", lambda rows, *a: rows[:, :12].copy())
+        grid = experiment._window_grid(trial)
+        windows, computed = experiment._window_stack(trial, grid)
+        [base] = features.stack_matrices([(windows, computed)], rc.needed_base_sets())
+        tf = experiment._trial_features(base, grid, rc)
 
         train = preprocess.segment_training_trial(trial)
         test = preprocess.segment_test_trial(trial)
         shared = {i.trial_offset for i in train} & {i.trial_offset for i in test}
         assert shared  # the pre-onset windows
-        assert sorted(computed) == sorted({i.trial_offset for i in (*train, *test)})
+        assert computed == sorted({i.trial_offset for i in (*train, *test)})
         assert set(tf.train) == set(tf.test) == {1, 3, 4}
         np.testing.assert_array_equal(tf.labels, [i.label for i in train])
         for matrix_set, instances in ((tf.train, train), (tf.test, test)):
