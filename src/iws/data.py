@@ -95,15 +95,6 @@ class Trial:
             ending_sample=self.ending_sample,
         )
 
-    def equals(self, other):
-        return (
-            self.subject_id == other.subject_id
-            and self.onset_sample == other.onset_sample
-            and self.ending_sample == other.ending_sample
-            and self.samples.shape == other.samples.shape
-            and np.array_equal(self.samples, other.samples)
-        )
-
 
 @dataclass(frozen=True)
 class SubjectDataset:
@@ -318,6 +309,8 @@ def read_dataset(in_dir):
     if not isinstance(manifest, dict):
         raise MalformedFile(f"{where}: top-level value must be an object")
     subjects = _require(manifest, "subjects", list, where)
+    if not subjects:
+        raise MalformedFile(f"{where}: field 'subjects' is empty")
     datasets = []
     for i, entry in enumerate(subjects):
         if not isinstance(entry, dict):
@@ -326,9 +319,22 @@ def read_dataset(in_dir):
         if any(ds.subject_id == sid for ds in datasets):
             raise MalformedFile(f"{where}: field 'subjects[{i}].subject_id' repeats {sid!r}")
         tag = entry.get("protocol_tag", "synthetic")
+        if tag not in PROTOCOL_TAGS:
+            raise MalformedFile(f"{where}: field 'subjects[{i}].protocol_tag' must be one of "
+                                f"{', '.join(PROTOCOL_TAGS)}, got {tag!r}")
         files = _require(entry, "files", list, where)
         if not all(isinstance(name, str) for name in files):
             raise MalformedFile(f"{where}: field 'subjects[{i}].files' must list file names")
+        for j, name in enumerate(files):
+            # a plain name in this directory, as write_dataset writes them
+            if name in ("", ".", "..") or "\0" in name or os.path.basename(name) != name:
+                raise MalformedFile(
+                    f"{where}: field 'subjects[{i}].files' entry {name!r} is not a plain file name")
+            if name in files[:j]:
+                raise MalformedFile(f"{where}: field 'subjects[{i}].files' lists {name!r} twice")
+        if len(files) < MIN_TRIALS:
+            raise MalformedFile(f"{where}: field 'subjects[{i}].files' lists {len(files)} "
+                                f"trials < {MIN_TRIALS} (75/25 split needs at least 2 test trials)")
         trials = [read_trial_file(in_dir / name) for name in files]
         for name, trial in zip(files, trials):
             if trial.subject_id != sid:

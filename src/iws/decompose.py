@@ -484,31 +484,15 @@ def minkowski_distance(signal, imf_values):
     return np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1))
 
 
-def select_imf_pairs(signals, imfs, counts):
-    """Slots of the two IMFs closest to each row's signal, in input order.
-
-    ``imfs`` is (n_rows, n_slots, n) with row r's IMFs in its first
-    ``counts[r]`` slots.  Ties keep the earlier IMF; a row with a single IMF
-    gets it twice.  Rows without IMFs get meaningless slots.
-    """
-    n_rows, n_slots = imfs.shape[:2]
-    dist = np.full((n_rows, max(n_slots, 2)), np.inf)
-    for slot in range(n_slots):
-        dist[:, slot] = minkowski_distance(signals, imfs[:, slot])
-    dist[np.arange(dist.shape[1]) >= counts[:, None]] = np.inf
-    pairs = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :2], axis=1)
-    pairs[counts == 1] = 0
-    return pairs
-
-
 def select_imfs_minkowski(signal, imfs):
-    """Pick the two IMFs closest to the signal, preserving their input order:
-    a batch of one.  A single IMF is duplicated so downstream feature widths
-    stay constant.
+    """Pick the two IMFs closest to the signal (Minkowski distance), preserving
+    their input order; a tie keeps the earlier IMF.  A single IMF is
+    duplicated so downstream feature widths stay constant.
     """
     if not imfs:
         raise EmptyInput("no IMFs to select from")
+    if len(imfs) == 1:
+        return [imfs[0], imfs[0]]
     values = np.stack([np.asarray(imf.values, dtype=np.float64) for imf in imfs])
-    signal = np.asarray(signal, dtype=np.float64)
-    first, second = select_imf_pairs(signal[None], values[None], np.array([len(imfs)]))[0]
+    first, second = np.sort(np.argsort(minkowski_distance(signal, values), kind="stable")[:2])
     return [imfs[first], imfs[second]]

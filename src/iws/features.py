@@ -8,7 +8,7 @@ Feature sets:
   5: PCA of z-scored set 4 keeping >= 90% of the variance (<= 266)
 
 Every feature is computed row-wise on a stack of signals, one row per
-(window, channel); ``feature_matrices`` turns a stack of windows into one
+(window, channel); ``stack_matrices`` turns each stack of windows into one
 matrix per feature set.  The scalar functions and the per-instance
 ``extract_features`` are batches of one.
 """
@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .data import CHANNEL_COUNT, WINDOW_SAMPLES
-from .decompose import dwt_bior22, emd_rows, sift_blocks
+from .decompose import dwt_bior22, sift_blocks
 # the per-signal forms stay importable from here: perfbench/tracing.py wraps them
 from .decompose import emd, select_imfs_minkowski  # noqa: F401
 from .errors import (
@@ -260,12 +260,11 @@ def _fs1_rows(rows):
     return np.stack([_ie_rows(rows @ m) for m in _dwt_band_matrices()], axis=1)
 
 
-def _fs2_values(rows, dec, finite, where):
-    """FS2 of each row from its EMD ``dec``; ``finite`` marks the rows whose
-    IMFs are all finite."""
-    if not finite.all():
+def _fs2_values(rows, dec, where):
+    """FS2 of each row from its EMD ``dec``."""
+    if not dec.finite.all():
         raise InvariantViolation(
-            f"{where(int(np.argmin(finite)))}: coefficient set imf: non-finite values")
+            f"{where(int(np.argmin(dec.finite)))}: coefficient set imf: non-finite values")
     selected = dec.selected
     # no oscillatory component: fill both slots from the raw window
     fallback = dec.counts == 0
@@ -281,21 +280,6 @@ def _fs2_values(rows, dec, finite, where):
         h2,
     ], axis=1)
     return values.reshape(rows.shape[0], 2 * len(_FS2_FEATURES))
-
-
-def _warn_emd(n_rows, no_imf, capped):
-    if no_imf or capped:
-        log.warning("emd on %d rows: %d produced no IMF and use the window itself, "
-                    "%d stopped at the sift-iteration cap", n_rows, no_imf, capped)
-
-
-def _fs2_rows(rows, where):
-    """FS2 of one row stack, decomposed on its own with every IMF kept."""
-    dec = emd_rows(rows)
-    # every IMF is at hand here: check the kept IMFs themselves
-    values = _fs2_values(rows, dec, np.all(np.isfinite(dec.imfs), axis=(1, 2)), where)
-    _warn_emd(rows.shape[0], int((dec.counts == 0).sum()), int(dec.capped.sum()))
-    return values
 
 
 def _row_stack(windows, offsets):
@@ -315,8 +299,8 @@ def _row_stack(windows, offsets):
     return windows.transpose(0, 2, 1).reshape(-1, WINDOW_SAMPLES), where
 
 
-def _matrices(rows, where, feature_set_ids, fs2):
-    """{feature_set_id: matrix} of a row stack; ``fs2()`` gives set 2's rows."""
+def _matrices(rows, where, feature_set_ids, dec):
+    """{feature_set_id: matrix} of a row stack; ``dec`` is its EMD for set 2."""
     finite = np.all(np.isfinite(rows), axis=1)
     if not finite.all():
         raise InvariantViolation(f"{where(int(np.argmin(finite)))}: non-finite values in signal")
@@ -325,35 +309,29 @@ def _matrices(rows, where, feature_set_ids, fs2):
         if fs == 1:
             values = _fs1_rows(rows)
         elif fs == 2:
-            values = fs2()
+            values = _fs2_values(rows, dec, where)
         elif fs == 3:
             values = np.stack(_hurst_pair(rows, where), axis=1)
         else:
-            raise InvariantViolation(f"feature_matrices handles sets 1-3, got {fs}")
+            raise InvariantViolation(f"stack_matrices handles sets 1-3, got {fs}")
         out[fs] = values.reshape(-1, FEATURE_SET_WIDTHS[fs])
     return out
 
 
-def feature_matrices(windows, offsets, feature_set_ids) -> dict:
-    """Feature sets 1, 2 and/or 3 of a stack of windows.
-
-    ``windows`` is (n_windows, 64, 14); ``offsets`` gives each window's trial
-    offset, which errors name together with the channel.  Returns
-    {feature_set_id: (n_windows, width) matrix}, columns in layout order.
-    """
-    rows, where = _row_stack(windows, offsets)
-    return _matrices(rows, where, feature_set_ids, lambda: _fs2_rows(rows, where))
-
-
 def stack_matrices(stacks, feature_set_ids):
-    """``feature_matrices`` of each (windows, offsets) stack that ``stacks``
+    """Feature sets 1, 2 and/or 3 of each stack of windows that ``stacks``
     yields, one dict per stack, in order.
+
+    A stack is (windows, offsets): ``windows`` is (n_windows, 64, 14) and
+    ``offsets`` gives each window's trial offset, which errors name together
+    with the channel.  Each dict is {feature_set_id: (n_windows, width)
+    matrix}, columns in layout order.
 
     For set 2 the rows of all stacks sift through one EMD queue
     (``sift_blocks``): a stack is read when the queue has room for its rows,
     and its matrices are built once its last row has ended, so an error names
     the first stack that has one.  The EMD warning is logged once, with the
-    totals of all stacks.
+    totals of all stacks, when the last stack has been handed back.
     """
     read = deque()  # (rows, where) of the stacks read and not handed back
 
@@ -366,13 +344,14 @@ def stack_matrices(stacks, feature_set_ids):
     n_rows = no_imf = capped = 0
     for dec in decs:
         rows, where = read.popleft()
-        yield _matrices(rows, where, feature_set_ids,
-                        lambda: _fs2_values(rows, dec, dec.finite, where))
+        yield _matrices(rows, where, feature_set_ids, dec)
         if dec is not None:
             n_rows += rows.shape[0]
             no_imf += int((dec.counts == 0).sum())
             capped += int(dec.capped.sum())
-    _warn_emd(n_rows, no_imf, capped)
+    if no_imf or capped:
+        log.warning("emd on %d rows: %d produced no IMF and use the window itself, "
+                    "%d stopped at the sift-iteration cap", n_rows, no_imf, capped)
 
 
 def concat_fs4(m1, m2, m3) -> np.ndarray:
@@ -384,8 +363,9 @@ def extract_features(instance, feature_set_id: int) -> FeatureVector:
     """Compute feature set 1, 2 or 3 for one SignalInstance, channel-major order."""
     if feature_set_id not in (1, 2, 3):
         raise InvariantViolation(f"extract_features handles sets 1-3, got {feature_set_id}")
-    values = feature_matrices(instance.samples[None], [instance.trial_offset],
-                              (feature_set_id,))[feature_set_id][0]
+    [matrices] = stack_matrices([(instance.samples[None], [instance.trial_offset])],
+                                (feature_set_id,))
+    values = matrices[feature_set_id][0]
     return FeatureVector(
         values=values,
         feature_set_id=feature_set_id,

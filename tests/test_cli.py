@@ -222,6 +222,41 @@ class TestRun:
         assert proc.returncode == 3
         assert "manifest.json" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("case,field", [
+        ("no-subjects", "subjects"), ("unknown-tag", "subjects[0].protocol_tag"),
+        ("list-tag", "subjects[0].protocol_tag"), ("seven-files", "subjects[0].files"),
+        ("repeated-file", "subjects[0].files"), ("absolute-path", "subjects[0].files"),
+    ], ids=["no-subjects", "unknown-tag", "list-tag", "seven-files", "repeated-file",
+            "absolute-path"])
+    def test_manifest_entry_error_exits_3_naming_it(self, dataset_dir, tmp_path, case, field):
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        path = ds / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = manifest["subjects"][0]
+        files = entry["files"]
+        if case == "no-subjects":
+            manifest["subjects"] = []
+        elif case == "unknown-tag":
+            entry["protocol_tag"] = "dataset9"
+        elif case == "list-tag":
+            entry["protocol_tag"] = ["x"]
+        elif case == "seven-files":
+            del files[7]
+        elif case == "repeated-file":
+            # ran to exit 0, training and testing on the same recording
+            entry["files"] = [files[0]] * 8 + [files[1]]
+        else:
+            shutil.move(ds / files[1], tmp_path / "outside.json")
+            files[1] = str(tmp_path / "outside.json")
+        path.write_text(json.dumps(manifest))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.run_config(ds)))
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 3
+        assert f"error: {path}: field '{field}'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("command", ["run", "score"])
     @pytest.mark.parametrize("subject_id", ["s01", "s03"])
     def test_manifest_subject_id_conflict_exits_3(self, dataset_dir, tmp_path, command,

@@ -211,22 +211,21 @@ def mixed_rows(seed, n_rows):
 
 def assert_matches_oracle(rows):
     out = decompose.emd_rows(rows)
-    pairs = decompose.select_imf_pairs(rows, out.imfs, out.counts)
     for r, x in enumerate(rows):
         values, residual, capped = oracle_decompose(x)
         assert out.capped[r] == capped, r
         if values is None:
             assert out.counts[r] == 0, r
             assert out.constant[r] == (np.std(x) == 0.0), r
+            assert not np.any(out.selected[r]), r
             continue
         assert out.counts[r] == len(values), r
         for slot, v in enumerate(values):
             assert np.array_equal(out.imfs[r, slot], v), (r, slot)
         assert not np.any(out.imfs[r, len(values):]), r
         assert np.array_equal(out.residuals[r], residual), r
-        sets = [CoefficientSet(values=v, kind="imf") for v in values]
-        chosen = select_imfs_minkowski(x, sets)
-        assert [next(i for i, s in enumerate(sets) if s is c) for c in chosen] == list(pairs[r]), r
+        chosen = select_imfs_minkowski(x, [CoefficientSet(values=v, kind="imf") for v in values])
+        assert np.array_equal(out.selected[r], [c.values for c in chosen]), r
     return out
 
 
@@ -305,15 +304,13 @@ def test_selection_ties_and_single_imf_match_oracle():
     a = np.array([1.0, 2.0, 3.0, 5.0])  # distance 1
     b = np.zeros(4)  # distance sqrt(30)
     c = np.array([1.0, 2.0, 2.0, 4.0])  # distance 1: the tie keeps a first
-    imfs = np.zeros((3, 3, 4))
-    imfs[0] = [a, b, c]
-    imfs[1, 0] = b
-    imfs[2, :2] = [c, a]
-    pairs = decompose.select_imf_pairs(np.stack([x, x, x]), imfs, np.array([3, 1, 2]))
-    assert pairs.tolist() == [[0, 2], [0, 0], [0, 1]]
-    sets = [CoefficientSet(values=v, kind="imf") for v in (a, b, c)]
-    chosen = select_imfs_minkowski(x, sets)
-    assert decompose.select_imfs_minkowski(x, sets) == chosen
+    # x itself is the closest; the pair still comes back in input order
+    for values, want in (((a, b, c), [0, 2]), ((b,), [0, 0]), ((c, a), [0, 1]),
+                         ((b, a, x), [1, 2])):
+        sets = [CoefficientSet(values=v, kind="imf") for v in values]
+        for select in (decompose.select_imfs_minkowski, select_imfs_minkowski):
+            chosen = select(x, sets)
+            assert [next(i for i, s in enumerate(sets) if s is c) for c in chosen] == want
     with pytest.raises(EmptyInput):
         decompose.select_imfs_minkowski(x, [])
 
@@ -321,13 +318,14 @@ def test_selection_ties_and_single_imf_match_oracle():
 def test_non_finite_imf_names_the_row(monkeypatch):
     from iws import features
 
-    rows = mixed_rows(17, 3)
+    windows = mixed_rows(17, 14).T[None]  # one window, a mixed row per channel
+    keep_closest = decompose._keep_closest
 
-    def overflowing(rows):
-        out = decompose.emd_rows(rows)
-        out.imfs[2, 0, 5] = np.inf
-        return out
+    def overflowing(live, e, imf):
+        imf[live["id"][e] == 2, 5] = np.inf  # row 2 is channel 2 of the window
+        keep_closest(live, e, imf)
 
-    monkeypatch.setattr(features, "emd_rows", overflowing)
-    with pytest.raises(InvariantViolation, match="^row 2: coefficient set imf: non-finite"):
-        features._fs2_rows(rows, lambda r: f"row {r}")
+    monkeypatch.setattr(decompose, "_keep_closest", overflowing)
+    with pytest.raises(InvariantViolation, match="^channel 2, instance offset 39: "
+                                                 "coefficient set imf: non-finite"):
+        list(features.stack_matrices([(windows, [39])], (2,)))

@@ -2,8 +2,8 @@
 
 A row's decomposition does not depend on the rows sifting beside it, so the
 queue's width, the order of the rows and the way they are cut into stacks
-change nothing in its result.  The streaming selection must pick what
-``select_imf_pairs`` picks from the full set of IMFs.
+change nothing in its result.  The streaming selection must pick what the
+batch selection below, ``select_imf_pairs``, picks from the full set of IMFs.
 """
 
 import numpy as np
@@ -27,6 +27,24 @@ def queue_rows(seed, n_rows):
     return rows
 
 
+def select_imf_pairs(signals, imfs, counts):
+    """Oracle: slots of the two IMFs closest to each row's signal, in input
+    order, chosen once every IMF is known.
+
+    ``imfs`` is (n_rows, n_slots, n) with row r's IMFs in its first
+    ``counts[r]`` slots.  Ties keep the earlier IMF; a row with a single IMF
+    gets it twice.  Rows without IMFs get meaningless slots.
+    """
+    n_rows, n_slots = imfs.shape[:2]
+    dist = np.full((n_rows, max(n_slots, 2)), np.inf)
+    for slot in range(n_slots):
+        dist[:, slot] = decompose.minkowski_distance(signals, imfs[:, slot])
+    dist[np.arange(dist.shape[1]) >= counts[:, None]] = np.inf
+    pairs = np.sort(np.argsort(dist, axis=1, kind="stable")[:, :2], axis=1)
+    pairs[counts == 1] = 0
+    return pairs
+
+
 @pytest.fixture(scope="module")
 def reference():
     rows = queue_rows(21, 96)
@@ -36,7 +54,7 @@ def reference():
 def test_selection_matches_select_imf_pairs(reference):
     rows, ref = reference
     assert ref.capped.any() and (ref.counts == 0).sum() == 2 and ref.finite.all()
-    pairs = decompose.select_imf_pairs(rows, ref.imfs, ref.counts)
+    pairs = select_imf_pairs(rows, ref.imfs, ref.counts)
     chosen = np.take_along_axis(ref.imfs, pairs[:, :, None], axis=1)
     has_imf = ref.counts > 0
     assert np.array_equal(ref.selected[has_imf], chosen[has_imf])
@@ -59,7 +77,7 @@ def test_streaming_selection_ties_keep_the_earlier_imf():
     assert kept == [[far.tolist()] * 2, [far.tolist(), a.tolist()],
                     [a.tolist(), c.tolist()], [a.tolist(), c.tolist()]]
     imfs = np.stack([far, a, c, d])[None]
-    assert decompose.select_imf_pairs(x[None], imfs, np.array([4])).tolist() == [[1, 2]]
+    assert select_imf_pairs(x[None], imfs, np.array([4])).tolist() == [[1, 2]]
 
 
 @pytest.mark.parametrize("budget,cuts", [(1, (5, 6, 60, 95)), (7, ()), (7, (30, 60)),
@@ -132,8 +150,9 @@ def test_subject_pass_equals_one_trial_calls(headline_subject, caplog):
     assert warnings == ["emd on 1750 rows: 0 produced no IMF and use the window itself, "
                         "96 stopped at the sift-iteration cap"]
     assert len(passed) == len(stacks)
-    for got, (windows, offsets) in zip(passed, stacks):
-        assert np.array_equal(got[2], features.feature_matrices(windows, offsets, (2,))[2])
+    for got, stack in zip(passed, stacks):
+        [alone] = features.stack_matrices([stack], (2,))
+        assert np.array_equal(got[2], alone[2])
 
 
 def test_non_finite_imf_names_the_first_trial(headline_subject, monkeypatch):

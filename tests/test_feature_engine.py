@@ -30,11 +30,11 @@ from iws.features import (
     GHE_TAUS,
     LOG_CLAMP,
     extract_features,
-    feature_matrices,
     ghe,
     higuchi_fd,
     instantaneous_energy,
     katz_fd,
+    stack_matrices,
     teager_energy,
 )
 
@@ -199,6 +199,12 @@ def eeg_like_windows(seed, n_windows):
     return np.cumsum(gen.standard_normal(shape), axis=1) + gen.standard_normal(shape)
 
 
+def one_stack(windows, offsets, feature_set_ids):
+    """The matrices of one stack of windows: ``stack_matrices`` fed one stack."""
+    [matrices] = stack_matrices([(windows, offsets)], feature_set_ids)
+    return matrices
+
+
 def offsets_for(n_windows):
     return [13 * i for i in range(n_windows)]
 
@@ -217,7 +223,7 @@ def assert_close(actual, expected):
 def test_matrices_match_channel_loops(fs, n_windows):
     windows = eeg_like_windows(100 + fs, n_windows)
     offsets = offsets_for(n_windows)
-    matrix = feature_matrices(windows, offsets, (fs,))[fs]
+    matrix = one_stack(windows, offsets, (fs,))[fs]
     for i, (w, off) in enumerate(zip(windows, offsets)):
         expected, layout = oracle_extract(SignalInstance(samples=w, trial_offset=off), fs)
         assert_close(matrix[i], expected)
@@ -230,7 +236,7 @@ def test_fs1_matches_dwt_band_energies():
     windows = eeg_like_windows(7, 40)
     windows[3] *= 1e-3  # energies across several decades
     windows[4] *= 1e3
-    matrix = feature_matrices(windows, offsets_for(40), (1,))[1]
+    matrix = one_stack(windows, offsets_for(40), (1,))[1]
     for i, w in enumerate(windows):
         expected = [oracle_instantaneous_energy(s)
                     for ch in range(CHANNEL_COUNT) for s in dwt_bior22(w[:, ch])]
@@ -266,7 +272,7 @@ def test_ghe_skips_invalid_lags_like_the_oracle():
 def test_constant_rows():
     windows = eeg_like_windows(3, 2)
     windows[1, :, 4] = 2.5
-    fs1 = feature_matrices(windows, offsets_for(2), (1,))[1]
+    fs1 = one_stack(windows, offsets_for(2), (1,))[1]
     expected, _ = oracle_extract(SignalInstance(samples=windows[1], trial_offset=13), 1)
     assert_close(fs1[1], expected)
     detail_bands = fs1[1, 4 * 5:4 * 5 + 4]  # channel 4, w1..w4
@@ -279,7 +285,7 @@ def test_too_few_lags_names_channel_and_offset():
     windows = eeg_like_windows(4, 3)
     windows[2, :, 5] = 1.0  # increments all zero: no valid lag
     with pytest.raises(DegenerateScaling) as engine_exc:
-        feature_matrices(windows, [0, 13, 26], (3,))
+        one_stack(windows, [0, 13, 26], (3,))
     with pytest.raises(DegenerateScaling) as oracle_exc:
         oracle_extract(SignalInstance(samples=windows[2], trial_offset=26), 3)
     assert str(engine_exc.value) == str(oracle_exc.value)
@@ -293,7 +299,7 @@ def test_non_finite_input_rejected():
     windows[1, 10, 7] = np.nan
     for fs in (1, 2, 3):
         with pytest.raises(InvariantViolation, match="channel 7, instance offset 13"):
-            feature_matrices(windows, offsets_for(2), (fs,))
+            one_stack(windows, offsets_for(2), (fs,))
 
 
 def test_emd_fallback_fills_both_slots_from_window():
@@ -301,7 +307,7 @@ def test_emd_fallback_fills_both_slots_from_window():
     windows[0, :, 2] = 0.1 * np.arange(64) + 1.0  # monotonic: no IMF at all
     with pytest.raises(DecompositionFailure):
         emd(windows[0, :, 2])
-    matrix = feature_matrices(windows, [0], (2,))[2]
+    matrix = one_stack(windows, [0], (2,))[2]
     expected, _ = oracle_extract(SignalInstance(samples=windows[0], trial_offset=0), 2)
     assert_close(matrix[0], expected)
     channel = matrix[0, 2 * 12:3 * 12]
@@ -317,12 +323,17 @@ def test_emd_warns_once_per_stack_with_fallback_and_cap_counts(caplog):
     capped = int(emd_rows(rows).capped.sum())
     assert capped > 0  # colored noise runs into the sift cap now and then
     with caplog.at_level("WARNING", logger="iws.features"):
-        feature_matrices(windows, offsets_for(3), (2,))
+        one_stack(windows, offsets_for(3), (2,))
     emd_records = [r for r in caplog.records if r.getMessage().startswith("emd")]
     assert len(emd_records) == 1
     assert emd_records[0].getMessage() == (
         f"emd on {3 * CHANNEL_COUNT} rows: 2 produced no IMF and use the window itself, "
         f"{capped} stopped at the sift-iteration cap")
+    caplog.clear()  # one window through the per-instance form warns the same way
+    with caplog.at_level("WARNING", logger="iws.features"):
+        extract_features(SignalInstance(samples=windows[0], trial_offset=0), 2)
+    [record] = [r for r in caplog.records if r.getMessage().startswith("emd")]
+    assert record.getMessage().startswith(f"emd on {CHANNEL_COUNT} rows: 1 produced no IMF")
 
 
 def test_emd_silent_without_fallback_or_cap(caplog):
@@ -330,14 +341,14 @@ def test_emd_silent_without_fallback_or_cap(caplog):
     dec = emd_rows(windows[0].T)
     assert not dec.capped.any() and dec.counts.min() > 0
     with caplog.at_level("WARNING", logger="iws.features"):
-        feature_matrices(windows, offsets_for(1), (2,))
+        one_stack(windows, offsets_for(1), (2,))
     assert not [r for r in caplog.records if r.getMessage().startswith("emd")]
 
 
 def test_window_stack_shape_checked():
     with pytest.raises(InvariantViolation):
-        feature_matrices(np.zeros((2, 32, CHANNEL_COUNT)), [0, 13], (1,))
+        one_stack(np.zeros((2, 32, CHANNEL_COUNT)), [0, 13], (1,))
     with pytest.raises(InvariantViolation):
-        feature_matrices(eeg_like_windows(0, 2), [0], (1,))
+        one_stack(eeg_like_windows(0, 2), [0], (1,))
     with pytest.raises(InvariantViolation):
-        feature_matrices(eeg_like_windows(0, 1), [0], (4,))
+        one_stack(eeg_like_windows(0, 1), [0], (4,))
