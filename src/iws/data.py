@@ -214,16 +214,23 @@ _JSON_NUMBERS = frozenset((int, float))  # what json.load makes of a number; boo
 
 def write_trial_file(trial: Trial, path) -> None:
     trial.validate()
-    doc = {
+    head = {
         "subject_id": trial.subject_id,
         "sampling_rate": SAMPLING_RATE,
         "channels": _channel_names(),
         "onset_sample": int(trial.onset_sample),
         "ending_sample": int(trial.ending_sample),
-        "samples": trial.samples.tolist(),
     }
+    # the bytes of json.dumps on the whole document with the samples added,
+    # written WINDOW_SAMPLES rows per call to the C encoder: json.dump would
+    # stream through the pure-Python encoder, one call would hold the whole
+    # text at once, and one call per row costs ~25% more time
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))  # json.dump would stream through the pure-Python encoder
+        fh.write(json.dumps(head)[:-1] + ', "samples": [')
+        for start in range(0, trial.n_samples, WINDOW_SAMPLES):
+            rows = json.dumps(trial.samples[start:start + WINDOW_SAMPLES].tolist())
+            fh.write((", " if start else "") + rows[1:-1])
+        fh.write("]}")
 
 
 def _require(doc, key, kind, where):

@@ -81,42 +81,74 @@ def _dense_ranks(X):
     return np.array([np.unique(col, return_inverse=True)[1] for col in X.T])
 
 
-def _best_split(X, ranks, y, rows, feature_ids):
-    """Best (feature, threshold) over the candidate features for the node
-    holding ``rows`` of ``X``; None when no candidate has two distinct values.
+def _split_tables(X, y):
+    """The per-fold tables of the split search: ``keys[f, i]``, the dense rank
+    of ``X[i, f]`` in its column packed with the row's label as
+    ``2 * rank + y[i]``, and ``values[f, r]``, the value of rank ``r`` in
+    column ``f``.
 
-    One argsort of the node's (candidates, rows) rank submatrix orders every
-    candidate.  Only the last position of a run of equal values is a
-    boundary, and the label count there does not depend on the order inside
-    the run, so an unstable sort gives the costs of a stable one.  Among tied
-    minima the first candidate in draw order wins."""
+    Equal values share a rank.  -0.0 and 0.0 share one too, and either gives
+    the same midpoint with a distinct neighbour.  Entries of ``values`` past a
+    column's highest rank are never read and stay unset."""
+    ranks = _dense_ranks(X)
+    values = np.empty(ranks.shape)
+    values[np.arange(ranks.shape[0])[:, None], ranks] = X.T
+    return 2 * ranks + y, values
+
+
+def _best_split(keys, values, rows, feature_ids, ones):
+    """Best (feature, threshold) over the candidate features for the node
+    holding ``rows``, ``ones`` of them labelled 1; None when no candidate has
+    two distinct values.
+
+    ``keys`` packs each (feature, row) rank with the row's label (see
+    ``_split_tables``), so one in-place sort of the node's (candidates,
+    rows) key submatrix orders every candidate and carries the labels along.
+    Only the last position of a run of equal ranks is a boundary, and the
+    label count there does not depend on the order inside the run, so an
+    unstable sort gives the costs of a stable one.  Among tied minima the
+    first candidate in draw order wins."""
     n = rows.size
-    order = ranks.take(feature_ids, axis=0).take(rows, axis=1).argsort(axis=1)
-    sorted_rows = rows[order]
-    sorted_ranks = ranks[feature_ids[:, None], sorted_rows]
-    n_left = np.arange(1, n, dtype=np.float64)
-    n_right = n - n_left
-    ones_left = y[sorted_rows[:, :-1]].cumsum(axis=1)
-    ones_right = y[rows].sum() - ones_left
-    gini_left = 1.0 - ((ones_left / n_left) ** 2 + ((n_left - ones_left) / n_left) ** 2)
-    gini_right = 1.0 - ((ones_right / n_right) ** 2 + ((n_right - ones_right) / n_right) ** 2)
-    cost = (n_left * gini_left + n_right * gini_right) / n
-    cost[sorted_ranks[:, 1:] == sorted_ranks[:, :-1]] = np.inf
-    pos = cost.argmin(axis=1)
-    best = cost[np.arange(pos.size), pos]
-    j = int(best.argmin())
-    if best[j] == np.inf:
+    sub = keys.take(feature_ids, axis=0).take(rows, axis=1)
+    sub.sort(axis=1)
+    ranks = sub >> 1
+    ones_left = sub & 1
+    ones_left.cumsum(axis=1, out=ones_left)
+    # side 0 is left of each boundary and side 1 right of it, so that one
+    # array operation takes a step of the Gini cost on both sides
+    ones_by_side = np.empty((2, feature_ids.size, n - 1), dtype=np.int64)
+    ones_by_side[0] = ones_left[:, :-1]
+    np.subtract(ones, ones_by_side[0], out=ones_by_side[1])
+    sizes = np.empty((2, 1, n - 1))
+    sizes[0, 0] = np.arange(1, n)
+    np.subtract(n, sizes[0], out=sizes[1])
+    # size * gini = size * (1 - ((ones / size) ** 2 + ((size - ones) / size) ** 2)),
+    # one operation at a time in that order, so every cost rounds as that
+    # expression does (x ** 2 is x * x)
+    p1 = ones_by_side / sizes
+    p0 = sizes - ones_by_side
+    p0 /= sizes
+    p1 *= p1
+    p0 *= p0
+    p1 += p0
+    np.subtract(1.0, p1, out=p1)
+    p1 *= sizes
+    cost = p1[0] + p1[1]
+    cost /= n
+    np.putmask(cost, ranks[:, 1:] == ranks[:, :-1], np.inf)
+    k = int(cost.argmin())  # row-major: first candidate in draw order among ties
+    j, i = divmod(k, n - 1)
+    if cost[j, i] == np.inf:
         return None
-    i, f = pos[j], int(feature_ids[j])
-    a, b = sorted_rows[j, i], sorted_rows[j, i + 1]
-    return f, float(0.5 * (X[a, f] + X[b, f]))
+    f = int(feature_ids[j])
+    return f, float(0.5 * (values[f, ranks[j, i]] + values[f, ranks[j, i + 1]]))
 
 
 def _leaf(ones, n):
     return {"label": 1 if ones > n - ones else 0}  # ties resolve to 0
 
 
-def _grow_tree(X, ranks, y, rows, rng, n_candidates):
+def _grow_tree(X, y, keys, values, rows, rng, n_candidates):
     """Grow a tree on ``rows`` of ``X`` (with repeats), drawing one candidate
     set per split node in DFS preorder."""
     n = rows.size
@@ -124,7 +156,7 @@ def _grow_tree(X, ranks, y, rows, rng, n_candidates):
     if ones == 0 or ones == n:
         return _leaf(ones, n)
     feats = rng.choice(X.shape[1], size=n_candidates, replace=False)
-    split = _best_split(X, ranks, y, rows, feats)
+    split = _best_split(keys, values, rows, feats, ones)
     if split is None:
         return _leaf(ones, n)
     feature, threshold = split
@@ -135,35 +167,55 @@ def _grow_tree(X, ranks, y, rows, rng, n_candidates):
     return {
         "feature": feature,
         "threshold": threshold,
-        "left": _grow_tree(X, ranks, y, rows[mask], rng, n_candidates),
-        "right": _grow_tree(X, ranks, y, rows[~mask], rng, n_candidates),
+        "left": _grow_tree(X, y, keys, values, rows[mask], rng, n_candidates),
+        "right": _grow_tree(X, y, keys, values, rows[~mask], rng, n_candidates),
     }
 
 
-def _tree_predict(node, row):
-    while "feature" in node:
-        node = node["left"] if row[node["feature"]] < node["threshold"] else node["right"]
-    return node["label"]
+def _compile_tree(node, table):
+    """Append the tree at ``node`` to the flat list ``table`` in preorder, five
+    entries per node: feature, threshold, left, right, label.  Returns the
+    node's index; a leaf is its own left and right child."""
+    i = len(table) // 5
+    if "feature" not in node:
+        table.extend((0, 0.0, i, i, node["label"]))
+        return i
+    table.extend((node["feature"], node["threshold"], 0, 0, 0))
+    table[5 * i + 2] = _compile_tree(node["left"], table)
+    table[5 * i + 3] = _compile_tree(node["right"], table)
+    return i
 
 
 class RandomForestModel:
-    """Bagged CART ensemble: Gini impurity, grown to purity, majority vote."""
+    """Bagged CART ensemble: Gini impurity, grown to purity, majority vote.
+
+    ``trees`` stay nested dicts.  They are compiled once into one flat node
+    table (``feature``, ``threshold``, ``left``, ``right``, ``label``), each
+    tree in preorder from its entry in ``roots``."""
 
     kind = "random_forest"
 
     def __init__(self, trees, n_features):
         self.trees = trees
         self.n_features = n_features
+        table = []
+        self.roots = np.array([_compile_tree(tree, table) for tree in trees], dtype=np.int64)
+        table = np.array(table, dtype=np.float64).reshape(-1, 5).T  # exact for the integers
+        self.threshold = table[1].copy()
+        self.feature, self.left, self.right, self.label = table[[0, 2, 3, 4]].astype(np.int64)
 
     def predict(self, X):
         X = _check_predict_input(X, self.n_features)
         if X.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
-        votes = np.zeros(X.shape[0], dtype=np.int64)
-        for tree in self.trees:
-            votes += np.fromiter(
-                (_tree_predict(tree, row) for row in X), dtype=np.int64, count=X.shape[0]
-            )
+        # every (tree, row) pair descends one level per step; NaN goes right
+        cols = np.arange(X.shape[0])
+        node = np.broadcast_to(self.roots[:, None], (self.roots.size, cols.size))
+        is_leaf = self.left == np.arange(self.left.size)
+        while not is_leaf[node].all():
+            node = np.where(X[cols, self.feature[node]] < self.threshold[node],
+                            self.left[node], self.right[node])
+        votes = self.label[node].sum(axis=0)
         # strict majority of trees; exact ties resolve to 0
         return (votes * 2 > len(self.trees)).astype(np.int64)
 
@@ -171,13 +223,12 @@ class RandomForestModel:
 def _train_random_forest(X, y, seed):
     n, m = X.shape
     n_candidates = max(1, int(np.floor(np.sqrt(m))))
-    ranks = _dense_ranks(X)
-    labels = y.astype(np.float64)  # exact 0/1, so label counts are exact sums
+    keys, values = _split_tables(X, y)
     trees = []
     for t in range(RF_TREES):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X, ranks, labels, boot, rng, n_candidates))
+        trees.append(_grow_tree(X, y, keys, values, boot, rng, n_candidates))
     return RandomForestModel(trees=trees, n_features=m)
 
 
@@ -247,21 +298,34 @@ class LogRegModel:
         return (self.decision(X) > 0.0).astype(np.int64)
 
 
-def _logreg_loss_grad(w, b, X, y_pm, lam):
+def _logreg_loss(w, b, X, y_pm, lam):
+    """The L2-penalized logistic loss and the margins ``z`` it was taken at."""
     n = X.shape[0]
     z = y_pm * (X @ w + b)
     # numerically stable log(1 + exp(-z))
     loss = float(np.mean(np.logaddexp(0.0, -z))) + lam * float(w @ w) / (2 * n)
+    return loss, z
+
+
+def _logreg_grad(w, z, X, y_pm, lam):
+    """Gradient of the loss in ``w`` and the intercept, from its margins ``z``."""
+    n = X.shape[0]
     sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
     coeff = -y_pm * sig / n
     grad_w = X.T @ coeff + lam * w / n  # intercept stays unpenalized
     grad_b = float(np.sum(coeff))
-    return loss, grad_w, grad_b
+    return grad_w, grad_b
+
+
+def _logreg_loss_grad(w, b, X, y_pm, lam):
+    loss, z = _logreg_loss(w, b, X, y_pm, lam)
+    return (loss, *_logreg_grad(w, z, X, y_pm, lam))
 
 
 def _train_logreg(X, y):
     """Batch gradient descent with Armijo backtracking on the L2-penalized
-    logistic loss; the accepted-step loss sequence is non-increasing."""
+    logistic loss; the accepted-step loss sequence is non-increasing.  The
+    gradient is taken only at accepted points."""
     n, m = X.shape
     y_pm = np.where(y == 1, 1.0, -1.0)
     w = np.zeros(m)
@@ -277,14 +341,15 @@ def _train_logreg(X, y):
         while step >= 1e-12:
             w_new = w - step * grad_w
             b_new = b - step * grad_b
-            loss_new, gw_new, gb_new = _logreg_loss_grad(w_new, b_new, X, y_pm, lam)
+            loss_new, z_new = _logreg_loss(w_new, b_new, X, y_pm, lam)
             if loss_new <= loss - 1e-4 * step * gnorm2:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:  # no descent direction at float precision
             break
-        w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
+        w, b, loss = w_new, b_new, loss_new
+        grad_w, grad_b = _logreg_grad(w, z_new, X, y_pm, lam)
         step = min(step * 2.0, 1e6)  # allow re-growth after cautious steps
     return LogRegModel(weights=w, intercept=b)
 

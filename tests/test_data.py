@@ -85,6 +85,26 @@ class TestTrialFiles:
         back = read_trial_file(path)
         assert same_trial(back, t)
 
+    @pytest.mark.parametrize("n", [192, 255, 256, 257])
+    def test_written_bytes_equal_json_dumps(self, tmp_path, n):
+        # the samples go out a block of rows at a time; lengths on and off the
+        # block size, and values whose repr is long or signed
+        samples = np.random.default_rng(n).standard_normal((n, CHANNEL_COUNT))
+        samples[0, :5] = (-0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e16)
+        samples[-1, -1] = -0.0
+        t = Trial(subject_id="s01", samples=samples, onset_sample=128, ending_sample=190)
+        doc = {
+            "subject_id": "s01",
+            "sampling_rate": 128,
+            "channels": [f"ch{c:02d}" for c in range(CHANNEL_COUNT)],
+            "onset_sample": 128,
+            "ending_sample": 190,
+            "samples": samples.tolist(),
+        }
+        path = tmp_path / "t.json"
+        write_trial_file(t, path)
+        assert path.read_bytes() == json.dumps(doc).encode()
+
     def test_marker_violation_on_read(self, tmp_path):
         t = make_trial()
         path = tmp_path / "t.json"
@@ -300,8 +320,9 @@ class TestDatasetDirectory:
                 assert same_trial(ta, tb)
 
     def test_trial_files_match_json_dump(self, tmp_path):
-        # trial files are written with json.dumps; the bytes must equal what
-        # json.dump, the streaming encoder, writes for the same document
+        # trial files are written a block of rows per json.dumps call; the
+        # bytes must equal what json.dump, the streaming encoder, writes for
+        # the same document
         cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=224,
                           iws_length_range=(64, 96), snr=5.0, seed=424242)
         [dataset] = generate_synthetic_dataset(cfg)

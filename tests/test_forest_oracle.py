@@ -87,12 +87,12 @@ def _train_random_forest(X, y, seed, n_trees, n_candidates):
 
 def _rank_trees(X, y, seed, n_trees, n_candidates):
     """``learn._train_random_forest`` with its candidate count as an argument."""
-    ranks = learn._dense_ranks(X)
+    keys, values = learn._split_tables(X, y)
     trees = []
     for t in range(n_trees):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
         boot = rng.integers(0, X.shape[0], size=X.shape[0])
-        trees.append(learn._grow_tree(X, ranks, y.astype(np.float64), boot, rng, n_candidates))
+        trees.append(learn._grow_tree(X, y, keys, values, boot, rng, n_candidates))
     return trees
 
 
@@ -213,3 +213,28 @@ def test_dense_ranks_share_equal_values_and_follow_value_order():
         assert np.array_equal(r[:, None] == r[None, :], x[:, None] == x[None, :])
         assert np.array_equal(r[:, None] < r[None, :], x[:, None] < x[None, :])
         assert np.array_equal(np.unique(r), np.arange(np.unique(x).size))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_split_tables_pack_ranks_and_labels_and_invert_the_ranks():
+    gen = np.random.default_rng(8)
+    X = np.hstack([grid_with_signed_zeros(gen, (60, 3)), gen.standard_normal((60, 2))])
+    X[gen.random(X.shape) < 0.1] = np.inf
+    X[gen.random(X.shape) < 0.1] = -np.inf
+    y = random_labels(gen, 60)
+    keys, values = learn._split_tables(X, y)
+    ranks = learn._dense_ranks(X)
+    assert np.array_equal(keys, 2 * ranks + y)
+    for f in range(X.shape[1]):
+        assert np.array_equal(values[f, ranks[f]], X[:, f])
+        # the midpoint of two neighbouring ranks has the bits of the midpoint
+        # of any two rows holding them, whichever zero either row holds
+        for r in range(ranks[f].max()):
+            a, b = np.flatnonzero(ranks[f] == r), np.flatnonzero(ranks[f] == r + 1)
+            from_rows = 0.5 * (X[a, f][:, None] + X[b, f][None, :])
+            from_table = 0.5 * (values[f, r] + values[f, r + 1])
+            assert (from_rows.view(np.int64) == np.float64(from_table).view(np.int64)).all()
+    # the threshold of a split is such a midpoint
+    f, threshold = learn._best_split(keys, values, np.arange(60), np.arange(5), int(y.sum()))
+    x = np.unique(X[:, f])
+    assert np.float64(threshold).view(np.int64) in (0.5 * (x[:-1] + x[1:])).view(np.int64)

@@ -41,6 +41,34 @@ def xor_clusters(n_per_cluster=50, seed=0):
     return np.vstack(X), np.array(y)
 
 
+def tree_predict(node, row):
+    """One row down one dict tree; NaN compares false, so it goes right."""
+    while "feature" in node:
+        node = node["left"] if row[node["feature"]] < node["threshold"] else node["right"]
+    return node["label"]
+
+
+def dict_vote(trees, X):
+    """Per-row majority of the dict trees, exact ties to 0: the oracle of
+    ``RandomForestModel.predict``."""
+    votes = np.array([[tree_predict(tree, row) for row in X] for tree in trees])
+    return (votes.sum(axis=0) * 2 > len(trees)).astype(np.int64), votes.sum(axis=0)
+
+
+def tree_depth(node):
+    if "feature" not in node:
+        return 0
+    return 1 + max(tree_depth(node["left"]), tree_depth(node["right"]))
+
+
+def probe_rows(gen, n, dim):
+    """Normal rows, some entries replaced by NaN, inf and -inf."""
+    X = gen.standard_normal((n, dim)) * 3
+    for value in (np.nan, np.inf, -np.inf):
+        X[gen.random(X.shape) < 0.1] = value
+    return X
+
+
 def nearest_centroid_oracle(X, y):
     c0 = X[y == 0].mean(axis=0)
     c1 = X[y == 1].mean(axis=0)
@@ -250,3 +278,65 @@ class TestDeterminismAndProperties:
         single = RandomForestModel(trees=ensemble.trees, n_features=1)
         probe = np.random.default_rng(0).standard_normal((60, 1)) * 3
         assert np.array_equal(predict(ensemble, probe), predict(single, probe))
+
+
+class TestCompiledForest:
+    """``RandomForestModel.predict`` walks a flat node table; it must vote as
+    the dict trees do, row by row."""
+
+    @pytest.mark.parametrize("data", ["noise", "blobs"])
+    def test_matches_dict_walk(self, data):
+        gen = np.random.default_rng(11)
+        if data == "noise":  # deep trees
+            X, y = gen.standard_normal((200, 9)), gen.integers(0, 2, 200)
+        else:  # one split per tree
+            X, y = blobs(n_per_class=50, margin=8.0, dim=3, seed=11)
+        model = train(ClassifierSpec(kind="random_forest", seed=5), X, y)
+        depth = max(tree_depth(t) for t in model.trees)
+        assert depth > 5 if data == "noise" else depth == 1
+        # rows exactly on a threshold, which sends them right
+        thresholds = model.threshold[model.left != np.arange(model.left.size)][:300]
+        on_threshold = np.repeat(thresholds[:, None], X.shape[1], axis=1)
+        probe = np.vstack([X, probe_rows(gen, 300, X.shape[1]), on_threshold])
+        assert np.array_equal(predict(model, probe), dict_vote(model.trees, probe)[0])
+
+    def test_single_leaf_trees(self):
+        # constant columns: no candidate has two values, every tree is a leaf
+        X = np.full((30, 2), 4.0)
+        y = np.arange(30) % 3 == 0
+        model = train(ClassifierSpec(kind="random_forest", seed=2), X, y.astype(int))
+        assert all("feature" not in t for t in model.trees)
+        probe = probe_rows(np.random.default_rng(3), 20, 2)
+        assert np.array_equal(predict(model, probe), dict_vote(model.trees, probe)[0])
+        assert np.array_equal(model.left, np.arange(len(model.trees)))
+        assert np.array_equal(model.right, model.left)
+
+    def test_even_tree_count_ties_resolve_to_zero(self, monkeypatch):
+        monkeypatch.setattr(learn, "RF_TREES", 10)
+        gen = np.random.default_rng(4)
+        X, y = gen.standard_normal((120, 4)), gen.integers(0, 2, 120)
+        model = train(ClassifierSpec(kind="random_forest", seed=9), X, y)
+        probe = probe_rows(gen, 400, 4)
+        expected, votes = dict_vote(model.trees, probe)
+        assert (votes == 5).any()  # some rows really tie 5 to 5
+        assert np.array_equal(predict(model, probe), expected)
+        # a hand-made forest that gives every row two votes of four
+        one, zero = {"label": 1}, {"label": 0}
+        split = {"feature": 0, "threshold": 0.0, "left": one, "right": zero}
+        mirror = {"feature": 0, "threshold": 0.0, "left": zero, "right": one}
+        tied = RandomForestModel(trees=[one, zero, split, mirror], n_features=1)
+        rows = np.array([[-1.0], [1.0], [np.nan], [-np.inf], [np.inf]])
+        assert np.array_equal(predict(tied, rows), dict_vote(tied.trees, rows)[0])
+        assert np.array_equal(predict(tied, rows), [0, 0, 0, 0, 0])
+
+    def test_node_table_in_preorder(self):
+        leaf0, leaf1 = {"label": 0}, {"label": 1}
+        inner = {"feature": 1, "threshold": 2.5, "left": leaf1, "right": leaf0}
+        tree = {"feature": 0, "threshold": -1.0, "left": inner, "right": leaf1}
+        model = RandomForestModel(trees=[leaf1, tree], n_features=2)
+        assert model.roots.tolist() == [0, 1]
+        assert model.feature[[1, 2]].tolist() == [0, 1]
+        assert model.threshold[[1, 2]].tolist() == [-1.0, 2.5]
+        assert model.left.tolist() == [0, 2, 3, 3, 4, 5]
+        assert model.right.tolist() == [0, 5, 4, 3, 4, 5]
+        assert model.label[[0, 3, 4, 5]].tolist() == [1, 1, 0, 1]
