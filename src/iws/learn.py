@@ -96,7 +96,54 @@ def _split_tables(X, y):
     return 2 * ranks + y, values
 
 
-def _best_split(keys, values, rows, feature_ids, ones):
+# Nodes of up to this many rows take their split costs from the shared table
+# (``_split_cost_table``); larger ones compute them.  The table's size grows as
+# rows ** 2 / 2: 512 rows take 132k entries, about 1 MiB.
+GINI_TABLE_ROWS = 512
+
+
+def _side_costs(size, ones):
+    """``size * gini`` of a side holding ``size`` rows, ``ones`` of them
+    labelled 1: size * (1 - ((ones / size) ** 2 + ((size - ones) / size) ** 2)),
+    one operation at a time in that order (x ** 2 is x * x).  ``size`` is
+    float, ``ones`` integer; they broadcast."""
+    p1 = ones / size
+    p0 = size - ones
+    p0 /= size
+    p1 *= p1
+    p0 *= p0
+    p1 += p0
+    np.subtract(1.0, p1, out=p1)
+    p1 *= size
+    return p1
+
+
+# (base, costs): the side cost of (size, ones) is costs[base[size] + ones], for
+# every 1 <= size < base.size and 0 <= ones <= size.  Shared by every forest of
+# the process, and only ever replaced by a larger one.
+_split_costs = (np.zeros(1, dtype=np.int64), np.empty(0))
+
+
+def _split_cost_table(n):
+    """The shared side-cost table, grown first to cover nodes of up to
+    ``min(n, GINI_TABLE_ROWS)`` rows if it does not yet."""
+    global _split_costs
+    rows = min(n, GINI_TABLE_ROWS)
+    base, costs = _split_costs
+    if rows >= base.size:
+        first = base.size  # the rows of a smaller table keep their place
+        ones = np.arange(rows + 1)
+        base = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(ones[2:], out=base[2:])  # size s holds s + 1 entries
+        costs = np.concatenate([costs, np.empty(base[rows] + rows + 1 - costs.size)])
+        for size in range(first, rows + 1):  # row by row: no rows x rows temporaries
+            costs[base[size]:base[size] + size + 1] = _side_costs(float(size), ones[:size + 1])
+        base.flags.writeable = costs.flags.writeable = False  # every forest reads them
+        _split_costs = base, costs
+    return _split_costs
+
+
+def _best_split(keys, values, gini, rows, feature_ids, ones):
     """Best (feature, threshold) over the candidate features for the node
     holding ``rows``, ``ones`` of them labelled 1; None when no candidate has
     two distinct values.
@@ -106,34 +153,27 @@ def _best_split(keys, values, rows, feature_ids, ones):
     rows) key submatrix orders every candidate and carries the labels along.
     Only the last position of a run of equal ranks is a boundary, and the
     label count there does not depend on the order inside the run, so an
-    unstable sort gives the costs of a stable one.  Among tied minima the
-    first candidate in draw order wins."""
+    unstable sort gives the costs of a stable one.  Each side's cost comes
+    from the side-cost table ``gini`` (``_split_cost_table``) when it covers
+    the node, else from ``_side_costs``.  Among tied minima the first
+    candidate in draw order wins."""
     n = rows.size
     sub = keys.take(feature_ids, axis=0).take(rows, axis=1)
     sub.sort(axis=1)
     ranks = sub >> 1
     ones_left = sub & 1
     ones_left.cumsum(axis=1, out=ones_left)
-    # side 0 is left of each boundary and side 1 right of it, so that one
-    # array operation takes a step of the Gini cost on both sides
-    ones_by_side = np.empty((2, feature_ids.size, n - 1), dtype=np.int64)
-    ones_by_side[0] = ones_left[:, :-1]
-    np.subtract(ones, ones_by_side[0], out=ones_by_side[1])
-    sizes = np.empty((2, 1, n - 1))
-    sizes[0, 0] = np.arange(1, n)
-    np.subtract(n, sizes[0], out=sizes[1])
-    # size * gini = size * (1 - ((ones / size) ** 2 + ((size - ones) / size) ** 2)),
-    # one operation at a time in that order, so every cost rounds as that
-    # expression does (x ** 2 is x * x)
-    p1 = ones_by_side / sizes
-    p0 = sizes - ones_by_side
-    p0 /= sizes
-    p1 *= p1
-    p0 *= p0
-    p1 += p0
-    np.subtract(1.0, p1, out=p1)
-    p1 *= sizes
-    cost = p1[0] + p1[1]
+    left = ones_left[:, :-1]
+    base, costs = gini
+    if n < base.size:
+        at = left + base[1:n]
+        cost = costs.take(at)
+        np.subtract(base[n - 1:0:-1] + ones, left, out=at)
+        cost += costs.take(at)
+    else:
+        sizes = np.arange(1.0, n)
+        cost = _side_costs(sizes, left)
+        cost += _side_costs(n - sizes, ones - left)
     cost /= n
     np.putmask(cost, ranks[:, 1:] == ranks[:, :-1], np.inf)
     k = int(cost.argmin())  # row-major: first candidate in draw order among ties
@@ -148,7 +188,7 @@ def _leaf(ones, n):
     return {"label": 1 if ones > n - ones else 0}  # ties resolve to 0
 
 
-def _grow_tree(X, y, keys, values, rows, rng, n_candidates):
+def _grow_tree(X, y, keys, values, gini, rows, rng, n_candidates):
     """Grow a tree on ``rows`` of ``X`` (with repeats), drawing one candidate
     set per split node in DFS preorder."""
     n = rows.size
@@ -156,7 +196,7 @@ def _grow_tree(X, y, keys, values, rows, rng, n_candidates):
     if ones == 0 or ones == n:
         return _leaf(ones, n)
     feats = rng.choice(X.shape[1], size=n_candidates, replace=False)
-    split = _best_split(keys, values, rows, feats, ones)
+    split = _best_split(keys, values, gini, rows, feats, ones)
     if split is None:
         return _leaf(ones, n)
     feature, threshold = split
@@ -167,42 +207,54 @@ def _grow_tree(X, y, keys, values, rows, rng, n_candidates):
     return {
         "feature": feature,
         "threshold": threshold,
-        "left": _grow_tree(X, y, keys, values, rows[mask], rng, n_candidates),
-        "right": _grow_tree(X, y, keys, values, rows[~mask], rng, n_candidates),
+        "left": _grow_tree(X, y, keys, values, gini, rows[mask], rng, n_candidates),
+        "right": _grow_tree(X, y, keys, values, gini, rows[~mask], rng, n_candidates),
     }
 
 
-def _compile_tree(node, table):
-    """Append the tree at ``node`` to the flat list ``table`` in preorder, five
-    entries per node: feature, threshold, left, right, label.  Returns the
-    node's index; a leaf is its own left and right child."""
-    i = len(table) // 5
+def _count_nodes(node):
     if "feature" not in node:
-        table.extend((0, 0.0, i, i, node["label"]))
-        return i
-    table.extend((node["feature"], node["threshold"], 0, 0, 0))
-    table[5 * i + 2] = _compile_tree(node["left"], table)
-    table[5 * i + 3] = _compile_tree(node["right"], table)
-    return i
+        return 1
+    return 1 + _count_nodes(node["left"]) + _count_nodes(node["right"])
+
+
+def _compile_tree(node, i, feature, threshold, left, right, label):
+    """Write the tree at ``node`` into the node arrays in preorder from index
+    ``i``; returns the index after its last node.  A leaf is its own left and
+    right child; the arrays come zeroed, so a leaf's feature and threshold and
+    a split's label stay 0."""
+    if "feature" not in node:
+        left[i] = right[i] = i
+        label[i] = node["label"]
+        return i + 1
+    feature[i] = node["feature"]
+    threshold[i] = node["threshold"]
+    left[i] = i + 1
+    right[i] = j = _compile_tree(node["left"], i + 1, feature, threshold, left, right, label)
+    return _compile_tree(node["right"], j, feature, threshold, left, right, label)
 
 
 class RandomForestModel:
     """Bagged CART ensemble: Gini impurity, grown to purity, majority vote.
 
-    ``trees`` stay nested dicts.  They are compiled once into one flat node
-    table (``feature``, ``threshold``, ``left``, ``right``, ``label``), each
-    tree in preorder from its entry in ``roots``."""
+    ``trees`` stay nested dicts.  They are compiled once into flat node
+    arrays (``feature``, ``threshold``, ``left``, ``right``, ``label``),
+    allocated at their final size, each tree in preorder from its entry in
+    ``roots``."""
 
     kind = "random_forest"
 
     def __init__(self, trees, n_features):
         self.trees = trees
         self.n_features = n_features
-        table = []
-        self.roots = np.array([_compile_tree(tree, table) for tree in trees], dtype=np.int64)
-        table = np.array(table, dtype=np.float64).reshape(-1, 5).T  # exact for the integers
-        self.threshold = table[1].copy()
-        self.feature, self.left, self.right, self.label = table[[0, 2, 3, 4]].astype(np.int64)
+        sizes = np.array([_count_nodes(tree) for tree in trees], dtype=np.int64)
+        self.roots = np.cumsum(sizes) - sizes
+        total = int(sizes.sum())
+        self.feature, self.left, self.right, self.label = np.zeros((4, total), dtype=np.int64)
+        self.threshold = np.zeros(total)
+        for tree, root in zip(trees, self.roots.tolist()):
+            _compile_tree(tree, root, self.feature, self.threshold, self.left, self.right,
+                          self.label)
 
     def predict(self, X):
         X = _check_predict_input(X, self.n_features)
@@ -224,11 +276,12 @@ def _train_random_forest(X, y, seed):
     n, m = X.shape
     n_candidates = max(1, int(np.floor(np.sqrt(m))))
     keys, values = _split_tables(X, y)
+    gini = _split_cost_table(n)
     trees = []
     for t in range(RF_TREES):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X, y, keys, values, boot, rng, n_candidates))
+        trees.append(_grow_tree(X, y, keys, values, gini, boot, rng, n_candidates))
     return RandomForestModel(trees=trees, n_features=m)
 
 

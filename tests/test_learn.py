@@ -55,6 +55,37 @@ def dict_vote(trees, X):
     return (votes.sum(axis=0) * 2 > len(trees)).astype(np.int64), votes.sum(axis=0)
 
 
+def _compile_tree(node, table):
+    """Append the tree at ``node`` to the flat list ``table`` in preorder, five
+    entries per node: feature, threshold, left, right, label.  Returns the
+    node's index; a leaf is its own left and right child."""
+    i = len(table) // 5
+    if "feature" not in node:
+        table.extend((0, 0.0, i, i, node["label"]))
+        return i
+    table.extend((node["feature"], node["threshold"], 0, 0, 0))
+    table[5 * i + 2] = _compile_tree(node["left"], table)
+    table[5 * i + 3] = _compile_tree(node["right"], table)
+    return i
+
+
+def assert_compiled_as_oracle(model):
+    """The model's node arrays equal those of the list-based compiler it
+    replaced, which built one Python list of five entries per node and
+    converted it once (the code below is that compiler, verbatim)."""
+    table = []
+    roots = np.array([_compile_tree(tree, table) for tree in model.trees], dtype=np.int64)
+    table = np.array(table, dtype=np.float64).reshape(-1, 5).T  # exact for the integers
+    threshold = table[1].copy()
+    feature, left, right, label = table[[0, 2, 3, 4]].astype(np.int64)
+    expected = dict(roots=roots, feature=feature, threshold=threshold, left=left,
+                    right=right, label=label)
+    for name, want in expected.items():
+        got = getattr(model, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
 def tree_depth(node):
     if "feature" not in node:
         return 0
@@ -299,6 +330,7 @@ class TestCompiledForest:
         on_threshold = np.repeat(thresholds[:, None], X.shape[1], axis=1)
         probe = np.vstack([X, probe_rows(gen, 300, X.shape[1]), on_threshold])
         assert np.array_equal(predict(model, probe), dict_vote(model.trees, probe)[0])
+        assert_compiled_as_oracle(model)
 
     def test_single_leaf_trees(self):
         # constant columns: no candidate has two values, every tree is a leaf
@@ -310,6 +342,7 @@ class TestCompiledForest:
         assert np.array_equal(predict(model, probe), dict_vote(model.trees, probe)[0])
         assert np.array_equal(model.left, np.arange(len(model.trees)))
         assert np.array_equal(model.right, model.left)
+        assert_compiled_as_oracle(model)
 
     def test_even_tree_count_ties_resolve_to_zero(self, monkeypatch):
         monkeypatch.setattr(learn, "RF_TREES", 10)
@@ -320,6 +353,7 @@ class TestCompiledForest:
         expected, votes = dict_vote(model.trees, probe)
         assert (votes == 5).any()  # some rows really tie 5 to 5
         assert np.array_equal(predict(model, probe), expected)
+        assert_compiled_as_oracle(model)
         # a hand-made forest that gives every row two votes of four
         one, zero = {"label": 1}, {"label": 0}
         split = {"feature": 0, "threshold": 0.0, "left": one, "right": zero}
@@ -328,6 +362,7 @@ class TestCompiledForest:
         rows = np.array([[-1.0], [1.0], [np.nan], [-np.inf], [np.inf]])
         assert np.array_equal(predict(tied, rows), dict_vote(tied.trees, rows)[0])
         assert np.array_equal(predict(tied, rows), [0, 0, 0, 0, 0])
+        assert_compiled_as_oracle(tied)
 
     def test_node_table_in_preorder(self):
         leaf0, leaf1 = {"label": 0}, {"label": 1}
@@ -340,3 +375,4 @@ class TestCompiledForest:
         assert model.left.tolist() == [0, 2, 3, 3, 4, 5]
         assert model.right.tolist() == [0, 5, 4, 3, 4, 5]
         assert model.label[[0, 3, 4, 5]].tolist() == [1, 1, 0, 1]
+        assert_compiled_as_oracle(model)
