@@ -202,6 +202,8 @@ class SynthConfig:
         # snr = 0 is allowed: it produces featureless control datasets.
         if self.snr < 0:
             raise ConfigError("snr must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------

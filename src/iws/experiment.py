@@ -51,6 +51,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must not repeat an entry, got {list(values)}")
         if self.folds < 1:
             raise ConfigError("folds must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def needed_base_sets(self):
         need = set()

@@ -2,6 +2,7 @@
 per-subject 4-fold 75/25 trial-level validation scheme."""
 
 import logging
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,77 +185,64 @@ def _best_split(keys, values, gini, rows, feature_ids, ones):
     return f, float(0.5 * (values[f, ranks[j, i]] + values[f, ranks[j, i + 1]]))
 
 
-def _leaf(ones, n):
-    return {"label": 1 if ones > n - ones else 0}  # ties resolve to 0
-
-
-def _grow_tree(X, y, keys, values, gini, rows, rng, n_candidates):
-    """Grow a tree on ``rows`` of ``X`` (with repeats), drawing one candidate
-    set per split node in DFS preorder."""
-    n = rows.size
-    ones = int(np.count_nonzero(y[rows]))
-    if ones == 0 or ones == n:
-        return _leaf(ones, n)
-    feats = rng.choice(X.shape[1], size=n_candidates, replace=False)
-    split = _best_split(keys, values, gini, rows, feats, ones)
-    if split is None:
-        return _leaf(ones, n)
-    feature, threshold = split
-    mask = X[rows, feature] < threshold
-    n_left = int(np.count_nonzero(mask))
-    if n_left == 0 or n_left == n:
-        return _leaf(ones, n)
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "left": _grow_tree(X, y, keys, values, gini, rows[mask], rng, n_candidates),
-        "right": _grow_tree(X, y, keys, values, gini, rows[~mask], rng, n_candidates),
-    }
-
-
-def _count_nodes(node):
-    if "feature" not in node:
-        return 1
-    return 1 + _count_nodes(node["left"]) + _count_nodes(node["right"])
-
-
-def _compile_tree(node, i, feature, threshold, left, right, label):
-    """Write the tree at ``node`` into the node arrays in preorder from index
-    ``i``; returns the index after its last node.  A leaf is its own left and
-    right child; the arrays come zeroed, so a leaf's feature and threshold and
-    a split's label stay 0."""
-    if "feature" not in node:
-        left[i] = right[i] = i
-        label[i] = node["label"]
-        return i + 1
-    feature[i] = node["feature"]
-    threshold[i] = node["threshold"]
-    left[i] = i + 1
-    right[i] = j = _compile_tree(node["left"], i + 1, feature, threshold, left, right, label)
-    return _compile_tree(node["right"], j, feature, threshold, left, right, label)
+def _grow_tree(X, y, keys, values, gini, rows, rng, n_candidates, nodes):
+    """Grow a tree on ``rows`` of ``X`` (with repeats) into ``nodes``, the
+    growable (feature, threshold, left, right, label) buffers, one candidate
+    set drawn per split node.  Nodes are made in DFS preorder: a split's left
+    child follows it, and its right child's index is written when that child
+    is popped.  A leaf is its own left and right child, with feature and
+    threshold 0; a split's label is 0."""
+    right = nodes[3]
+    stack = [(rows, -1)]  # (rows, the split whose right child they are, or -1)
+    while stack:
+        rows, parent = stack.pop()
+        i = len(right)
+        if parent >= 0:
+            right[parent] = i
+        n = rows.size
+        ones = int(np.count_nonzero(y[rows]))
+        node = (0, 0.0, i, i, 1 if ones > n - ones else 0)  # a leaf; ties resolve to 0
+        if 0 < ones < n:
+            feats = rng.choice(X.shape[1], size=n_candidates, replace=False)
+            split = _best_split(keys, values, gini, rows, feats, ones)
+            if split is not None:
+                f, t = split
+                mask = X[rows, f] < t
+                if 0 < np.count_nonzero(mask) < n:
+                    node = (f, t, i + 1, 0, 0)
+                    stack.append((rows[~mask], i))
+                    stack.append((rows[mask], -1))
+        for buf, v in zip(nodes, node):
+            buf.append(v)
 
 
 class RandomForestModel:
     """Bagged CART ensemble: Gini impurity, grown to purity, majority vote.
 
-    ``trees`` stay nested dicts.  They are compiled once into flat node
-    arrays (``feature``, ``threshold``, ``left``, ``right``, ``label``),
-    allocated at their final size, each tree in preorder from its entry in
-    ``roots``."""
+    The trees live in flat node arrays (``feature``, ``threshold``, ``left``,
+    ``right``, ``label``), each tree in preorder from its entry in ``roots``."""
 
     kind = "random_forest"
 
-    def __init__(self, trees, n_features):
-        self.trees = trees
+    def __init__(self, roots, feature, threshold, left, right, label, n_features):
+        self.roots, self.feature, self.threshold = roots, feature, threshold
+        self.left, self.right, self.label = left, right, label
         self.n_features = n_features
-        sizes = np.array([_count_nodes(tree) for tree in trees], dtype=np.int64)
-        self.roots = np.cumsum(sizes) - sizes
-        total = int(sizes.sum())
-        self.feature, self.left, self.right, self.label = np.zeros((4, total), dtype=np.int64)
-        self.threshold = np.zeros(total)
-        for tree, root in zip(trees, self.roots.tolist()):
-            _compile_tree(tree, root, self.feature, self.threshold, self.left, self.right,
-                          self.label)
+
+    @property
+    def trees(self):
+        """The trees as nested dicts, decoded from the node arrays on each read:
+        a split is {"feature", "threshold", "left", "right"}, a leaf {"label"}."""
+        feature, threshold, left, right, label = (
+            a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.label))
+
+        def node(i):
+            if left[i] == i:
+                return {"label": label[i]}
+            return {"feature": feature[i], "threshold": threshold[i],
+                    "left": node(left[i]), "right": node(right[i])}
+
+        return [node(i) for i in self.roots.tolist()]
 
     def predict(self, X):
         X = _check_predict_input(X, self.n_features)
@@ -269,7 +257,7 @@ class RandomForestModel:
                             self.left[node], self.right[node])
         votes = self.label[node].sum(axis=0)
         # strict majority of trees; exact ties resolve to 0
-        return (votes * 2 > len(self.trees)).astype(np.int64)
+        return (votes * 2 > self.roots.size).astype(np.int64)
 
 
 def _train_random_forest(X, y, seed):
@@ -277,12 +265,16 @@ def _train_random_forest(X, y, seed):
     n_candidates = max(1, int(np.floor(np.sqrt(m))))
     keys, values = _split_tables(X, y)
     gini = _split_cost_table(n)
-    trees = []
+    nodes = (array("q"), array("d"), array("q"), array("q"), array("q"))
+    roots = []
     for t in range(RF_TREES):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(X, y, keys, values, gini, boot, rng, n_candidates))
-    return RandomForestModel(trees=trees, n_features=m)
+        roots.append(len(nodes[0]))
+        _grow_tree(X, y, keys, values, gini, boot, rng, n_candidates, nodes)
+    return RandomForestModel(np.array(roots, dtype=np.int64),
+                             *(np.frombuffer(buf, dtype=buf.typecode) for buf in nodes),
+                             n_features=m)
 
 
 # ---------------------------------------------------------------------------

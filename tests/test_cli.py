@@ -3,7 +3,14 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from iws import cli
+from iws.data import SynthConfig
+from iws.errors import ConfigError
+from iws.experiment import RunConfig
 
 SYNTH_CFG = {
     "n_subjects": 2,
@@ -19,6 +26,14 @@ SYNTH_CFG = {
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "iws.cli", *args],
                           capture_output=True, text=True)
+
+
+def assert_config_error(proc, field):
+    """Exit 2 with one ``error:`` line naming ``field`` and no traceback."""
+    assert proc.returncode == 2
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and field in errors[0]
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +93,13 @@ class TestGenerate:
         proc = run_cli("generate", "--config", str(cfg), "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
         assert field in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_exits_2_naming_field(self, tmp_path):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(dict(SYNTH_CFG, seed=-1)))
+        proc = run_cli("generate", "--config", str(cfg), "--out", str(tmp_path / "x"))
+        assert_config_error(proc, "seed")
         assert not (tmp_path / "x").exists()
 
     def test_rerun_identical_content(self, dataset_dir, tmp_path):
@@ -153,6 +175,14 @@ class TestRun:
         proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
         assert proc.returncode == 2
         assert field in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_negative_seed_exits_2_naming_field(self, dataset_dir, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.run_config(dataset_dir, seed=-1)))
+        out = tmp_path / "r.json"
+        proc = run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert_config_error(proc, "seed")
+        assert not out.exists()
 
     def test_other_sampling_rate_exits_3(self, dataset_dir, tmp_path):
         ds = tmp_path / "ds"
@@ -500,3 +530,65 @@ class TestNumpyOnlyRuntime:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+RUN_DOC = {"dataset_path": "ds", "feature_set_ids": [1, 5],
+           "classifiers": ["random_forest", "logreg"], "folds": 4, "seed": 0}
+MISSING = object()  # drops the field from the document
+
+
+def odd_values():
+    """Integers (negative, 0, 2**64) half of the time; otherwise floats, bools,
+    strings, null or lists."""
+    return st.one_of(
+        st.sampled_from([-1, -(2**64), 0, 1, 2**64, 2**64 - 1]),
+        st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none(),
+                  st.lists(st.one_of(st.integers(-2, 6), st.sampled_from(["knn", "logreg"])),
+                           max_size=3)),
+    )
+
+
+def documents(valid):
+    """``valid`` with one or two fields replaced by odd values or dropped, or
+    one extra field."""
+    names = [*valid, "extra"]
+    changes = st.dictionaries(st.sampled_from(names), st.one_of(odd_values(), st.just(MISSING)),
+                              min_size=1, max_size=2)
+    return changes.map(lambda change: {k: v for k, v in {**valid, **change}.items()
+                                       if v is not MISSING})
+
+
+class TestConfigBoundary:
+    """Config documents either build a config whose seed seeds numpy or raise
+    ``ConfigError``; none is generated from or run (a valid huge ``n_subjects``
+    or ``folds`` would take hours)."""
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64)])
+    def test_negative_seed_names_the_field(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            SynthConfig(**dict(SYNTH_CFG, seed=seed))
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(**dict(RUN_DOC, seed=seed))
+
+    @pytest.mark.parametrize("seed", [0, 2**64])
+    def test_seed_at_the_bounds_is_kept(self, seed):
+        assert SynthConfig(**dict(SYNTH_CFG, seed=seed)).seed == seed
+        assert RunConfig(**dict(RUN_DOC, seed=seed)).seed == seed
+
+    @staticmethod
+    def check(cls, doc):
+        try:
+            config = cli._build_config(cls, doc, "config")
+        except ConfigError:
+            return
+        np.random.SeedSequence(config.seed)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(doc=documents(SYNTH_CFG))
+    def test_generator_documents(self, doc):
+        self.check(SynthConfig, doc)
+
+    @settings(derandomize=True, max_examples=300)
+    @given(doc=documents(RUN_DOC))
+    def test_run_documents(self, doc):
+        self.check(RunConfig, doc)

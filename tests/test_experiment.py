@@ -2,6 +2,8 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -183,3 +185,28 @@ class TestTrialFeatures:
         rc = RunConfig(dataset_path="mem", feature_set_ids=(1,), classifiers=("knn",), folds=1)
         out = experiment.run_subject(tiny_datasets[0], rc, 0)
         assert len(out[(1, "knn")]["fold_scores"]) == 1
+
+
+QUIET_RUN_SCRIPT = """
+import logging
+from iws.data import SynthConfig, generate_synthetic_dataset
+from iws.experiment import RunConfig, run_experiment
+
+logging.basicConfig(level=logging.DEBUG)  # logs go to stderr
+datasets = generate_synthetic_dataset(SynthConfig(
+    n_subjects=1, trials_per_subject=8, trial_length_samples=224, iws_length_range=(64, 96),
+    seed=5))
+report = run_experiment(datasets, RunConfig(
+    dataset_path="unused", feature_set_ids=(1, 5), classifiers=("random_forest", "logreg"),
+    folds=1, seed=3))
+assert len(report["results"]) == 4
+"""
+
+
+def test_run_writes_nothing_to_stdout():
+    # a benchmark driving run_experiment reads its own last stdout line as
+    # the result, so the library prints nothing there, at exit included
+    proc = subprocess.run([sys.executable, "-c", QUIET_RUN_SCRIPT], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""

@@ -22,6 +22,7 @@ node, and each table entry must have the bits of the per-feature oracle's
 ``n_left * gini_left``.
 """
 
+from array import array
 from contextlib import contextmanager, nullcontext
 from unittest import mock
 
@@ -88,7 +89,7 @@ def _train_random_forest(X, y, seed, n_trees, n_candidates):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
         boot = rng.integers(0, n, size=n)
         trees.append(_grow_tree(X[boot], y[boot], rng, n_candidates))
-    return RandomForestModel(trees=trees, n_features=m)
+    return trees
 
 
 def _stacked_best_split(keys, values, rows, feature_ids, ones):
@@ -144,15 +145,19 @@ def _stacked_best_split(keys, values, rows, feature_ids, ones):
 # ---------------------------------------------------------------------------
 
 def _rank_trees(X, y, seed, n_trees, n_candidates):
-    """``learn._train_random_forest`` with its candidate count as an argument."""
+    """``learn._train_random_forest`` with its candidate count as an argument,
+    its trees decoded as dicts."""
     keys, values = learn._split_tables(X, y)
     gini = learn._split_cost_table(X.shape[0])
-    trees = []
+    nodes = (array("q"), array("d"), array("q"), array("q"), array("q"))
+    roots = []
     for t in range(n_trees):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), t)))
         boot = rng.integers(0, X.shape[0], size=X.shape[0])
-        trees.append(learn._grow_tree(X, y, keys, values, gini, boot, rng, n_candidates))
-    return trees
+        roots.append(len(nodes[0]))
+        learn._grow_tree(X, y, keys, values, gini, boot, rng, n_candidates, nodes)
+    arrays = (np.frombuffer(buf, dtype=buf.typecode) for buf in nodes)
+    return RandomForestModel(np.array(roots, dtype=np.int64), *arrays, n_features=X.shape[1]).trees
 
 
 @contextmanager
@@ -177,9 +182,9 @@ def assert_same_forest(X, y, n_trees=learn.RF_TREES, seed=0, n_candidates=None):
     y = np.asarray(y, dtype=np.int64)
     if n_candidates is None:
         sqrt_m = max(1, int(np.floor(np.sqrt(X.shape[1]))))
-        expected = _train_random_forest(X, y, seed, n_trees, sqrt_m).trees
+        expected = _train_random_forest(X, y, seed, n_trees, sqrt_m)
     else:
-        expected = _train_random_forest(X, y, seed, n_trees, n_candidates).trees
+        expected = _train_random_forest(X, y, seed, n_trees, n_candidates)
     for cap in TABLE_CAPS:
         with gini_table_rows(cap) if cap else nullcontext():
             if n_candidates is None:

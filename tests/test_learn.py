@@ -69,19 +69,24 @@ def _compile_tree(node, table):
     return i
 
 
-def assert_compiled_as_oracle(model):
-    """The model's node arrays equal those of the list-based compiler it
-    replaced, which built one Python list of five entries per node and
-    converted it once (the code below is that compiler, verbatim)."""
+def forest_of(trees, n_features):
+    """A ``RandomForestModel`` of the dict ``trees``, compiled by the list-based
+    compiler the model once used: one Python list of five entries per node,
+    converted once (the code below is that compiler, verbatim)."""
     table = []
-    roots = np.array([_compile_tree(tree, table) for tree in model.trees], dtype=np.int64)
+    roots = np.array([_compile_tree(tree, table) for tree in trees], dtype=np.int64)
     table = np.array(table, dtype=np.float64).reshape(-1, 5).T  # exact for the integers
     threshold = table[1].copy()
     feature, left, right, label = table[[0, 2, 3, 4]].astype(np.int64)
-    expected = dict(roots=roots, feature=feature, threshold=threshold, left=left,
-                    right=right, label=label)
-    for name, want in expected.items():
-        got = getattr(model, name)
+    return RandomForestModel(roots, feature, threshold, left, right, label, n_features)
+
+
+def assert_compiled_as_oracle(model):
+    """The model's node arrays equal those that the list-based compiler makes
+    of its trees decoded as dicts."""
+    expected = forest_of(model.trees, model.n_features)
+    for name in ("roots", "feature", "threshold", "left", "right", "label"):
+        got, want = getattr(model, name), getattr(expected, name)
         assert got.dtype == want.dtype, name
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
 
@@ -306,7 +311,7 @@ class TestDeterminismAndProperties:
         monkeypatch.setattr(learn, "RF_TREES", 1)
         ensemble = train(ClassifierSpec(kind="random_forest", seed=3), X, y)
         assert len(ensemble.trees) == 1
-        single = RandomForestModel(trees=ensemble.trees, n_features=1)
+        single = forest_of(ensemble.trees, 1)
         probe = np.random.default_rng(0).standard_normal((60, 1)) * 3
         assert np.array_equal(predict(ensemble, probe), predict(single, probe))
 
@@ -358,7 +363,7 @@ class TestCompiledForest:
         one, zero = {"label": 1}, {"label": 0}
         split = {"feature": 0, "threshold": 0.0, "left": one, "right": zero}
         mirror = {"feature": 0, "threshold": 0.0, "left": zero, "right": one}
-        tied = RandomForestModel(trees=[one, zero, split, mirror], n_features=1)
+        tied = forest_of([one, zero, split, mirror], 1)
         rows = np.array([[-1.0], [1.0], [np.nan], [-np.inf], [np.inf]])
         assert np.array_equal(predict(tied, rows), dict_vote(tied.trees, rows)[0])
         assert np.array_equal(predict(tied, rows), [0, 0, 0, 0, 0])
@@ -368,7 +373,7 @@ class TestCompiledForest:
         leaf0, leaf1 = {"label": 0}, {"label": 1}
         inner = {"feature": 1, "threshold": 2.5, "left": leaf1, "right": leaf0}
         tree = {"feature": 0, "threshold": -1.0, "left": inner, "right": leaf1}
-        model = RandomForestModel(trees=[leaf1, tree], n_features=2)
+        model = forest_of([leaf1, tree], 2)
         assert model.roots.tolist() == [0, 1]
         assert model.feature[[1, 2]].tolist() == [0, 1]
         assert model.threshold[[1, 2]].tolist() == [-1.0, 2.5]
@@ -376,3 +381,23 @@ class TestCompiledForest:
         assert model.right.tolist() == [0, 5, 4, 3, 4, 5]
         assert model.label[[0, 3, 4, 5]].tolist() == [1, 1, 0, 1]
         assert_compiled_as_oracle(model)
+
+    def test_training_and_predict_never_decode_the_trees(self, monkeypatch):
+        gen = np.random.default_rng(12)
+        X, y = gen.standard_normal((150, 6)), gen.integers(0, 2, 150)
+        probe = np.vstack([X, probe_rows(gen, 200, 6)])
+        model = train(ClassifierSpec(kind="random_forest", seed=7), X, y)
+        expected = dict_vote(model.trees, probe)[0]
+        assert_compiled_as_oracle(model)
+
+        def refuse(self):
+            raise AssertionError("the trees were decoded")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RandomForestModel, "trees", property(refuse))
+            with pytest.raises(AssertionError, match="decoded"):
+                model.trees
+            again = train(ClassifierSpec(kind="random_forest", seed=7), X, y)
+            assert np.array_equal(model.predict(probe), expected)
+            assert np.array_equal(predict(model, probe), expected)
+            assert np.array_equal(predict(again, probe), expected)
