@@ -170,13 +170,17 @@ def _extremum_masks(x):
 
 def _zero_crossings(x):
     """Sign changes along each row, zero samples skipped."""
-    n_rows, n = x.shape
     signs = np.sign(x)
-    nonzero = signs != 0
-    # latest nonzero sample at or before each position (-1: none yet)
-    last = np.maximum.accumulate(np.where(nonzero, np.arange(n), -1), axis=1)[:, :-1]
-    before = np.take(signs, np.maximum(last, 0) + n * np.arange(n_rows)[:, None])
-    return (nonzero[:, 1:] & (last >= 0) & (signs[:, 1:] != before)).sum(axis=1)
+    count = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1)
+    zero = np.flatnonzero((signs == 0).any(axis=1))
+    if zero.size:  # these rows compare each nonzero sign with the last one before it
+        signs, n = signs[zero], x.shape[1]
+        nonzero = signs != 0
+        # latest nonzero sample at or before each position (-1: none yet)
+        last = np.maximum.accumulate(np.where(nonzero, np.arange(n), -1), axis=1)[:, :-1]
+        before = np.take(signs, np.maximum(last, 0) + n * np.arange(zero.size)[:, None])
+        count[zero] = (nonzero[:, 1:] & (last >= 0) & (signs[:, 1:] != before)).sum(axis=1)
+    return count
 
 
 def _second_derivatives(h, slope, n_knots):
@@ -249,30 +253,37 @@ def _natural_cubic(t, v, xs):
     return _spline_rows(t[None], v[None], np.array([t.size]), xs[None], seg[None])[0]
 
 
-def _envelopes(x, ext):
-    """Spline of each row of ``x`` through the samples where ``ext`` holds
-    (at least one per row), first/last extremum mirrored, at every sample."""
+def _envelopes(x, maxima, minima, n_max, n_min):
+    """Upper then lower envelope of each row of ``x``, as one (2 * n_rows, n)
+    stack: the splines through the samples where ``maxima`` hold (``n_max``
+    of them, at least one per row), then where ``minima`` hold (``n_min``),
+    first/last extremum mirrored, at every sample."""
     n_rows, n = x.shape
-    counts = ext.sum(axis=1)
-    # flat indices, row-major: each row's extrema are contiguous
-    flat = np.flatnonzero(ext)
+    counts = np.concatenate([n_max, n_min])
+    # the extrema as flat row-major indices into x, for their values, and into
+    # the (2 * n_rows, n) stack of both masks: each envelope's are contiguous
+    at = [np.flatnonzero(maxima), np.flatnonzero(minima)]
+    values = x.ravel()[np.concatenate(at)]
+    flat = np.concatenate([at[0], at[1] + x.size])
     r, col = np.divmod(flat, n)
-    starts = np.cumsum(counts) - counts
-    first, last = col[starts], col[starts + counts - 1]
+    ends = np.cumsum(counts)
+    first, last = ends - counts, ends - 1  # each envelope's first and last extremum
     # knot 0 mirrors the first extremum left of sample 0 and knot counts + 1 the
     # last one right of sample n - 1, so sample s lies in segment cum[s]
-    cum = np.cumsum(ext, axis=1, dtype=np.int32)  # narrower than intp: half the time
+    cum = np.empty((2 * n_rows, n), dtype=np.int32)  # narrower than intp: half the time
+    np.cumsum(maxima, axis=1, out=cum[:n_rows])
+    np.cumsum(minima, axis=1, out=cum[n_rows:])
     m = int(counts.max()) + 2
-    t = np.broadcast_to(np.arange(2 * n, 2 * n + m, dtype=np.float64), (n_rows, m)).copy()
-    v = np.zeros((n_rows, m))
+    t = np.broadcast_to(np.arange(2 * n, 2 * n + m, dtype=np.float64), (2 * n_rows, m)).copy()
+    v = np.zeros((2 * n_rows, m))
     knot = r * m + cum.ravel()[flat]
     t.ravel()[knot] = col
-    v.ravel()[knot] = x.ravel()[flat]
-    rows = np.arange(n_rows)
-    t[:, 0] = -first
-    v[:, 0] = x[rows, first]
-    t[rows, counts + 1] = 2 * (n - 1) - last
-    v[rows, counts + 1] = x[rows, last]
+    v.ravel()[knot] = values
+    rows = np.arange(2 * n_rows)
+    t[:, 0] = -col[first]
+    v[:, 0] = values[first]
+    t[rows, counts + 1] = 2 * (n - 1) - col[last]
+    v[rows, counts + 1] = values[last]
     return _spline_rows(t, v, counts + 2, np.arange(n, dtype=np.float64), cum)
 
 
@@ -284,7 +295,7 @@ class EmdRows(NamedTuple):
     counts: np.ndarray     # IMFs per row; 0 when the row has no oscillatory component
     residuals: Optional[np.ndarray]  # (n_rows, n): each row minus its IMFs; None unless kept
     constant: np.ndarray   # rows with zero spread, never sifted
-    capped: np.ndarray     # rows whose last sift ran into MAX_SIFT_ITERATIONS
+    capped: np.ndarray     # rows whose last sift ran into, or would run into, MAX_SIFT_ITERATIONS
     selected: np.ndarray   # (n_rows, 2, n): the two IMFs closest to each row (see _keep_closest)
     finite: np.ndarray     # rows whose IMFs are all finite
 
@@ -352,7 +363,8 @@ def _keep_closest(live, e, imf):
 
 def _sift_step(live, keep_all):
     """One sift iteration of every row of ``live``, in place.  Returns the
-    rows that end, and those of them that ran into the sift-iteration cap."""
+    rows that end, and those of them that ran into the sift-iteration cap or
+    stalled on the way to it."""
     h = live["h"]
     maxima, minima = _extremum_masks(h)
     n_max, n_min = maxima.sum(axis=1), minima.sum(axis=1)
@@ -360,12 +372,16 @@ def _sift_step(live, keep_all):
     if failed.any():  # the others sift in the next step
         return failed, np.zeros(failed.size, dtype=bool)
     k = h.shape[0]
-    env = _envelopes(np.concatenate([h, h]), np.concatenate([maxima, minima]))
+    env = _envelopes(h, maxima, minima, n_max, n_min)
     mean_env = 0.5 * (env[:k] + env[k:])
     emit = ((np.abs(n_max + n_min - _zero_crossings(h)) <= 1)
             & (np.max(np.abs(mean_env), axis=1) <= live["tolerance"]))
+    step = h - mean_env
+    # a row's step depends only on its own iterate and tolerance: one that
+    # leaves every bit of the iterate as it was would repeat until the cap
+    unchanged = np.all(step.view(np.uint64) == h.view(np.uint64), axis=1)
     live["iterations"] = np.where(emit, 0, live["iterations"] + 1)
-    capped = ~emit & (live["iterations"] == MAX_SIFT_ITERATIONS)
+    capped = ~emit & (unchanged | (live["iterations"] == MAX_SIFT_ITERATIONS))
     ended = capped.copy()
     e = np.flatnonzero(emit)
     if e.size:
@@ -378,7 +394,7 @@ def _sift_step(live, keep_all):
         counts[e] += 1
         res_max, res_min = _extremum_masks(residual[e])
         ended[e] = (res_max.sum(axis=1) + res_min.sum(axis=1) < 2) | (counts[e] == MAX_IMFS)
-    live["h"] = np.where(emit[:, None], live["residual"], h - mean_env)
+    live["h"] = np.where(emit[:, None], live["residual"], step)
     return ended, capped
 
 
@@ -391,8 +407,10 @@ def sift_blocks(blocks, keep_all=False):
     conditions hold (extremum and zero-crossing counts differ by at most 1,
     envelope mean within ``SIFT_TOLERANCE`` times the row's std), emits it
     and goes on with what is left.  A row ends when a sift finds no maxima or
-    no minima, when a sift reaches ``MAX_SIFT_ITERATIONS``, when its residual
-    has fewer than 2 extrema, or after ``MAX_IMFS`` IMFs.  A stack is handed
+    no minima, when a sift reaches ``MAX_SIFT_ITERATIONS`` or takes a step
+    that leaves its iterate unchanged (every later step would repeat that one
+    up to the cap: the row ends as capped), when its residual has fewer than
+    2 extrema, or after ``MAX_IMFS`` IMFs.  A stack is handed
     back once its last row has ended and every stack before it is handed
     back.  Each row's two closest IMFs are kept as they are emitted; every
     IMF and the residual only with ``keep_all``.  A row's result does not

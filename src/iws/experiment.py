@@ -32,6 +32,9 @@ class RunConfig:
             raise ConfigError(f"dataset_path must be a string, got {self.dataset_path!r}")
         for name in ("folds", "seed"):
             check_int(name, getattr(self, name))
+        for name in ("feature_set_ids", "classifiers"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ConfigError(f"{name} must be a list, got {getattr(self, name)!r}")
         for i in self.feature_set_ids:
             check_int("feature_set_ids", i)
         object.__setattr__(self, "feature_set_ids", tuple(int(i) for i in self.feature_set_ids))

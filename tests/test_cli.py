@@ -184,6 +184,19 @@ class TestRun:
         assert_config_error(proc, "seed")
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("feature_set_ids", None), ("classifiers", None), ("feature_set_ids", 5),
+        ("classifiers", "knn"),  # not read as ("k", "n", "n")
+    ])
+    def test_list_field_of_another_type_exits_2_naming_it(self, dataset_dir, tmp_path,
+                                                          field, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict(self.run_config(dataset_dir), **{field: value})))
+        out = tmp_path / "r.json"
+        proc = run_cli("run", "--config", str(cfg), "--out", str(out))
+        assert_config_error(proc, f"{field} must be a list")
+        assert not out.exists()
+
     def test_other_sampling_rate_exits_3(self, dataset_dir, tmp_path):
         ds = tmp_path / "ds"
         shutil.copytree(dataset_dir, ds)

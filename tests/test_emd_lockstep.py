@@ -209,6 +209,13 @@ def mixed_rows(seed, n_rows):
     return np.stack([kinds[i % len(kinds)]() for i in range(n_rows)])
 
 
+def colored_noise(seed, n_rows):
+    """Colored-noise rows like the synthetic EEG's, some of which run into the
+    300-iteration sift cap."""
+    gen = np.random.default_rng(seed)
+    return np.cumsum(gen.standard_normal((n_rows, 64)), axis=1) + gen.standard_normal((n_rows, 64))
+
+
 def assert_matches_oracle(rows):
     out = decompose.emd_rows(rows)
     for r, x in enumerate(rows):
@@ -264,12 +271,67 @@ def test_small_sift_cap_matches_oracle(monkeypatch):
 
 
 def test_default_cap_stops_match_oracle():
-    # colored-noise rows from the synthetic EEG, some of which run into the
-    # 300-iteration cap
-    gen = np.random.default_rng(15)
-    rows = np.cumsum(gen.standard_normal((80, 64)), axis=1) + gen.standard_normal((80, 64))
-    out = assert_matches_oracle(rows)
+    out = assert_matches_oracle(colored_noise(15, 80))
     assert out.capped.any()
+
+
+def test_stalled_sift_ends_long_before_the_cap(monkeypatch):
+    # each capped row here comes to a step that changes no bit of its
+    # iterate, and every later step would repeat it; the oracle still runs
+    # its last sift to the cap
+    rows = colored_noise(15, 80)
+    capped = np.flatnonzero(decompose.emd_rows(rows).capped)
+    assert capped.size
+    steps = 0
+    sift_step = decompose._sift_step
+
+    def counting(live, keep_all):
+        nonlocal steps
+        steps += 1
+        return sift_step(live, keep_all)
+
+    monkeypatch.setattr(decompose, "_sift_step", counting)
+    for r in capped:
+        steps = 0
+        out = assert_matches_oracle(rows[r:r + 1])
+        assert out.capped[0], r
+        assert steps < decompose.MAX_SIFT_ITERATIONS // 4, (r, steps)
+
+
+def test_tiny_signals_match_oracle():
+    # a power-of-two scale changes no rounding, so each row sifts through the
+    # same steps at any amplitude: none may end because its steps are small
+    rows = colored_noise(15, 40)
+    tiny = assert_matches_oracle(rows * 2.0**-40)
+    out = decompose.emd_rows(rows)
+    assert tiny.capped.any() and np.array_equal(tiny.capped, out.capped)
+    assert np.array_equal(tiny.counts, out.counts)
+    assert np.array_equal(tiny.imfs, out.imfs * 2.0**-40)
+
+
+def test_imf_found_on_an_unchanged_step_is_not_capped():
+    # alternating samples: both envelopes are constant, so their mean is 0
+    # and the first step changes nothing, but the row is an IMF already
+    rows = np.stack([np.tile([1.0, -1.0], 32), np.tile([-3.0, 3.0], 32)])
+    out = assert_matches_oracle(rows)
+    assert out.counts.tolist() == [1, 1] and not out.capped.any()
+
+
+def test_zero_crossings_match_oracle():
+    gen = np.random.default_rng(18)
+    rows = gen.standard_normal((9, 64))  # row 0 holds no zero
+    rows[1, 20] = 0.0
+    rows[2, 10:25] = 0.0
+    rows[3, :5], rows[3, -7:] = 0.0, -0.0  # leading and trailing zeros
+    rows[4] = 0.0
+    rows[5, ::3] = 0.0  # runs of one between signs
+    rows[6] = gen.integers(-1, 2, 64)  # runs of zeros of every length
+    rows[7] = 0.0
+    rows[7, 30] = 2.0  # one sign alone
+    rows[8] = np.tile([1.0, 0.0, 0.0, -1.0], 16)
+    for stack in (rows, rows[:1], rows[1:], rows[[0, 4, 0, 6]], np.repeat(rows[:1], 3, axis=0)):
+        got = decompose._zero_crossings(stack)
+        assert got.tolist() == [_zero_crossings(x) for x in stack]
 
 
 def test_emd_is_a_batch_of_one():
