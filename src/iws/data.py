@@ -344,6 +344,10 @@ def read_dataset(in_dir):
         if len(files) < MIN_TRIALS:
             raise MalformedFile(f"{where}: field 'subjects[{i}].files' lists {len(files)} "
                                 f"trials < {MIN_TRIALS} (75/25 split needs at least 2 test trials)")
+        missing = [name for name in files if not (in_dir / name).is_file()]
+        if missing:
+            raise MalformedFile(f"{where}: field 'subjects[{i}].files' names {missing[0]!r}, "
+                                f"which is not a file in {in_dir}")
         trials = [read_trial_file(in_dir / name) for name in files]
         for name, trial in zip(files, trials):
             if trial.subject_id != sid:

@@ -23,6 +23,7 @@ REC_LO = np.array([0.25, 0.5, 0.25]) * _R2
 REC_HI = np.array([-0.125, -0.25, 0.75, -0.25, -0.125]) * _R2
 
 DWT_LEVELS = 4
+_MIN_SIGNAL_SAMPLES = 6  # shortest signal the DWT and EMD accept
 
 MAX_IMFS = 8
 # the sift cap covers the long convergence tail seen on 64-sample colored
@@ -68,12 +69,12 @@ def _antireflect(x, pad):
     return np.concatenate([left, x, right])
 
 
-def _check_signal(x, min_len=6):
+def _check_signal(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InvariantViolation(f"expected a 1-D signal, got ndim={x.ndim}")
-    if x.size < min_len:
-        raise InvariantViolation(f"signal too short: {x.size} < {min_len}")
+    if x.size < _MIN_SIGNAL_SAMPLES:
+        raise InvariantViolation(f"signal too short: {x.size} < {_MIN_SIGNAL_SAMPLES}")
     if not np.all(np.isfinite(x)):
         raise InvariantViolation("non-finite values in signal")
     return x
@@ -136,13 +137,12 @@ def dwt_bior22(signal):
     return sets
 
 
-def idwt_bior22(sets, n_samples=WINDOW_SAMPLES):
+def idwt_bior22(sets):
     """Reconstruct the window from dwt_bior22 output (perfect to ~1e-12)."""
     if len(sets) != DWT_LEVELS + 1:
         raise InvariantViolation(f"expected {DWT_LEVELS + 1} coefficient sets, got {len(sets)}")
-    lengths = [n_samples]
-    for _ in range(DWT_LEVELS - 1):
-        lengths.append((lengths[-1] + 5) // 2)
+    # each level's input is as long as the detail set it produced
+    lengths = [WINDOW_SAMPLES] + [s.values.size for s in sets[:DWT_LEVELS - 1]]
     cur = sets[-1].values
     for level in range(DWT_LEVELS - 1, -1, -1):
         cur = idwt_single_level(cur, sets[level].values, lengths[level])

@@ -5,7 +5,6 @@ import logging
 import os
 import time
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -15,8 +14,6 @@ from .errors import ConfigError, IwsError, SegmentTooShort
 from .learn import CLASSIFIER_KINDS, ClassifierSpec
 
 log = logging.getLogger(__name__)
-
-_BASE_SETS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -57,12 +54,6 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
-    def needed_base_sets(self):
-        need = set()
-        for fs in self.feature_set_ids:
-            need.update(_BASE_SETS if fs >= 4 else (fs,))
-        return tuple(sorted(need))
-
 
 def _stable_seed(*parts):
     """Deterministic 63-bit seed from a tuple of integers."""
@@ -75,52 +66,9 @@ def _input_set(fs_id):
     return 4 if fs_id == 5 else fs_id
 
 
-@dataclass(frozen=True)
-class _TrialFeatures:
-    """Feature matrices of one trial, keyed by input set (see ``_input_set``)."""
-
-    train: dict  # training windows in segmentation order
-    labels: np.ndarray  # one 0/1 label per training row
-    test: dict  # continuous test windows in trial order
-
-
-class _Grid(NamedTuple):
-    """The distinct window offsets of a trial, ascending, and the rows of
-    them that its training and test windows take.
-
-    The training windows before the onset lie on the test grid, so both
-    sides take their rows from one set of matrices.
-    """
-
-    offsets: list
-    train_rows: list
-    labels: np.ndarray
-    test_rows: list
-
-
-def _window_grid(trial):
-    train_offsets, labels = preprocess.training_grid(trial)
-    test_offsets = preprocess._starts(0, trial.n_samples)
-    offsets = sorted({*train_offsets, *test_offsets})
-    row = {offset: i for i, offset in enumerate(offsets)}
-    return _Grid(offsets, [row[offset] for offset in train_offsets],
-                 np.array(labels, dtype=np.int64), [row[offset] for offset in test_offsets])
-
-
-def _window_stack(trial, grid):
-    """The (windows, offsets) stack of a trial's distinct windows."""
-    return np.stack([trial.samples[o:o + WINDOW_SAMPLES] for o in grid.offsets]), grid.offsets
-
-
-def _trial_features(base, grid, config):
-    inputs = {_input_set(fs) for fs in config.feature_set_ids}
-    if 4 in inputs:
-        base[4] = features.concat_fs4(base[1], base[2], base[3])
-    return _TrialFeatures(
-        train={s: base[s][grid.train_rows] for s in inputs},
-        labels=grid.labels,
-        test={s: base[s][grid.test_rows] for s in inputs},
-    )
+def _window_stack(trial, offsets):
+    """The (windows, offsets) stack of a trial's windows at ``offsets``."""
+    return np.stack([trial.samples[o:o + WINDOW_SAMPLES] for o in offsets]), offsets
 
 
 def run_subject(dataset, config: RunConfig, subject_index: int):
@@ -135,51 +83,50 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
     def named(idx, exc):  # same class, now naming the trial
         return type(exc)(f"subject {dataset.subject_id} trial {idx}: {exc}")
 
-    grids = {}
+    usable, grids = [], []  # the trials with a window grid, and their grids
     for idx, trial in enumerate(trials):
         try:
-            grids[idx] = _window_grid(trial)
+            grids.append(preprocess.window_grid(trial))
+            usable.append(idx)
         except SegmentTooShort as exc:
             log.warning("subject %s trial %d rejected: %s", dataset.subject_id, idx, exc)
         except IwsError as exc:
             raise named(idx, exc) from exc
-    usable = list(grids)
     # one featurization pass over every usable trial, reading each as it goes
-    stacks = (_window_stack(trials[i], grids[i]) for i in usable)
-    trial_features = {}
+    inputs = {_input_set(fs) for fs in config.feature_set_ids}
+    stacks = (_window_stack(trials[t], grid.offsets) for t, grid in zip(usable, grids))
+    per_trial = []
     try:
-        for base in features.stack_matrices(stacks, config.needed_base_sets()):
-            idx = usable[len(trial_features)]
-            trial_features[idx] = _trial_features(base, grids[idx], config)
+        for matrices in features.stack_matrices(stacks, inputs):
+            per_trial.append(matrices)
     except IwsError as exc:
-        idx = usable[len(trial_features)]
-        raise named(idx, exc) from exc
+        raise named(usable[len(per_trial)], exc) from exc
     log.info("subject %s: feature extraction done (%.2fs, %d/%d trials usable)",
              dataset.subject_id, time.perf_counter() - t0, len(usable), len(trials))
 
     plan = learn.make_fold_plan(len(usable), _stable_seed(config.seed, subject_index),
                                 n_folds=config.folds)
-    out = {
-        (fs, clf): {"subject_id": dataset.subject_id, "fold_scores": [],
-                    **({"pca_dims": []} if fs == 5 else {})}
-        for fs in config.feature_set_ids for clf in config.classifiers
-    }
+    # one table per input set: usable trial i's distinct windows are rows bounds[i]:bounds[i + 1]
+    table = {s: np.concatenate([matrices[s] for matrices in per_trial]) for s in inputs}
+    del per_trial  # joined, so each trial's matrices are held once
+    bounds = np.cumsum([0] + [len(grid.offsets) for grid in grids])
+    out = {(fs, clf): {"subject_id": dataset.subject_id, "fold_scores": []}
+           for fs in config.feature_set_ids for clf in config.classifiers}
 
     for fold_idx, (train_pos, test_pos) in enumerate(plan.folds):
-        train_ids = [usable[i] for i in train_pos]
-        test_ids = [usable[i] for i in test_pos]
-        y_train = np.concatenate([trial_features[t].labels for t in train_ids])
+        train_rows = np.concatenate([bounds[i] + grids[i].train_rows for i in train_pos])
+        y_train = np.concatenate([grids[i].labels for i in train_pos])
         for fs in config.feature_set_ids:
-            src = _input_set(fs)
-            X_train = np.concatenate([trial_features[t].train[src] for t in train_ids])
+            source = table[_input_set(fs)]
+            X_train = source[train_rows]
             scaler = features.scaler_fit(X_train)
             X_train = features.scaler_transform(scaler, X_train)
-            X_test = {t: features.scaler_transform(scaler, trial_features[t].test[src])
-                      for t in test_ids}
+            X_test = {i: features.scaler_transform(scaler, source[bounds[i] + grids[i].test_rows])
+                      for i in test_pos}
             if fs == 5:
                 pca = features.pca_fit(X_train)
                 X_train = features.pca_transform(pca, X_train)
-                X_test = {t: features.pca_transform(pca, X) for t, X in X_test.items()}
+                X_test = {i: features.pca_transform(pca, X) for i, X in X_test.items()}
             for clf_idx, clf in enumerate(config.classifiers):
                 spec = ClassifierSpec(
                     kind=clf,
@@ -187,15 +134,14 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
                 )
                 model = learn.train(spec, X_train, y_train)
                 fold_scores = []
-                for t in test_ids:
-                    raw = learn.predict(model, X_test[t])
-                    pred = postprocess.postprocess_trial(raw, trials[t])
+                for i in test_pos:
+                    raw = learn.predict(model, X_test[i])
+                    pred = postprocess.postprocess_trial(raw, trials[usable[i]])
                     fold_scores.append(evaluate.score_trial(
-                        pred.corrected_labels, pred.truth_labels, trial_id=t))
+                        pred.corrected_labels, pred.truth_labels, trial_id=usable[i]))
                 out[(fs, clf)]["fold_scores"].append(fold_scores)
-            if fs == 5:
-                for clf in config.classifiers:
-                    out[(fs, clf)]["pca_dims"].append(int(pca.components.shape[0]))
+                if fs == 5:
+                    out[(fs, clf)].setdefault("pca_dims", []).append(int(pca.components.shape[0]))
         log.info("subject %s: fold %d scored (%.2fs)",
                  dataset.subject_id, fold_idx, time.perf_counter() - t0)
     log.info("subject %s: done in %.2fs", dataset.subject_id, time.perf_counter() - t0)

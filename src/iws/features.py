@@ -300,7 +300,7 @@ def _row_stack(windows, offsets):
 
 
 def _matrices(rows, where, feature_set_ids, dec):
-    """{feature_set_id: matrix} of a row stack; ``dec`` is its EMD for set 2."""
+    """{feature_set_id: matrix} of a row stack, sets 1-3; ``dec`` is its EMD."""
     finite = np.all(np.isfinite(rows), axis=1)
     if not finite.all():
         raise InvariantViolation(f"{where(int(np.argmin(finite)))}: non-finite values in signal")
@@ -310,22 +310,22 @@ def _matrices(rows, where, feature_set_ids, dec):
             values = _fs1_rows(rows)
         elif fs == 2:
             values = _fs2_values(rows, dec, where)
-        elif fs == 3:
-            values = np.stack(_hurst_pair(rows, where), axis=1)
         else:
-            raise InvariantViolation(f"stack_matrices handles sets 1-3, got {fs}")
+            values = np.stack(_hurst_pair(rows, where), axis=1)
         out[fs] = values.reshape(-1, FEATURE_SET_WIDTHS[fs])
     return out
 
 
 def stack_matrices(stacks, feature_set_ids):
-    """Feature sets 1, 2 and/or 3 of each stack of windows that ``stacks``
+    """Feature sets 1, 2, 3 and/or 4 of each stack of windows that ``stacks``
     yields, one dict per stack, in order.
 
     A stack is (windows, offsets): ``windows`` is (n_windows, 64, 14) and
     ``offsets`` gives each window's trial offset, which errors name together
     with the channel.  Each dict is {feature_set_id: (n_windows, width)
-    matrix}, columns in layout order.
+    matrix}, columns in layout order, for the sets asked for only.  Set 4 is
+    built from sets 1, 2 and 3 (``concat_fs4``), and EMD runs only when set
+    2 is needed.
 
     For set 2 the rows of all stacks sift through one EMD queue
     (``sift_blocks``): a stack is read when the queue has room for its rows,
@@ -333,6 +333,9 @@ def stack_matrices(stacks, feature_set_ids):
     the first stack that has one.  The EMD warning is logged once, with the
     totals of all stacks, when the last stack has been handed back.
     """
+    if not set(feature_set_ids) <= FEATURE_SET_WIDTHS.keys():
+        raise InvariantViolation(f"stack_matrices handles sets 1-4, got {sorted(feature_set_ids)}")
+    base = (1, 2, 3) if 4 in feature_set_ids else tuple(feature_set_ids)
     read = deque()  # (rows, where) of the stacks read and not handed back
 
     def feed():
@@ -340,11 +343,14 @@ def stack_matrices(stacks, feature_set_ids):
             read.append(_row_stack(windows, offsets))
             yield read[-1][0]
 
-    decs = sift_blocks(feed()) if 2 in feature_set_ids else (None for _ in feed())
+    decs = sift_blocks(feed()) if 2 in base else (None for _ in feed())
     n_rows = no_imf = capped = 0
     for dec in decs:
         rows, where = read.popleft()
-        yield _matrices(rows, where, feature_set_ids, dec)
+        matrices = _matrices(rows, where, base, dec)
+        if 4 in feature_set_ids:
+            matrices[4] = concat_fs4(matrices[1], matrices[2], matrices[3])
+        yield {fs: matrices[fs] for fs in feature_set_ids}
         if dec is not None:
             n_rows += rows.shape[0]
             no_imf += int((dec.counts == 0).sum())

@@ -1,5 +1,7 @@
 """Common average reference cleaning and trial windowing."""
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .data import STEP_SAMPLES, WINDOW_SAMPLES, SignalInstance, Trial
@@ -53,6 +55,25 @@ def training_grid(trial: Trial):
     return offsets, labels
 
 
+class WindowGrid(NamedTuple):
+    offsets: np.ndarray
+    train_rows: np.ndarray
+    labels: np.ndarray
+    test_rows: np.ndarray
+
+
+def window_grid(trial: Trial) -> WindowGrid:
+    """A marker-labeled trial's distinct window offsets, ascending, and the
+    rows of them that its training windows (``training_grid`` order, with
+    their 0/1 labels) and test windows take: the pre-onset training windows
+    lie on the test grid, so both sides share one featurization."""
+    train_offsets, labels = training_grid(trial)
+    test_offsets = _starts(0, trial.n_samples)
+    offsets = np.union1d(train_offsets, test_offsets)
+    return WindowGrid(offsets, np.searchsorted(offsets, train_offsets),
+                      np.array(labels, dtype=np.int64), np.searchsorted(offsets, test_offsets))
+
+
 def _instance(trial, start, label=None):
     return SignalInstance(samples=trial.samples[start:start + WINDOW_SAMPLES, :],
                           trial_offset=start, label=label)
@@ -65,7 +86,4 @@ def segment_training_trial(trial: Trial):
 
 def segment_test_trial(trial: Trial):
     """Cut a trial into unlabeled instances continuously, ignoring markers."""
-    n = trial.n_samples
-    if n < WINDOW_SAMPLES:
-        raise SegmentTooShort(f"trial {trial.subject_id}: {n} samples < window {WINDOW_SAMPLES}")
-    return [_instance(trial, start) for start in _starts(0, n)]
+    return [_instance(trial, start) for start in _starts(0, trial.n_samples)]

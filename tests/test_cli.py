@@ -269,8 +269,9 @@ class TestRun:
         ("no-subjects", "subjects"), ("unknown-tag", "subjects[0].protocol_tag"),
         ("list-tag", "subjects[0].protocol_tag"), ("seven-files", "subjects[0].files"),
         ("repeated-file", "subjects[0].files"), ("absolute-path", "subjects[0].files"),
+        ("missing-file", "subjects[0].files"),
     ], ids=["no-subjects", "unknown-tag", "list-tag", "seven-files", "repeated-file",
-            "absolute-path"])
+            "absolute-path", "missing-file"])
     def test_manifest_entry_error_exits_3_naming_it(self, dataset_dir, tmp_path, case, field):
         ds = tmp_path / "ds"
         shutil.copytree(dataset_dir, ds)
@@ -289,6 +290,8 @@ class TestRun:
         elif case == "repeated-file":
             # ran to exit 0, training and testing on the same recording
             entry["files"] = [files[0]] * 8 + [files[1]]
+        elif case == "missing-file":
+            (ds / files[4]).unlink()
         else:
             shutil.move(ds / files[1], tmp_path / "outside.json")
             files[1] = str(tmp_path / "outside.json")

@@ -408,3 +408,15 @@ class TestDatasetDirectory:
         with pytest.raises(MalformedFile, match=re.escape(message)) as exc:
             read_dataset(tmp_path)
         assert str(path) in str(exc.value)
+
+    def test_manifest_naming_a_missing_trial_file_names_it(self, tmp_path):
+        cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=320,
+                          iws_length_range=(64, 128), snr=2.0, seed=13)
+        write_dataset(generate_synthetic_dataset(cfg), tmp_path)
+        path = tmp_path / "manifest.json"
+        missing = json.loads(path.read_text())["subjects"][0]["files"][3]
+        (tmp_path / missing).unlink()
+        with pytest.raises(MalformedFile) as exc:
+            read_dataset(tmp_path)
+        assert str(exc.value).startswith(
+            f"{path}: field 'subjects[0].files' names {missing!r}, which is not a file in ")

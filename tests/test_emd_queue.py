@@ -138,7 +138,7 @@ def headline_subject():
 
 def window_stacks(dataset):
     trials = [preprocess.car_filter_trial(t) for t in dataset.trials]
-    return [experiment._window_stack(t, experiment._window_grid(t)) for t in trials]
+    return [experiment._window_stack(t, preprocess.window_grid(t).offsets) for t in trials]
 
 
 def test_subject_pass_equals_one_trial_calls(headline_subject, caplog):

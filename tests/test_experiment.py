@@ -39,11 +39,6 @@ class TestRunConfig:
         assert not hasattr(decompose, "EmdParams")
         assert not hasattr(features, "GheParams")
 
-    def test_needed_base_sets(self):
-        assert RunConfig(dataset_path="x", feature_set_ids=(1,)).needed_base_sets() == (1,)
-        assert RunConfig(dataset_path="x", feature_set_ids=(5,)).needed_base_sets() == (1, 2, 3)
-        assert RunConfig(dataset_path="x", feature_set_ids=(2, 4)).needed_base_sets() == (1, 2, 3)
-
 
 class TestRunExperiment:
     def test_parallel_equals_serial(self, tiny_datasets, tmp_path):
@@ -63,6 +58,44 @@ class TestRunExperiment:
         keys = {(b["feature_set_id"], b["classifier"]) for b in report["results"]}
         assert keys == {(1, "random_forest"), (1, "logreg"),
                         (3, "random_forest"), (3, "logreg")}
+
+    def test_set_result_independent_of_the_sets_beside_it(self):
+        cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=192,
+                          iws_length_range=(64, 64), carrier_band_hz=(8, 12),
+                          snr=5.0, seed=79)
+        datasets = generate_synthetic_dataset(cfg)
+        classifiers = ("random_forest", "knn", "logreg")
+
+        def blocks(feature_set_ids):
+            report = run_experiment(datasets, RunConfig(
+                dataset_path="mem", feature_set_ids=feature_set_ids, classifiers=classifiers,
+                folds=2, seed=5))
+            return {(b["feature_set_id"], b["classifier"]): json.dumps(b, sort_keys=True)
+                    for b in report["results"]}
+
+        together = blocks((1, 2, 3, 4, 5))
+        assert len(together) == 15
+        for fs in (1, 2, 3, 4, 5):
+            alone = blocks((fs,))
+            assert alone == {(fs, clf): together[(fs, clf)] for clf in classifiers}
+
+    def test_rejected_trial_leaves_the_others_their_ids_and_scores(self, tiny_datasets, caplog):
+        ds = tiny_datasets[0]
+        short = dataclasses.replace(ds.trials[0], onset_sample=30)  # no window before the onset
+        with_short = dataclasses.replace(ds, trials=[*ds.trials[:2], short, *ds.trials[2:]])
+        rc = RunConfig(dataset_path="mem", feature_set_ids=(1, 5), classifiers=("knn",),
+                       folds=2, seed=5)
+        with caplog.at_level("WARNING", logger="iws.experiment"):
+            got = experiment.run_subject(with_short, rc, 0)
+        assert [r.getMessage().split(":")[0] for r in caplog.records
+                if "rejected" in r.getMessage()] == [f"subject {ds.subject_id} trial 2 rejected"]
+        want = experiment.run_subject(ds, rc, 0)
+        ids = [0, 1, 3, 4, 5, 6, 7, 8]  # trial i of ``ds`` is trial ids[i] of ``with_short``
+        for key in want:
+            renumbered = [[dataclasses.replace(score, trial_id=ids[score.trial_id])
+                           for score in fold] for fold in want[key]["fold_scores"]]
+            assert got[key]["fold_scores"] == renumbered
+            assert got[key].get("pca_dims") == want[key].get("pca_dims")
 
     def test_fs5_records_pca_dims(self):
         # shortest legal trials keep the EMD-heavy feature-set-4 base cheap
@@ -154,22 +187,21 @@ class TestJobs:
 class TestTrialFeatures:
     def test_rows_match_per_instance_extraction(self, tiny_datasets, monkeypatch):
         trial = preprocess.car_filter_trial(tiny_datasets[0].trials[0])
-        rc = RunConfig(dataset_path="mem", feature_set_ids=(1, 3, 4))
         # FS2 per instance is slow; stand in for it with a cheap fixed matrix
         monkeypatch.setattr(features, "_fs2_values", lambda rows, *a: rows[:, :12].copy())
-        grid = experiment._window_grid(trial)
-        windows, computed = experiment._window_stack(trial, grid)
-        [base] = features.stack_matrices([(windows, computed)], rc.needed_base_sets())
-        tf = experiment._trial_features(base, grid, rc)
+        grid = preprocess.window_grid(trial)
+        windows, computed = experiment._window_stack(trial, grid.offsets)
+        [base] = features.stack_matrices([(windows, computed)], (1, 3, 4))
 
         train = preprocess.segment_training_trial(trial)
         test = preprocess.segment_test_trial(trial)
         shared = {i.trial_offset for i in train} & {i.trial_offset for i in test}
         assert shared  # the pre-onset windows
-        assert computed == sorted({i.trial_offset for i in (*train, *test)})
-        assert set(tf.train) == set(tf.test) == {1, 3, 4}
-        np.testing.assert_array_equal(tf.labels, [i.label for i in train])
-        for matrix_set, instances in ((tf.train, train), (tf.test, test)):
+        assert list(computed) == sorted({i.trial_offset for i in (*train, *test)})
+        assert set(base) == {1, 3, 4}
+        np.testing.assert_array_equal(grid.labels, [i.label for i in train])
+        for rows, instances in ((grid.train_rows, train), (grid.test_rows, test)):
+            matrix_set = {fs: matrix[rows] for fs, matrix in base.items()}
             for fs in (1, 3):
                 expected = np.stack([features.extract_features(i, fs).values
                                      for i in instances])

@@ -10,6 +10,7 @@ the GHE lag range from ``features.GHE_TAUS`` and the EMD rules from the
 import numpy as np
 import pytest
 
+from iws import features
 from iws.data import CHANNEL_COUNT, SignalInstance
 from iws.decompose import (
     CoefficientSet,
@@ -29,6 +30,7 @@ from iws.errors import (
 from iws.features import (
     GHE_TAUS,
     LOG_CLAMP,
+    concat_fs4,
     extract_features,
     ghe,
     higuchi_fd,
@@ -351,4 +353,32 @@ def test_window_stack_shape_checked():
     with pytest.raises(InvariantViolation):
         one_stack(eeg_like_windows(0, 2), [0], (1,))
     with pytest.raises(InvariantViolation):
-        one_stack(eeg_like_windows(0, 1), [0], (4,))
+        one_stack(eeg_like_windows(0, 1), [0], (5,))
+
+
+def test_set_4_is_sets_1_2_3_side_by_side():
+    windows = eeg_like_windows(10, 3)
+    base = one_stack(windows, offsets_for(3), (1, 2, 3))
+    fs4 = one_stack(windows, offsets_for(3), (4,))
+    assert set(fs4) == {4}
+    assert np.array_equal(fs4[4], concat_fs4(base[1], base[2], base[3]))
+
+
+@pytest.mark.parametrize("feature_set_ids,fs1_calls,emd_calls", [
+    ((1,), 1, 0), ((3,), 0, 0), ((2,), 0, 1), ((1, 3), 1, 0), ((4,), 1, 1), ((3, 4), 1, 1),
+], ids=["1", "3", "2", "1+3", "4", "3+4"])
+def test_only_the_sets_a_request_needs_run(monkeypatch, feature_set_ids, fs1_calls, emd_calls):
+    calls = {"fs1": 0, "emd": 0}
+    fs1_rows, sift_blocks = features._fs1_rows, features.sift_blocks
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(features, "_fs1_rows", counted("fs1", fs1_rows))
+    monkeypatch.setattr(features, "sift_blocks", counted("emd", sift_blocks))
+    out = one_stack(eeg_like_windows(11, 2), offsets_for(2), feature_set_ids)
+    assert set(out) == set(feature_set_ids)
+    assert calls == {"fs1": fs1_calls, "emd": emd_calls}
