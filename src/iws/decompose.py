@@ -247,12 +247,6 @@ def _spline_rows(t, v, n_knots, xs, seg):
     return y
 
 
-def _natural_cubic(t, v, xs):
-    """Natural cubic spline through (t, v) evaluated at xs: a batch of one."""
-    seg = np.clip(np.searchsorted(t, xs, side="right") - 1, 0, t.size - 2)
-    return _spline_rows(t[None], v[None], np.array([t.size]), xs[None], seg[None])[0]
-
-
 def _envelopes(x, maxima, minima, n_max, n_min):
     """Upper then lower envelope of each row of ``x``, as one (2 * n_rows, n)
     stack: the splines through the samples where ``maxima`` hold (``n_max``

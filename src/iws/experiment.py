@@ -5,6 +5,7 @@ import logging
 import os
 import time
 from dataclasses import asdict, dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -148,11 +149,6 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
     return out
 
 
-def _run_subject_payload(payload):
-    dataset, config, subject_index = payload
-    return run_subject(dataset, config, subject_index)
-
-
 def run_experiment(datasets, config: RunConfig, jobs: int = 1) -> dict:
     """Run every subject and assemble the report document.
 
@@ -161,15 +157,15 @@ def run_experiment(datasets, config: RunConfig, jobs: int = 1) -> dict:
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    payloads = [(ds, config, i) for i, ds in enumerate(datasets)]
-    jobs = min(jobs, len(payloads), os.cpu_count() or 1)
+    jobs = min(jobs, len(datasets), os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when needed
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            subject_outputs = list(pool.map(_run_subject_payload, payloads))
+            subject_outputs = list(pool.map(run_subject, datasets, repeat(config),
+                                            range(len(datasets))))
     else:
-        subject_outputs = [_run_subject_payload(p) for p in payloads]
+        subject_outputs = [run_subject(ds, config, i) for i, ds in enumerate(datasets)]
 
     merged = {}
     for out in subject_outputs:

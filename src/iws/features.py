@@ -39,6 +39,7 @@ log = logging.getLogger(__name__)
 LOG_CLAMP = 1e-12  # floor for log10 arguments; keeps -inf out of classifiers
 
 FEATURE_SET_WIDTHS = {1: 70, 2: 168, 3: 28, 4: 266}
+PCA_VARIANCE_TARGET = 0.90  # share of set 4's variance that set 5 keeps
 
 _BAND_TAGS = ("w1", "w2", "w3", "w4", "a5")
 _FS2_FEATURES = ("TE", "IE", "HFD", "KFD", "GHE_q1", "GHE_q2")
@@ -449,9 +450,10 @@ class PcaModel:
     eigenvalues: np.ndarray  # full spectrum, descending
 
 
-def pca_fit(train_matrix, target_ratio: float = 0.90) -> PcaModel:
+def pca_fit(train_matrix) -> PcaModel:
     """Eigendecompose the covariance of the (centered) training matrix and keep
-    the minimal leading component count reaching ``target_ratio`` of variance."""
+    the minimal leading component count reaching ``PCA_VARIANCE_TARGET`` of
+    the variance."""
     matrix = np.asarray(train_matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
         raise EmptyInput("pca_fit needs a matrix with >= 2 rows")
@@ -471,7 +473,7 @@ def pca_fit(train_matrix, target_ratio: float = 0.90) -> PcaModel:
         n_keep, ratio = 1, 1.0
     else:
         cum = np.cumsum(eigvals) / total
-        n_keep = int(np.searchsorted(cum, target_ratio) + 1)
+        n_keep = int(np.searchsorted(cum, PCA_VARIANCE_TARGET) + 1)
         ratio = float(cum[n_keep - 1])
     components = eigvecs[:, :n_keep].T
     # deterministic sign: largest-magnitude entry of each component positive

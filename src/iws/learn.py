@@ -23,6 +23,7 @@ TRAIN_RATIO = 0.75  # share of a subject's trials in each fold's training side
 RF_TREES = 100
 KNN_K = 50
 LOGREG_PENALTY = 1.0  # L2 strength
+LOGREG_NEWTON_STEPS = 100  # cap on the Newton steps of one fit
 
 
 @dataclass(frozen=True)
@@ -333,70 +334,60 @@ class LogRegModel:
         self.intercept = float(intercept)
         self.n_features = self.weights.size
 
-    def decision(self, X):
-        return X @ self.weights + self.intercept
-
     def predict(self, X):
         X = _check_predict_input(X, self.n_features)
         if X.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
-        return (self.decision(X) > 0.0).astype(np.int64)
+        return (X @ self.weights + self.intercept > 0.0).astype(np.int64)
 
 
-def _logreg_loss(w, b, X, y_pm, lam):
-    """The L2-penalized logistic loss and the margins ``z`` it was taken at."""
-    n = X.shape[0]
-    z = y_pm * (X @ w + b)
+def _logreg_loss(theta, A, y_pm, penalty):
+    """The penalized logistic loss at ``theta`` (the weights, then the
+    intercept) on ``A`` = [X, 1], and the margins ``z`` it was taken at."""
+    z = y_pm * (A @ theta)
     # numerically stable log(1 + exp(-z))
-    loss = float(np.mean(np.logaddexp(0.0, -z))) + lam * float(w @ w) / (2 * n)
+    loss = float(np.mean(np.logaddexp(0.0, -z))) + 0.5 * float(penalty @ (theta * theta))
     return loss, z
 
 
-def _logreg_grad(w, z, X, y_pm, lam):
-    """Gradient of the loss in ``w`` and the intercept, from its margins ``z``."""
-    n = X.shape[0]
-    sig = 1.0 / (1.0 + np.exp(np.clip(z, -500, 500)))
-    coeff = -y_pm * sig / n
-    grad_w = X.T @ coeff + lam * w / n  # intercept stays unpenalized
-    grad_b = float(np.sum(coeff))
-    return grad_w, grad_b
-
-
-def _logreg_loss_grad(w, b, X, y_pm, lam):
-    loss, z = _logreg_loss(w, b, X, y_pm, lam)
-    return (loss, *_logreg_grad(w, z, X, y_pm, lam))
-
-
 def _train_logreg(X, y):
-    """Batch gradient descent with Armijo backtracking on the L2-penalized
-    logistic loss; the accepted-step loss sequence is non-increasing.  The
-    gradient is taken only at accepted points."""
+    """Newton steps with Armijo backtracking on the L2-penalized logistic loss
+    (Hastie, Tibshirani & Friedman 2009, 4.4.1; Boyd & Vandenberghe 2004,
+    9.5); the accepted-step loss sequence is non-increasing.  A step that
+    cannot be solved for, or is no descent direction, ends the fit at the
+    current iterate."""
     n, m = X.shape
+    A = np.hstack([X, np.ones((n, 1))])
     y_pm = np.where(y == 1, 1.0, -1.0)
-    w = np.zeros(m)
-    b = 0.0
-    lam = LOGREG_PENALTY
-    step = 1.0
-    loss, grad_w, grad_b = _logreg_loss_grad(w, b, X, y_pm, lam)
-    for _ in range(5000):  # iteration cap
-        gnorm2 = float(grad_w @ grad_w) + grad_b ** 2
-        if np.sqrt(gnorm2) <= 1e-6:  # gradient-norm tolerance
+    penalty = np.full(m + 1, LOGREG_PENALTY / n)
+    penalty[m] = 0.0  # the intercept is unpenalized
+    theta = np.zeros(m + 1)
+    loss, z = _logreg_loss(theta, A, y_pm, penalty)
+    for _ in range(LOGREG_NEWTON_STEPS):
+        q = np.exp(-np.logaddexp(0.0, z))  # 1 / (1 + exp(z)), without overflow
+        grad = A.T @ (-y_pm * q) / n + penalty * theta
+        if np.linalg.norm(grad) <= 1e-12:  # gradient-norm tolerance
             break
-        accepted = False
-        while step >= 1e-12:
-            w_new = w - step * grad_w
-            b_new = b - step * grad_b
-            loss_new, z_new = _logreg_loss(w_new, b_new, X, y_pm, lam)
-            if loss_new <= loss - 1e-4 * step * gnorm2:
-                accepted = True
+        hess = (A.T * (q * (1.0 - q) / n)) @ A
+        hess[np.diag_indices(m + 1)] += penalty
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:  # e.g. a repeated feature whose penalty rounds away
+            break
+        slope = float(grad @ step)
+        if not (np.isfinite(step).all() and slope > 0.0):
+            break
+        t = 1.0
+        while t >= 1e-12:  # step floor
+            trial = theta - t * step
+            loss_new, z_new = _logreg_loss(trial, A, y_pm, penalty)
+            if loss_new < loss - 1e-4 * t * slope:  # Armijo, and a strict decrease
                 break
-            step *= 0.5
-        if not accepted:  # no descent direction at float precision
+            t *= 0.5
+        else:  # no step lowers the loss at float precision
             break
-        w, b, loss = w_new, b_new, loss_new
-        grad_w, grad_b = _logreg_grad(w, z_new, X, y_pm, lam)
-        step = min(step * 2.0, 1e6)  # allow re-growth after cautious steps
-    return LogRegModel(weights=w, intercept=b)
+        theta, loss, z = trial, loss_new, z_new
+    return LogRegModel(weights=theta[:m], intercept=theta[m])
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def test_criterion_6_feature_set_geometry():
     scaler = scaler_fit(fs4_vectors)
     scaled = [scaler_apply(scaler, v) for v in fs4_vectors]
     matrix = np.stack([v.values for v in scaled])
-    model = pca_fit(matrix, 0.90)
+    model = pca_fit(matrix)
     projected = np.stack([pca_apply(model, v).values for v in scaled])
     recomputed = projected.var(axis=0).sum() / (matrix - matrix.mean(axis=0)).var(axis=0).sum()
     fs5_ok = projected.shape[1] <= 266 and recomputed >= 0.90

@@ -97,10 +97,8 @@ class TestDwt:
 
 
 class TestEnvelopeSpline:
-    def test_matches_scipy_natural_spline(self):
+    def test_matches_scipy_natural_spline(self, natural_cubic):
         from scipy.interpolate import CubicSpline
-
-        from iws.decompose import _natural_cubic
 
         for seed in range(50):
             gen = np.random.default_rng(seed)
@@ -109,7 +107,7 @@ class TestEnvelopeSpline:
             v = gen.standard_normal(m)
             xs = np.linspace(t[0], t[-1], 64)
             ref = CubicSpline(t, v, bc_type="natural")(xs)
-            np.testing.assert_allclose(_natural_cubic(t, v, xs), ref, atol=1e-9)
+            np.testing.assert_allclose(natural_cubic(t, v, xs), ref, atol=1e-9)
 
 
 class TestEmd:

@@ -156,8 +156,8 @@ class TestJobs:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, payloads):
-                return [fn(p) for p in payloads]
+            def map(self, fn, *iterables):
+                return list(map(fn, *iterables))
 
         # run_experiment imports the pool class only when it opens a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)

@@ -282,24 +282,24 @@ class TestPca:
         basis[1, 4] = 1.0
         coords = rng.standard_normal((n, 2)) * np.array([1.5, 1.0])
         matrix = coords @ basis + 5.0
-        model = pca_fit(matrix, 0.90)
+        model = pca_fit(matrix)
         assert model.components.shape[0] == 2
         assert model.retained_variance_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_isotropic_keeps_about_ninety_percent(self, rng):
         matrix = rng.standard_normal((1000, 10))
-        model = pca_fit(matrix, 0.90)
+        model = pca_fit(matrix)
         assert 8 <= model.components.shape[0] <= 10
 
     def test_orthonormal_rows(self, rng):
         matrix = rng.standard_normal((100, 12)) @ np.diag(np.arange(1, 13))
-        model = pca_fit(matrix, 0.90)
+        model = pca_fit(matrix)
         gram = model.components @ model.components.T
         np.testing.assert_allclose(gram, np.eye(model.components.shape[0]), atol=1e-8)
 
     def test_eigenvalues_match_svd_oracle(self, rng):
         matrix = rng.standard_normal((80, 6)) * np.array([5, 4, 3, 2, 1, 0.5])
-        model = pca_fit(matrix, 0.90)
+        model = pca_fit(matrix)
         centered = matrix - matrix.mean(axis=0)
         sv = np.linalg.svd(centered, compute_uv=False)
         np.testing.assert_allclose(model.eigenvalues, sv ** 2 / matrix.shape[0],
@@ -307,7 +307,7 @@ class TestPca:
 
     def test_projection_variance_ratio(self, rng):
         matrix = rng.standard_normal((150, 20)) * rng.uniform(0.1, 4.0, 20)
-        model = pca_fit(matrix, 0.90)
+        model = pca_fit(matrix)
         layout = [("x", "x", f"f{i}") for i in range(20)]
         vecs = [FeatureVector(values=row, feature_set_id=0, layout=layout)
                 for row in matrix]
@@ -318,7 +318,7 @@ class TestPca:
 
     def test_apply_sets_feature_set_five(self, rng):
         matrix = rng.standard_normal((30, 5))
-        model = pca_fit(matrix, 0.90)
+        model = pca_fit(matrix)
         layout = [("x", "x", f"f{i}") for i in range(5)]
         v = FeatureVector(values=matrix[0], feature_set_id=0, layout=layout, label=1)
         out = pca_apply(model, v)
@@ -326,4 +326,4 @@ class TestPca:
 
     def test_needs_two_rows(self):
         with pytest.raises(EmptyInput):
-            pca_fit(np.zeros((1, 4)), 0.90)
+            pca_fit(np.zeros((1, 4)))

@@ -13,7 +13,6 @@ from iws.errors import (
 from iws.learn import (
     ClassifierSpec,
     RandomForestModel,
-    _logreg_loss_grad,
     _sq_distances,
     make_fold_plan,
     predict,
@@ -29,6 +28,15 @@ def blobs(n_per_class=100, margin=5.0, dim=4, seed=0):
     X = np.vstack([a, b])
     y = np.array([0] * n_per_class + [1] * n_per_class)
     return X, y
+
+
+def logreg_loss(model, X, y):
+    """The objective logistic regression minimizes, at ``model``."""
+    n, m = X.shape
+    A = np.hstack([X, np.ones((n, 1))])
+    penalty = np.append(np.full(m, learn.LOGREG_PENALTY / n), 0.0)
+    theta = np.append(model.weights, model.intercept)
+    return learn._logreg_loss(theta, A, np.where(y == 1, 1.0, -1.0), penalty)[0]
 
 
 def xor_clusters(n_per_cluster=50, seed=0):
@@ -275,35 +283,34 @@ class TestDeterminismAndProperties:
         model = train(ClassifierSpec(kind="knn"), X, y)  # k = 50
         assert np.array_equal(predict(model, probe), expected)
 
-    def test_logreg_loss_monotone(self):
+    def test_logreg_loss_monotone(self, monkeypatch):
+        # a fit capped at k Newton steps returns the loop's k-th accepted iterate
         X, y = blobs(n_per_class=50, margin=1.0, seed=5)
-        y_pm = np.where(y == 1, 1.0, -1.0)
-        lam = 1.0
-        w = np.zeros(X.shape[1])
-        b = 0.0
-        losses = [_logreg_loss_grad(w, b, X, y_pm, lam)[0]]
-        step = 1.0
-        for _ in range(200):
-            loss, gw, gb = _logreg_loss_grad(w, b, X, y_pm, lam)
-            gn2 = float(gw @ gw) + gb ** 2
-            while step >= 1e-12:
-                wn, bn = w - step * gw, b - step * gb
-                ln = _logreg_loss_grad(wn, bn, X, y_pm, lam)[0]
-                if ln <= loss - 1e-4 * step * gn2:
-                    break
-                step *= 0.5
-            w, b = wn, bn
-            losses.append(ln)
-            step *= 2
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+        losses = []
+        for cap in range(10):
+            monkeypatch.setattr(learn, "LOGREG_NEWTON_STEPS", cap)
+            losses.append(logreg_loss(train(ClassifierSpec(kind="logreg"), X, y), X, y))
+        assert all(b <= a for a, b in zip(losses, losses[1:]))
+        assert losses[-1] < losses[2] < losses[1] < losses[0]
 
     def test_logreg_model_loss_decreases(self):
         X, y = blobs(n_per_class=50, margin=2.0, seed=5)
-        y_pm = np.where(y == 1, 1.0, -1.0)
         model = train(ClassifierSpec(kind="logreg"), X, y)
-        final_loss = _logreg_loss_grad(model.weights, model.intercept, X, y_pm, 1.0)[0]
-        initial_loss = _logreg_loss_grad(np.zeros(4), 0.0, X, y_pm, 1.0)[0]
-        assert final_loss < initial_loss
+        assert logreg_loss(model, X, y) < logreg_loss(learn.LogRegModel(np.zeros(4), 0.0), X, y)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e8, 1e150])
+    @pytest.mark.parametrize("repeated", [False, True])
+    def test_logreg_singular_hessian_ends_the_fit(self, scale, repeated):
+        # with a feature repeated, X^T D X is singular, and from 1e8 on the
+        # 1/n penalty is lost to rounding in the Hessian: the solve fails
+        X, y = blobs(n_per_class=20, margin=4.0, dim=5, seed=0)
+        if repeated:
+            X[:, 4] = X[:, 3]
+        X *= scale
+        model = train(ClassifierSpec(kind="logreg"), X, y)
+        assert np.isfinite(X @ model.weights + model.intercept).all()
+        assert set(predict(model, X).tolist()) <= {0, 1}
+        assert logreg_loss(model, X, y) <= logreg_loss(learn.LogRegModel(np.zeros(5), 0.0), X, y)
 
     def test_single_tree_full_features_degeneracy(self, monkeypatch):
         # one feature, so every split searches all of them
