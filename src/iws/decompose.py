@@ -235,15 +235,15 @@ def _spline_rows(t, v, n_knots, xs, seg):
     cubic[1, :, :-1] = s0 / 2.0
     cubic[2, :, :-1] = (s1 - s0) / (6.0 * h)
     b, c, d = cubic.reshape(3, -1)
-    at = seg + m * np.arange(n_rows)[:, None]
-    dx = xs - t.ravel()[at]
-    y = d[at]
+    at = seg + m * np.arange(n_rows)[:, None]  # flat indices: take() gathers faster than []
+    dx = xs - t.take(at)
+    y = d.take(at)
     y *= dx
-    y += c[at]
+    y += c.take(at)
     y *= dx
-    y += b[at]
+    y += b.take(at)
     y *= dx
-    y += v.ravel()[at]
+    y += v.take(at)
     return y
 
 
@@ -316,23 +316,36 @@ class _Block:
         )
 
 
-def _start_rows(signal, tolerance, keep_all):
-    """The sift state of rows starting out: one array per quantity, one entry per row."""
-    n_rows, n = signal.shape
+def _slots(n, keep_all):
+    """The sift state of the queue: one array per quantity, one entry per
+    slot, each slot free (``id`` -1) until a row starts in it."""
     state = {
-        "signal": signal,
-        "h": signal.copy(),  # the current sift iterate
-        "residual": signal.copy(),
-        "tolerance": tolerance,
-        "iterations": np.zeros(n_rows, dtype=np.intp),  # of the current sift
-        "counts": np.zeros(n_rows, dtype=np.intp),
-        "selected": np.zeros((n_rows, 2, n)),
-        "distance": np.zeros((n_rows, 2)),
-        "finite": np.ones(n_rows, dtype=bool),
+        "id": np.full(EMD_QUEUE_ROWS, -1),  # queue id of the row in each slot
+        "signal": np.zeros((EMD_QUEUE_ROWS, n)),
+        "h": np.zeros((EMD_QUEUE_ROWS, n)),  # the current sift iterate
+        "residual": np.zeros((EMD_QUEUE_ROWS, n)),
+        "tolerance": np.zeros(EMD_QUEUE_ROWS),
+        "iterations": np.zeros(EMD_QUEUE_ROWS, dtype=np.intp),  # of the current sift
+        "counts": np.zeros(EMD_QUEUE_ROWS, dtype=np.intp),
+        "selected": np.zeros((EMD_QUEUE_ROWS, 2, n)),
+        "distance": np.zeros((EMD_QUEUE_ROWS, 2)),
+        "finite": np.ones(EMD_QUEUE_ROWS, dtype=bool),
     }
     if keep_all:
-        state["imfs"] = np.zeros((n_rows, MAX_IMFS, n))
+        state["imfs"] = np.zeros((EMD_QUEUE_ROWS, MAX_IMFS, n))
     return state
+
+
+def _start_rows(state, slots, ids, signal, tolerance):
+    """Start the rows ``signal`` (queue ids ``ids``) in the free ``slots``."""
+    state["id"][slots] = ids
+    for key in ("signal", "h", "residual"):
+        state[key][slots] = signal
+    state["tolerance"][slots] = tolerance
+    for key in ("iterations", "counts", "selected", "distance", "imfs"):
+        if key in state:
+            state[key][slots] = 0
+    state["finite"][slots] = True
 
 
 def _keep_closest(live, e, imf):
@@ -414,13 +427,13 @@ def sift_blocks(blocks, keep_all=False):
     fed = deque()  # stacks read and not handed back yet
     # the stack rows are started from, its next row, and the rows read so far
     current, cursor, n_read = None, 0, 0
-    live = None  # the sift state of the sifting rows, and their queue ids
+    state = None  # the sift state, in EMD_QUEUE_ROWS slots, made at the first stack
 
-    def admit(live):
-        nonlocal current, cursor, n_read
-        parts = [] if live is None else [live]
-        room = EMD_QUEUE_ROWS - (0 if live is None else live["id"].size)
-        while room > 0:
+    def admit():
+        """Start rows from the feed in the free slots."""
+        nonlocal current, cursor, n_read, state
+        free = np.arange(EMD_QUEUE_ROWS) if state is None else np.flatnonzero(state["id"] < 0)
+        while free.size:
             if current is None or cursor == current.rows.shape[0]:
                 rows = next(blocks, None)
                 if rows is None:
@@ -428,42 +441,50 @@ def sift_blocks(blocks, keep_all=False):
                 current = _Block(np.asarray(rows, dtype=np.float64), n_read, keep_all)
                 cursor, n_read = 0, n_read + current.rows.shape[0]
                 fed.append(current)
-            start = np.flatnonzero(current.sifted[cursor:])[:room] + cursor
-            cursor = start[-1] + 1 if start.size == room else current.rows.shape[0]
-            room -= start.size
-            parts.append({"id": start + current.start,
-                          **_start_rows(current.rows[start], current.tolerance[start], keep_all)})
-        if len(parts) < 2:
-            return parts[0] if parts else None
-        return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+                if state is None:
+                    state = _slots(current.rows.shape[1], keep_all)
+            start = np.flatnonzero(current.sifted[cursor:])[:free.size] + cursor
+            cursor = start[-1] + 1 if start.size == free.size else current.rows.shape[0]
+            slots, free = free[:start.size], free[start.size:]
+            _start_rows(state, slots, start + current.start,
+                        current.rows[start], current.tolerance[start])
 
-    def finish(live, ended, capped):
-        """Copy the ended rows' results out; return the state of the others."""
+    def finish(slots, capped):
+        """Copy the results of the rows in ``slots`` out, and free the slots."""
         for block in fed:
-            local = live["id"][ended] - block.start
+            local = state["id"][slots] - block.start
             mine = (local >= 0) & (local < block.rows.shape[0])
             if not mine.any():
                 continue
-            src, dst, out = np.flatnonzero(ended)[mine], local[mine], block.out
-            out.counts[dst] = live["counts"][src]
-            out.selected[dst] = live["selected"][src]
-            out.finite[dst] = live["finite"][src]
-            out.capped[dst] = capped[src]
+            src, dst, out = slots[mine], local[mine], block.out
+            out.counts[dst] = state["counts"][src]
+            out.selected[dst] = state["selected"][src]
+            out.finite[dst] = state["finite"][src]
+            out.capped[dst] = capped[mine]
             if keep_all:
-                out.imfs[dst] = live["imfs"][src]
-                out.residuals[dst] = live["residual"][src]
+                out.imfs[dst] = state["imfs"][src]
+                out.residuals[dst] = state["residual"][src]
             block.left -= dst.size
-        return {key: value[~ended] for key, value in live.items()}
+        state["id"][slots] = -1
 
     while True:
-        live = admit(live)
+        admit()
+        if state is None:  # an empty feed
+            return
         while fed and fed[0].left == 0:
             yield fed.popleft().out
-        if live is None or not live["id"].size:  # the feed is used up
+        taken = np.flatnonzero(state["id"] >= 0)
+        if not taken.size:  # the feed is used up
             return
-        ended, capped = _sift_step(live, keep_all)
+        if taken.size == EMD_QUEUE_ROWS:  # a full queue steps in place
+            ended, capped = _sift_step(state, keep_all)
+        else:  # on a compacted copy of the taken slots, written back after
+            live = {key: value[taken] for key, value in state.items()}
+            ended, capped = _sift_step(live, keep_all)
+            for key, value in live.items():
+                state[key][taken] = value
         if ended.any():
-            live = finish(live, ended, capped)
+            finish(taken[ended], capped[ended])
 
 
 def emd_rows(rows) -> EmdRows:

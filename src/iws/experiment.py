@@ -72,6 +72,21 @@ def _window_stack(trial, offsets):
     return np.stack([trial.samples[o:o + WINDOW_SAMPLES] for o in offsets]), offsets
 
 
+def _read_rows(grids, plan):
+    """The rows of each usable trial's window grid that some fold of ``plan``
+    reads, ascending: its training rows if it trains in a fold, and its test
+    rows if it is tested in one."""
+    trained = {i for train, _ in plan.folds for i in train}
+    tested = {i for _, test in plan.folds for i in test}
+    reads = []
+    for i, grid in enumerate(grids):
+        parts = [grid.train_rows] if i in trained else []
+        if i in tested:
+            parts.append(grid.test_rows)
+        reads.append(np.unique(np.concatenate(parts)))
+    return reads
+
+
 def run_subject(dataset, config: RunConfig, subject_index: int):
     """All folds, feature sets and classifiers for one subject.
 
@@ -93,9 +108,13 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
             log.warning("subject %s trial %d rejected: %s", dataset.subject_id, idx, exc)
         except IwsError as exc:
             raise named(idx, exc) from exc
-    # one featurization pass over every usable trial, reading each as it goes
+    plan = learn.make_fold_plan(len(usable), _stable_seed(config.seed, subject_index),
+                                n_folds=config.folds)
+    reads = _read_rows(grids, plan)
+    # one featurization pass over the windows some fold reads, reading each trial as it goes
     inputs = {_input_set(fs) for fs in config.feature_set_ids}
-    stacks = (_window_stack(trials[t], grid.offsets) for t, grid in zip(usable, grids))
+    stacks = (_window_stack(trials[t], grid.offsets[read])
+              for t, grid, read in zip(usable, grids, reads))
     per_trial = []
     try:
         for matrices in features.stack_matrices(stacks, inputs):
@@ -105,25 +124,27 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
     log.info("subject %s: feature extraction done (%.2fs, %d/%d trials usable)",
              dataset.subject_id, time.perf_counter() - t0, len(usable), len(trials))
 
-    plan = learn.make_fold_plan(len(usable), _stable_seed(config.seed, subject_index),
-                                n_folds=config.folds)
-    # one table per input set: usable trial i's distinct windows are rows bounds[i]:bounds[i + 1]
+    # one table per input set: usable trial i's read rows are rows bounds[i]:bounds[i + 1]
     table = {s: np.concatenate([matrices[s] for matrices in per_trial]) for s in inputs}
     del per_trial  # joined, so each trial's matrices are held once
-    bounds = np.cumsum([0] + [len(grid.offsets) for grid in grids])
+    bounds = np.cumsum([0] + [read.size for read in reads])
+
+    def table_rows(i, rows):  # table rows of usable trial i's grid rows
+        return bounds[i] + np.searchsorted(reads[i], rows)
+
     out = {(fs, clf): {"subject_id": dataset.subject_id, "fold_scores": []}
            for fs in config.feature_set_ids for clf in config.classifiers}
 
     for fold_idx, (train_pos, test_pos) in enumerate(plan.folds):
-        train_rows = np.concatenate([bounds[i] + grids[i].train_rows for i in train_pos])
+        train_rows = np.concatenate([table_rows(i, grids[i].train_rows) for i in train_pos])
         y_train = np.concatenate([grids[i].labels for i in train_pos])
         for fs in config.feature_set_ids:
             source = table[_input_set(fs)]
             X_train = source[train_rows]
             scaler = features.scaler_fit(X_train)
             X_train = features.scaler_transform(scaler, X_train)
-            X_test = {i: features.scaler_transform(scaler, source[bounds[i] + grids[i].test_rows])
-                      for i in test_pos}
+            X_test = {i: features.scaler_transform(
+                          scaler, source[table_rows(i, grids[i].test_rows)]) for i in test_pos}
             if fs == 5:
                 pca = features.pca_fit(X_train)
                 X_train = features.pca_transform(pca, X_train)

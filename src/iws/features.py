@@ -141,12 +141,15 @@ def _higuchi_rows(x, k_max):
     n = x.shape[1]
     mean_len = np.empty((x.shape[0], k_max))
     for k in range(1, k_max + 1):
+        # the series from offset m steps by x[m + k j + k] - x[m + k j]: every
+        # k-th lag-k increment from m
+        steps = np.abs(x[:, k:] - x[:, :-k])
         lengths = []
         for m in range(k):
             n_seg = (n - 1 - m) // k
             if n_seg < 1:
                 continue
-            total = np.sum(np.abs(np.diff(x[:, m::k][:, :n_seg + 1], axis=1)), axis=1)
+            total = np.sum(steps[:, m::k], axis=1)
             lengths.append(total * (n - 1) / (n_seg * k) / k)
         mean_len[:, k - 1] = np.mean(np.stack(lengths, axis=1), axis=1)
     zero = np.any(mean_len <= 0.0, axis=1)
@@ -159,21 +162,31 @@ def _higuchi_rows(x, k_max):
     return np.where(zero, 0.0, slope)
 
 
-def _ghe_rows(x, q):
-    """Scaling exponent H(q) of each row, and the number of lag points it used.
+def _ghe_rows(x):
+    """Scaling exponents H(1) and H(2) of each row, each with the number of
+    lag points it used: ((H(1), points), (H(2), points)).
 
     K_q(tau) = mean|x(t+tau) - x(t)|^q / mean|x(t)|^q; H(q) is the
     least-squares slope of ln K_q against ln tau, divided by q.  Lags with a
-    non-positive or non-finite K_q are skipped.
+    non-positive or non-finite K_q are skipped.  Both moments come from one
+    |x(t+tau) - x(t)| array per lag: its q = 1 power is itself and its
+    q = 2 power is its square.
     """
-    denom = np.mean(np.abs(x) ** q, axis=1)
-    num = np.stack([np.mean(np.abs(x[:, tau:] - x[:, :-tau]) ** q, axis=1) for tau in GHE_TAUS],
-                   axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k_val = num / denom[:, None]
-    valid = (denom > 0.0)[:, None] & np.isfinite(k_val) & (k_val > 0.0)
-    log_k = np.log(np.where(valid, k_val, 1.0))
-    return _slopes(np.log(GHE_TAUS), log_k, valid) / q, valid.sum(axis=1)
+    size = np.abs(x)
+    denom = [np.mean(size, axis=1), np.mean(np.multiply(size, size, out=size), axis=1)]
+    num = np.empty((2, x.shape[0], len(GHE_TAUS)))
+    for j, tau in enumerate(GHE_TAUS):
+        step = np.abs(x[:, tau:] - x[:, :-tau])
+        num[0, :, j] = np.mean(step, axis=1)
+        num[1, :, j] = np.mean(np.multiply(step, step, out=step), axis=1)
+    out = []
+    for q in (1, 2):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k_val = num[q - 1] / denom[q - 1][:, None]
+        valid = (denom[q - 1] > 0.0)[:, None] & np.isfinite(k_val) & (k_val > 0.0)
+        log_k = np.log(np.where(valid, k_val, 1.0))
+        out.append((_slopes(np.log(GHE_TAUS), log_k, valid) / q, valid.sum(axis=1)))
+    return out
 
 
 def _degenerate_message(n_points, q):
@@ -183,8 +196,7 @@ def _degenerate_message(n_points, q):
 def _hurst_pair(x, where):
     """(H(1), H(2)) of each row.  Raises DegenerateScaling for the first row
     with fewer than 3 valid lag points, prefixed by ``where(row)``."""
-    h1, n1 = _ghe_rows(x, 1)
-    h2, n2 = _ghe_rows(x, 2)
+    (h1, n1), (h2, n2) = _ghe_rows(x)
     bad = np.flatnonzero((n1 < 3) | (n2 < 3))
     if bad.size:
         r = int(bad[0])
@@ -230,11 +242,13 @@ def katz_fd(x) -> float:
 
 
 def ghe(x, q) -> float:
-    """Generalized Hurst exponent H(q) (see ``_ghe_rows``)."""
+    """Generalized Hurst exponent H(q), q = 1 or 2 (see ``_ghe_rows``)."""
+    if q not in (1, 2):
+        raise InvariantViolation(f"ghe handles q = 1 or 2, got {q!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2 * GHE_TAUS[-1]:
         raise InputTooShort(f"ghe needs >= {2 * GHE_TAUS[-1]} samples, got {x.size}")
-    h, n_points = _ghe_rows(x.reshape(1, -1), q)
+    h, n_points = _ghe_rows(x.reshape(1, -1))[q - 1]
     if n_points[0] < 3:
         raise DegenerateScaling(_degenerate_message(n_points[0], q))
     return float(h[0])

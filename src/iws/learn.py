@@ -355,7 +355,8 @@ def _train_logreg(X, y):
     (Hastie, Tibshirani & Friedman 2009, 4.4.1; Boyd & Vandenberghe 2004,
     9.5); the accepted-step loss sequence is non-increasing.  A step that
     cannot be solved for, or is no descent direction, ends the fit at the
-    current iterate."""
+    current iterate, and so does a line search whose trial iterate rounds to
+    the current one."""
     n, m = X.shape
     A = np.hstack([X, np.ones((n, 1))])
     y_pm = np.where(y == 1, 1.0, -1.0)
@@ -380,11 +381,16 @@ def _train_logreg(X, y):
         t = 1.0
         while t >= 1e-12:  # step floor
             trial = theta - t * step
+            # a trial equal to theta in every bit has theta's loss, and every
+            # shorter step rounds to theta as well: none can lower the loss
+            if np.array_equal(trial.view(np.uint64), theta.view(np.uint64)):
+                t = 0.0
+                break
             loss_new, z_new = _logreg_loss(trial, A, y_pm, penalty)
             if loss_new < loss - 1e-4 * t * slope:  # Armijo, and a strict decrease
                 break
             t *= 0.5
-        else:  # no step lowers the loss at float precision
+        if t < 1e-12:  # no step lowers the loss at float precision
             break
         theta, loss, z = trial, loss_new, z_new
     return LogRegModel(weights=theta[:m], intercept=theta[m])

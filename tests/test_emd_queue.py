@@ -9,7 +9,7 @@ batch selection below, ``select_imf_pairs``, picks from the full set of IMFs.
 import numpy as np
 import pytest
 
-from iws import decompose, experiment, features, preprocess
+from iws import decompose, experiment, features, learn, preprocess
 from iws.data import CHANNEL_COUNT, SynthConfig, generate_synthetic_dataset
 from iws.errors import InvariantViolation
 from iws.experiment import RunConfig
@@ -156,8 +156,13 @@ def test_subject_pass_equals_one_trial_calls(headline_subject, caplog):
 
 
 def test_non_finite_imf_names_the_first_trial(headline_subject, monkeypatch):
-    stacks = window_stacks(headline_subject)
-    starts = np.cumsum([0] + [len(offsets) * CHANNEL_COUNT for _, offsets in stacks])
+    # the subject pass feeds each trial's windows that some fold reads, so
+    # the queue ids number the rows of those windows only
+    trials = [preprocess.car_filter_trial(t) for t in headline_subject.trials]
+    grids = [preprocess.window_grid(t) for t in trials]
+    plan = learn.make_fold_plan(len(grids), experiment._stable_seed(0, 0))
+    reads = experiment._read_rows(grids, plan)
+    starts = np.cumsum([0] + [read.size * CHANNEL_COUNT for read in reads])
     # one IMF of a row in trial 5 and of one in trial 2 turn infinite
     bad = {starts[5] + 3, starts[2] + 20}
     keep_closest = decompose._keep_closest
@@ -168,7 +173,7 @@ def test_non_finite_imf_names_the_first_trial(headline_subject, monkeypatch):
 
     monkeypatch.setattr(decompose, "_keep_closest", poisoning)
     config = RunConfig(dataset_path="mem", feature_set_ids=(2,), classifiers=("knn",))
-    offset = stacks[2][1][20 // CHANNEL_COUNT]
+    offset = grids[2].offsets[reads[2]][20 // CHANNEL_COUNT]
     with pytest.raises(InvariantViolation) as exc:
         experiment.run_subject(headline_subject, config, 0)
     assert str(exc.value) == (

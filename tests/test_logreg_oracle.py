@@ -13,6 +13,7 @@ objective no higher than the oracle's, and stop at a gradient norm of at most
 import numpy as np
 import pytest
 
+from iws import learn
 from iws.learn import LOGREG_PENALTY, ClassifierSpec, LogRegModel, train
 
 # ---------------------------------------------------------------------------
@@ -141,3 +142,66 @@ def test_newton_stops_at_a_stationary_point(shape, case):
         X, y, _ = z_scored_fit(shape, case, seed)
         model = train(ClassifierSpec(kind="logreg"), X, y)
         assert gradient_norm(model, X, y) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The stall exit: a line search whose trial iterate rounds to the current one
+# ends the fit at once
+# ---------------------------------------------------------------------------
+
+def _train_newton_searching_to_the_floor(X, y):
+    """Oracle: the Newton trainer as it was before the stall exit, whose line
+    search halves t down to 1e-12 even once its trial iterate rounds to the
+    current one, verbatim but for the learn module prefixes."""
+    n, m = X.shape
+    A = np.hstack([X, np.ones((n, 1))])
+    y_pm = np.where(y == 1, 1.0, -1.0)
+    penalty = np.full(m + 1, LOGREG_PENALTY / n)
+    penalty[m] = 0.0  # the intercept is unpenalized
+    theta = np.zeros(m + 1)
+    loss, z = learn._logreg_loss(theta, A, y_pm, penalty)
+    for _ in range(learn.LOGREG_NEWTON_STEPS):
+        q = np.exp(-np.logaddexp(0.0, z))  # 1 / (1 + exp(z)), without overflow
+        grad = A.T @ (-y_pm * q) / n + penalty * theta
+        if np.linalg.norm(grad) <= 1e-12:  # gradient-norm tolerance
+            break
+        hess = (A.T * (q * (1.0 - q) / n)) @ A
+        hess[np.diag_indices(m + 1)] += penalty
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:  # e.g. a repeated feature whose penalty rounds away
+            break
+        slope = float(grad @ step)
+        if not (np.isfinite(step).all() and slope > 0.0):
+            break
+        t = 1.0
+        while t >= 1e-12:  # step floor
+            trial = theta - t * step
+            loss_new, z_new = learn._logreg_loss(trial, A, y_pm, penalty)
+            if loss_new < loss - 1e-4 * t * slope:  # Armijo, and a strict decrease
+                break
+            t *= 0.5
+        else:  # no step lowers the loss at float precision
+            break
+        theta, loss, z = trial, loss_new, z_new
+    return LogRegModel(weights=theta[:m], intercept=theta[m])
+
+
+def test_stalled_line_search_ends_the_fit_with_the_same_weights(monkeypatch):
+    X, y, _ = z_scored_fit((26, 16), "noise", 4)  # its last search stalls
+    calls = []
+    loss = learn._logreg_loss
+
+    def counting(*args):
+        calls.append(1)
+        return loss(*args)
+
+    monkeypatch.setattr(learn, "_logreg_loss", counting)
+    want = _train_newton_searching_to_the_floor(X, y)
+    searched = len(calls)
+    del calls[:]
+    got = train(ClassifierSpec(kind="logreg"), X, y)
+    # halving t from 1 to 1e-12 alone takes 40 evaluations
+    assert searched >= 40 and len(calls) <= searched - 15
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert np.float64(got.intercept).tobytes() == np.float64(want.intercept).tobytes()
