@@ -3,7 +3,7 @@
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,21 +89,8 @@ def build_report(subject_results, config_echo, seed) -> dict:
             agg = aggregate(all_scores)
             block = {
                 "subject_id": sub["subject_id"],
-                "folds": [
-                    {
-                        "fold": i,
-                        "trial_scores": [
-                            {
-                                "trial_id": s.trial_id,
-                                "precision": s.precision,
-                                "recall": s.recall,
-                                "f1": s.f1,
-                            }
-                            for s in fold
-                        ],
-                    }
-                    for i, fold in enumerate(sub["fold_scores"])
-                ],
+                "folds": [{"fold": i, "trial_scores": [asdict(s) for s in fold]}
+                          for i, fold in enumerate(sub["fold_scores"])],
                 "aggregate": agg,
             }
             if "pca_dims" in sub:

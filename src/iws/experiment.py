@@ -106,13 +106,11 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
             usable.append(idx)
         except SegmentTooShort as exc:
             log.warning("subject %s trial %d rejected: %s", dataset.subject_id, idx, exc)
-        except IwsError as exc:
-            raise named(idx, exc) from exc
     plan = learn.make_fold_plan(len(usable), _stable_seed(config.seed, subject_index),
                                 n_folds=config.folds)
     reads = _read_rows(grids, plan)
     # one featurization pass over the windows some fold reads, reading each trial as it goes
-    inputs = {_input_set(fs) for fs in config.feature_set_ids}
+    inputs = sorted({_input_set(fs) for fs in config.feature_set_ids})
     stacks = (_window_stack(trials[t], grid.offsets[read])
               for t, grid, read in zip(usable, grids, reads))
     per_trial = []
@@ -137,33 +135,34 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
 
     for fold_idx, (train_pos, test_pos) in enumerate(plan.folds):
         train_rows = np.concatenate([table_rows(i, grids[i].train_rows) for i in train_pos])
+        test_rows = np.concatenate([table_rows(i, grids[i].test_rows) for i in test_pos])
+        splits = np.cumsum([grids[i].test_rows.size for i in test_pos])[:-1]  # per test trial
         y_train = np.concatenate([grids[i].labels for i in train_pos])
-        for fs in config.feature_set_ids:
-            source = table[_input_set(fs)]
-            X_train = source[train_rows]
-            scaler = features.scaler_fit(X_train)
-            X_train = features.scaler_transform(scaler, X_train)
-            X_test = {i: features.scaler_transform(
-                          scaler, source[table_rows(i, grids[i].test_rows)]) for i in test_pos}
-            if fs == 5:
-                pca = features.pca_fit(X_train)
-                X_train = features.pca_transform(pca, X_train)
-                X_test = {i: features.pca_transform(pca, X) for i, X in X_test.items()}
-            for clf_idx, clf in enumerate(config.classifiers):
-                spec = ClassifierSpec(
-                    kind=clf,
-                    seed=_stable_seed(config.seed, subject_index, fold_idx, clf_idx, fs),
-                )
-                model = learn.train(spec, X_train, y_train)
-                fold_scores = []
-                for i in test_pos:
-                    raw = learn.predict(model, X_test[i])
-                    pred = postprocess.postprocess_trial(raw, trials[usable[i]])
-                    fold_scores.append(evaluate.score_trial(
-                        pred.corrected_labels, pred.truth_labels, trial_id=usable[i]))
-                out[(fs, clf)]["fold_scores"].append(fold_scores)
+        for s in inputs:  # one input set's z-scored rows at a time
+            scaler = features.scaler_fit(table[s][train_rows])
+            scaled = [features.scaler_transform(scaler, table[s][rows])
+                      for rows in (train_rows, test_rows)]
+            for fs in [f for f in config.feature_set_ids if _input_set(f) == s]:
+                X_train, X_test = scaled
                 if fs == 5:
-                    out[(fs, clf)].setdefault("pca_dims", []).append(int(pca.components.shape[0]))
+                    pca = features.pca_fit(X_train)
+                    X_train, X_test = (features.pca_transform(pca, X) for X in scaled)
+                for clf_idx, clf in enumerate(config.classifiers):
+                    spec = ClassifierSpec(
+                        kind=clf,
+                        seed=_stable_seed(config.seed, subject_index, fold_idx, clf_idx, fs),
+                    )
+                    model = learn.train(spec, X_train, y_train)
+                    fold_scores = []
+                    for i, X in zip(test_pos, np.split(X_test, splits)):
+                        raw = learn.predict(model, X)
+                        pred = postprocess.postprocess_trial(raw, trials[usable[i]])
+                        fold_scores.append(evaluate.score_trial(
+                            pred.corrected_labels, pred.truth_labels, trial_id=usable[i]))
+                    out[(fs, clf)]["fold_scores"].append(fold_scores)
+                    if fs == 5:
+                        out[(fs, clf)].setdefault("pca_dims", []).append(
+                            int(pca.components.shape[0]))
         log.info("subject %s: fold %d scored (%.2fs)",
                  dataset.subject_id, fold_idx, time.perf_counter() - t0)
     log.info("subject %s: done in %.2fs", dataset.subject_id, time.perf_counter() - t0)

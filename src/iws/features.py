@@ -429,7 +429,8 @@ def scaler_fit(train) -> ScalerModel:
     """Fit on training rows: an (n, d) matrix or a sequence of FeatureVectors."""
     if len(train) == 0:
         raise EmptyInput("scaler_fit on empty training set")
-    matrix = np.stack([_values_of(v) for v in train])
+    matrix = (np.asarray(train, dtype=np.float64) if getattr(train, "ndim", 0) == 2
+              else np.stack([_values_of(v) for v in train]))
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)  # population (divide by n)
     std = np.where(std > 0.0, std, 1.0)

@@ -247,8 +247,6 @@ class RandomForestModel:
 
     def predict(self, X):
         X = _check_predict_input(X, self.n_features)
-        if X.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
         # every (tree, row) pair descends one level per step; NaN goes right
         cols = np.arange(X.shape[0])
         node = np.broadcast_to(self.roots[:, None], (self.roots.size, cols.size))
@@ -305,8 +303,6 @@ class KnnModel:
 
     def predict(self, X):
         X = _check_predict_input(X, self.n_features)
-        if X.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
         d2 = _sq_distances(X, self.X)
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :self.k]
         ones = self.y[nearest].sum(axis=1)
@@ -336,8 +332,6 @@ class LogRegModel:
 
     def predict(self, X):
         X = _check_predict_input(X, self.n_features)
-        if X.shape[0] == 0:
-            return np.zeros(0, dtype=np.int64)
         return (X @ self.weights + self.intercept > 0.0).astype(np.int64)
 
 
@@ -404,7 +398,7 @@ def _check_predict_input(X, n_features):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim == 1:
         X = X.reshape(0, n_features) if X.size == 0 else X.reshape(1, -1)
-    if X.shape[0] > 0 and X.shape[1] != n_features:
+    if X.shape[1] != n_features:
         raise WidthMismatch(f"expected {n_features} features, got {X.shape[1]}")
     return X
 

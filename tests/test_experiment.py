@@ -79,6 +79,33 @@ class TestRunExperiment:
             alone = blocks((fs,))
             assert alone == {(fs, clf): together[(fs, clf)] for clf in classifiers}
 
+    def test_one_scaler_per_fold_and_input_set(self, monkeypatch):
+        # the benchmark's headline: sets 4 and 5 share set 4's z-scored rows,
+        # and each side of a fold is transformed and projected once
+        cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=224,
+                          iws_length_range=(64, 96), snr=5.0, seed=424242)
+        ds = generate_synthetic_dataset(cfg)[0]
+        rc = RunConfig(dataset_path="mem", feature_set_ids=(4, 5),
+                       classifiers=("random_forest", "logreg"), seed=99)
+        patched = ((features, "scaler_fit"), (features, "scaler_transform"),
+                   (features, "pca_transform"), (learn, "predict"))
+        calls = {name: [] for _, name in patched}
+        for module, name in patched:
+            def counted(*args, _fn=getattr(module, name), _seen=calls[name]):
+                _seen.append(np.shape(args[-1])[0])  # rows of the matrix
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        experiment.run_subject(ds, rc, 0)
+        assert {name: len(rows) for name, rows in calls.items()} == {
+            "scaler_fit": 4, "scaler_transform": 8, "pca_transform": 8, "predict": 32}
+        # every prediction reads one test trial's windows
+        trials = [preprocess.car_filter_trial(t) for t in ds.trials]
+        test_rows = [preprocess.window_grid(t).test_rows.size for t in trials]
+        plan = learn.make_fold_plan(len(trials), experiment._stable_seed(rc.seed, 0))
+        assert calls["predict"] == [test_rows[i] for _, test in plan.folds
+                                    for _ in range(4) for i in test]
+
     def test_rejected_trial_leaves_the_others_their_ids_and_scores(self, tiny_datasets, caplog):
         ds = tiny_datasets[0]
         short = dataclasses.replace(ds.trials[0], onset_sample=30)  # no window before the onset

@@ -219,15 +219,20 @@ class TestPredict:
 
     def test_empty_input(self):
         X, y = blobs(n_per_class=30)
-        model = train(ClassifierSpec(kind="logreg"), X, y)
-        assert predict(model, np.zeros((0, 4))).size == 0
+        for kind in ("random_forest", "knn", "logreg"):
+            model = train(ClassifierSpec(kind=kind, seed=1), X, y)
+            for shape in ((0, 4), (0,)):
+                labels = predict(model, np.zeros(shape))
+                assert labels.shape == (0,)
+                assert labels.dtype == np.int64
 
     def test_width_mismatch(self):
         X, y = blobs(n_per_class=30)
         for kind in ("random_forest", "knn", "logreg"):
             model = train(ClassifierSpec(kind=kind, seed=1), X, y)
-            with pytest.raises(WidthMismatch):
-                predict(model, np.zeros((3, 5)))
+            for shape in ((3, 5), (0, 5)):
+                with pytest.raises(WidthMismatch):
+                    predict(model, np.zeros(shape))
 
 
 class TestDeterminismAndProperties:
