@@ -102,12 +102,17 @@ def cmd_score(args) -> int:
             raise ConfigError(f"predictions trials[{i}]: 'bins' must be a list of 0/1 integers")
         ds = datasets.get(entry["subject_id"])
         if ds is None:
-            raise InvariantViolation(f"unknown subject {entry['subject_id']!r}")
+            raise InvariantViolation(
+                f"predictions trials[{i}]: unknown subject {entry['subject_id']!r}")
         if not 0 <= entry["trial_index"] < len(ds.trials):
             raise InvariantViolation(
-                f"subject {entry['subject_id']}: trial index {entry['trial_index']} out of range")
+                f"predictions trials[{i}]: subject {entry['subject_id']}: "
+                f"trial index {entry['trial_index']} out of range")
         truth = postprocess.truth_bins(ds.trials[entry["trial_index"]])
-        score = evaluate.score_trial(bins, truth, trial_id=entry["trial_index"])
+        try:
+            score = evaluate.score_trial(bins, truth, trial_id=entry["trial_index"])
+        except LengthMismatch as exc:
+            raise LengthMismatch(f"predictions trials[{i}]: {exc}") from exc
         scores.append(score)
         lines.append(f"{entry['subject_id']} trial {entry['trial_index']}: "
                      f"P={score.precision:.4f} R={score.recall:.4f} F1={score.f1:.4f}")

@@ -10,8 +10,8 @@ from itertools import repeat
 import numpy as np
 
 from . import evaluate, features, learn, postprocess, preprocess
-from .data import WINDOW_SAMPLES, check_int
-from .errors import ConfigError, IwsError, SegmentTooShort
+from .data import check_int
+from .errors import ConfigError, IwsError, SegmentTooShort, TooFewTrials
 from .learn import CLASSIFIER_KINDS, ClassifierSpec
 
 log = logging.getLogger(__name__)
@@ -67,22 +67,17 @@ def _input_set(fs_id):
     return 4 if fs_id == 5 else fs_id
 
 
-def _window_stack(trial, offsets):
-    """The (windows, offsets) stack of a trial's windows at ``offsets``."""
-    return np.stack([trial.samples[o:o + WINDOW_SAMPLES] for o in offsets]), offsets
-
-
-def _read_rows(grids, plan):
-    """The rows of each usable trial's window grid that some fold of ``plan``
-    reads, ascending: its training rows if it trains in a fold, and its test
-    rows if it is tested in one."""
+def _read_offsets(grids, plan):
+    """The offsets of each usable trial's windows that some fold of ``plan``
+    reads, ascending: its training offsets if it trains in a fold, and its
+    test offsets if it is tested in one."""
     trained = {i for train, _ in plan.folds for i in train}
     tested = {i for _, test in plan.folds for i in test}
     reads = []
     for i, grid in enumerate(grids):
-        parts = [grid.train_rows] if i in trained else []
+        parts = [grid.train_offsets] if i in trained else []
         if i in tested:
-            parts.append(grid.test_rows)
+            parts.append(grid.test_offsets)
         reads.append(np.unique(np.concatenate(parts)))
     return reads
 
@@ -96,8 +91,8 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
     trials = [preprocess.car_filter_trial(t) for t in dataset.trials]
     log.info("subject %s: CAR filter done (%.2fs)", dataset.subject_id, time.perf_counter() - t0)
 
-    def named(idx, exc):  # same class, now naming the trial
-        return type(exc)(f"subject {dataset.subject_id} trial {idx}: {exc}")
+    def named(exc, where=""):  # same class, now naming the subject (and trial)
+        return type(exc)(f"subject {dataset.subject_id}{where}: {exc}")
 
     usable, grids = [], []  # the trials with a window grid, and their grids
     for idx, trial in enumerate(trials):
@@ -106,37 +101,39 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
             usable.append(idx)
         except SegmentTooShort as exc:
             log.warning("subject %s trial %d rejected: %s", dataset.subject_id, idx, exc)
-    plan = learn.make_fold_plan(len(usable), _stable_seed(config.seed, subject_index),
-                                n_folds=config.folds)
-    reads = _read_rows(grids, plan)
+    try:
+        plan = learn.make_fold_plan(len(usable), _stable_seed(config.seed, subject_index),
+                                    n_folds=config.folds)
+    except TooFewTrials as exc:
+        raise named(exc) from exc
+    reads = _read_offsets(grids, plan)
     # one featurization pass over the windows some fold reads, reading each trial as it goes
     inputs = sorted({_input_set(fs) for fs in config.feature_set_ids})
-    stacks = (_window_stack(trials[t], grid.offsets[read])
-              for t, grid, read in zip(usable, grids, reads))
+    stacks = ((preprocess.window_stack(trials[t], read), read) for t, read in zip(usable, reads))
     per_trial = []
     try:
         for matrices in features.stack_matrices(stacks, inputs):
             per_trial.append(matrices)
     except IwsError as exc:
-        raise named(usable[len(per_trial)], exc) from exc
+        raise named(exc, f" trial {usable[len(per_trial)]}") from exc
     log.info("subject %s: feature extraction done (%.2fs, %d/%d trials usable)",
              dataset.subject_id, time.perf_counter() - t0, len(usable), len(trials))
 
-    # one table per input set: usable trial i's read rows are rows bounds[i]:bounds[i + 1]
+    # one table per input set: usable trial i's read windows are rows bounds[i]:bounds[i + 1]
     table = {s: np.concatenate([matrices[s] for matrices in per_trial]) for s in inputs}
     del per_trial  # joined, so each trial's matrices are held once
     bounds = np.cumsum([0] + [read.size for read in reads])
 
-    def table_rows(i, rows):  # table rows of usable trial i's grid rows
-        return bounds[i] + np.searchsorted(reads[i], rows)
+    def table_rows(i, offsets):  # table rows of usable trial i's windows at ``offsets``
+        return bounds[i] + np.searchsorted(reads[i], offsets)
 
     out = {(fs, clf): {"subject_id": dataset.subject_id, "fold_scores": []}
            for fs in config.feature_set_ids for clf in config.classifiers}
 
     for fold_idx, (train_pos, test_pos) in enumerate(plan.folds):
-        train_rows = np.concatenate([table_rows(i, grids[i].train_rows) for i in train_pos])
-        test_rows = np.concatenate([table_rows(i, grids[i].test_rows) for i in test_pos])
-        splits = np.cumsum([grids[i].test_rows.size for i in test_pos])[:-1]  # per test trial
+        train_rows = np.concatenate([table_rows(i, grids[i].train_offsets) for i in train_pos])
+        test_rows = np.concatenate([table_rows(i, grids[i].test_offsets) for i in test_pos])
+        splits = np.cumsum([grids[i].test_offsets.size for i in test_pos])[:-1]  # per test trial
         y_train = np.concatenate([grids[i].labels for i in train_pos])
         for s in inputs:  # one input set's z-scored rows at a time
             scaler = features.scaler_fit(table[s][train_rows])

@@ -30,12 +30,20 @@ def _starts(begin, end_exclusive):
     return range(begin, end_exclusive - WINDOW_SAMPLES + 1, STEP_SAMPLES)
 
 
-def training_grid(trial: Trial):
-    """Offsets and 0/1 labels of a marker-labeled trial's pure-class windows.
+class WindowGrid(NamedTuple):
+    train_offsets: np.ndarray
+    labels: np.ndarray
+    test_offsets: np.ndarray
 
-    Three independent passes: ISS windows from the trial start up to the
-    onset, IWS windows from the onset up to the ending, ISS windows from the
-    ending to the end of the trial.  No window ever mixes classes.
+
+def window_grid(trial: Trial) -> WindowGrid:
+    """A marker-labeled trial's window offsets: its pure-class training
+    windows with their 0/1 labels, and its test windows.
+
+    Training windows come from three independent passes: ISS windows from the
+    trial start up to the onset, IWS windows from the onset up to the ending,
+    ISS windows from the ending to the end of the trial.  No window ever mixes
+    classes.  Test windows run continuously over the trial, ignoring markers.
     """
     segments = [
         (0, trial.onset_sample, 0),
@@ -52,38 +60,25 @@ def training_grid(trial: Trial):
             )
         offsets.extend(starts)
         labels.extend([label] * len(starts))
-    return offsets, labels
+    return WindowGrid(np.array(offsets, dtype=np.int64), np.array(labels, dtype=np.int64),
+                      np.array(_starts(0, trial.n_samples), dtype=np.int64))
 
 
-class WindowGrid(NamedTuple):
-    offsets: np.ndarray
-    train_rows: np.ndarray
-    labels: np.ndarray
-    test_rows: np.ndarray
-
-
-def window_grid(trial: Trial) -> WindowGrid:
-    """A marker-labeled trial's distinct window offsets, ascending, and the
-    rows of them that its training windows (``training_grid`` order, with
-    their 0/1 labels) and test windows take: the pre-onset training windows
-    lie on the test grid, so both sides share one featurization."""
-    train_offsets, labels = training_grid(trial)
-    test_offsets = _starts(0, trial.n_samples)
-    offsets = np.union1d(train_offsets, test_offsets)
-    return WindowGrid(offsets, np.searchsorted(offsets, train_offsets),
-                      np.array(labels, dtype=np.int64), np.searchsorted(offsets, test_offsets))
-
-
-def _instance(trial, start, label=None):
-    return SignalInstance(samples=trial.samples[start:start + WINDOW_SAMPLES, :],
-                          trial_offset=start, label=label)
+def window_stack(trial: Trial, offsets) -> np.ndarray:
+    """The (len(offsets), 64, 14) stack of a trial's windows that start at ``offsets``."""
+    return trial.samples[np.asarray(offsets)[:, None] + np.arange(WINDOW_SAMPLES)]
 
 
 def segment_training_trial(trial: Trial):
-    """Cut a marker-labeled trial into the pure-class instances of ``training_grid``."""
-    return [_instance(trial, start, label) for start, label in zip(*training_grid(trial))]
+    """Cut a marker-labeled trial into the pure-class instances of its window grid."""
+    grid = window_grid(trial)
+    windows = window_stack(trial, grid.train_offsets)
+    return [SignalInstance(samples=w, trial_offset=o, label=label)
+            for w, o, label in zip(windows, grid.train_offsets.tolist(), grid.labels.tolist())]
 
 
 def segment_test_trial(trial: Trial):
     """Cut a trial into unlabeled instances continuously, ignoring markers."""
-    return [_instance(trial, start) for start in _starts(0, trial.n_samples)]
+    offsets = _starts(0, trial.n_samples)
+    return [SignalInstance(samples=w, trial_offset=o)
+            for w, o in zip(window_stack(trial, offsets), offsets)]

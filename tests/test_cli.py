@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iws import cli
+from iws import cli, data, postprocess
 from iws.data import SynthConfig
 from iws.errors import ConfigError
 from iws.experiment import RunConfig
@@ -228,6 +233,23 @@ class TestRun:
         assert "subject s01 trial 3: channel 0, instance offset 0:" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_too_few_usable_trials_exits_3_naming_the_subject(self, dataset_dir, tmp_path):
+        # no window fits before the onset, so s02 is left 7 of its 8 trials
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        trial = ds / "s02_003.json"
+        doc = json.loads(trial.read_text())
+        doc["onset_sample"] = 10
+        trial.write_text(json.dumps(doc))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.run_config(ds)))
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 3
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert errors == ["error: subject s02: 7 trials < 8; "
+                          "cannot split 75/25 with >= 2 test trials"]
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("case,check", [
         ("nan", "non-finite"), ("infinity", "non-finite"), ("markers", "markers"),
         ("short", "minimum"),
@@ -421,6 +443,7 @@ class TestScore:
         pred.write_text(json.dumps(doc))
         proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
         assert proc.returncode == 3
+        assert "error: predictions trials[0]: pred length" in proc.stderr
 
     @pytest.mark.parametrize("bad", [2, 0.7, 1.0, True, "1", None])
     def test_non_binary_bins_exit_2(self, dataset_dir, tmp_path, bad):
@@ -483,18 +506,23 @@ class TestScore:
         assert f"trials[{len(doc['trials']) - 1}]" in proc.stderr
         assert "aggregate" not in proc.stdout and "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("bad,code", [("repeat", 2), ("unknown subject", 3)])
+    @pytest.mark.parametrize("bad,code", [
+        ("repeat", 2), ("unknown subject", 3), ("trial index out of range", 3),
+    ])
     def test_bad_last_entry_prints_no_score(self, dataset_dir, tmp_path, bad, code):
         doc = self.make_predictions(dataset_dir)
         last = dict(doc["trials"][0])
         if bad == "unknown subject":
             last["subject_id"] = "s99"
+        elif bad == "trial index out of range":
+            last["trial_index"] = 8
         doc["trials"].append(last)
         pred = tmp_path / "pred.json"
         pred.write_text(json.dumps(doc))
         proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
         assert proc.returncode == code
         assert proc.stdout == "" and "Traceback" not in proc.stderr
+        assert f"error: predictions trials[{len(doc['trials']) - 1}]: " in proc.stderr
 
     @pytest.mark.parametrize("trials", [5, [5]])
     def test_trials_not_a_list_of_objects_exits_2(self, dataset_dir, tmp_path, trials):
@@ -608,3 +636,73 @@ class TestConfigBoundary:
     @given(doc=documents(RUN_DOC))
     def test_run_documents(self, doc):
         self.check(RunConfig, doc)
+
+
+def byte_edits():
+    """One to three byte edits: (op, position, byte), op one of replace,
+    insert or delete.  Half of the positions fall in a file's first 300 bytes,
+    where the fields other than the samples are; half of the bytes are JSON
+    syntax or number characters."""
+    position = st.one_of(st.integers(0, 300), st.integers(0, 2**31))
+    byte = st.one_of(st.sampled_from(b'{}[],:"-.0123456789eEtfnNI '), st.integers(0, 255))
+    return st.lists(st.tuples(st.sampled_from(("replace", "insert", "delete")), position, byte),
+                    min_size=1, max_size=3)
+
+
+def edited(content, edits):
+    buf = bytearray(content)
+    for op, position, byte in edits:
+        position %= len(buf) + (op == "insert")
+        if op == "replace":
+            buf[position] = byte
+        elif op == "insert":
+            buf.insert(position, byte)
+        else:
+            del buf[position]
+    return bytes(buf)
+
+
+@pytest.fixture(scope="module")
+def score_inputs(tmp_path_factory):
+    """A tiny dataset (1 subject, 8 trials of 192 samples) and perfect
+    predictions for it, in a directory for the mutants beside them."""
+    root = tmp_path_factory.mktemp("fuzz")
+    datasets = data.generate_synthetic_dataset(SynthConfig(
+        n_subjects=1, trials_per_subject=8, trial_length_samples=192,
+        iws_length_range=(64, 64), seed=3))
+    data.write_dataset(datasets, root / "ds")
+    trials = [{"subject_id": ds.subject_id, "trial_index": i, "bins": postprocess.truth_bins(t)}
+              for ds in datasets for i, t in enumerate(ds.trials)]
+    (root / "pred.json").write_text(json.dumps({"trials": trials}))
+    return root
+
+
+class TestScoreInputFuzz:
+    """Byte edits of the manifest, of one trial file or of the predictions
+    file that ``iws score`` reads end in exit 0 or in one ``error:`` line with
+    exit 2, 3 or 4, never in an uncaught exception."""
+
+    @pytest.mark.parametrize("target", ["manifest.json", "s01_005.json", "pred.json"])
+    @settings(derandomize=True, max_examples=150)
+    @given(edits=byte_edits())
+    def test_edited_input_fails_cleanly(self, score_inputs, target, edits):
+        # each mutant under new file names: rewriting a file is much slower
+        work = Path(tempfile.mkdtemp(dir=score_inputs))
+        pred, ds = score_inputs / "pred.json", score_inputs / "ds"
+        if target == "pred.json":
+            pred = work / target
+            pred.write_bytes(edited((score_inputs / target).read_bytes(), edits))
+        else:
+            ds = work
+            for path in (score_inputs / "ds").iterdir():
+                if path.name == target:
+                    (ds / target).write_bytes(edited(path.read_bytes(), edits))
+                else:
+                    os.link(path, ds / path.name)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["score", "--pred", str(pred), "--dataset", str(ds)])
+        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+        assert code in (0, 2, 3, 4)
+        assert len(errors) == (code != 0)
+        assert "Traceback" not in stderr.getvalue()

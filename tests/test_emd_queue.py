@@ -138,7 +138,9 @@ def headline_subject():
 
 def window_stacks(dataset):
     trials = [preprocess.car_filter_trial(t) for t in dataset.trials]
-    return [experiment._window_stack(t, preprocess.window_grid(t).offsets) for t in trials]
+    grids = [preprocess.window_grid(t) for t in trials]
+    every_offsets = [np.union1d(g.train_offsets, g.test_offsets) for g in grids]
+    return [(preprocess.window_stack(t, o), o) for t, o in zip(trials, every_offsets)]
 
 
 def test_subject_pass_equals_one_trial_calls(headline_subject, caplog):
@@ -161,7 +163,7 @@ def test_non_finite_imf_names_the_first_trial(headline_subject, monkeypatch):
     trials = [preprocess.car_filter_trial(t) for t in headline_subject.trials]
     grids = [preprocess.window_grid(t) for t in trials]
     plan = learn.make_fold_plan(len(grids), experiment._stable_seed(0, 0))
-    reads = experiment._read_rows(grids, plan)
+    reads = experiment._read_offsets(grids, plan)
     starts = np.cumsum([0] + [read.size * CHANNEL_COUNT for read in reads])
     # one IMF of a row in trial 5 and of one in trial 2 turn infinite
     bad = {starts[5] + 3, starts[2] + 20}
@@ -173,7 +175,7 @@ def test_non_finite_imf_names_the_first_trial(headline_subject, monkeypatch):
 
     monkeypatch.setattr(decompose, "_keep_closest", poisoning)
     config = RunConfig(dataset_path="mem", feature_set_ids=(2,), classifiers=("knn",))
-    offset = grids[2].offsets[reads[2]][20 // CHANNEL_COUNT]
+    offset = reads[2][20 // CHANNEL_COUNT]
     with pytest.raises(InvariantViolation) as exc:
         experiment.run_subject(headline_subject, config, 0)
     assert str(exc.value) == (

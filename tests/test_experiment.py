@@ -10,7 +10,7 @@ import pytest
 
 from iws import decompose, experiment, features, learn, preprocess
 from iws.data import WINDOW_SAMPLES, SynthConfig, generate_synthetic_dataset
-from iws.errors import ConfigError, DegenerateScaling
+from iws.errors import ConfigError, DegenerateScaling, TooFewTrials
 from iws.evaluate import write_report
 from iws.experiment import RunConfig, run_experiment
 from iws.learn import ClassifierSpec
@@ -101,7 +101,7 @@ class TestRunExperiment:
             "scaler_fit": 4, "scaler_transform": 8, "pca_transform": 8, "predict": 32}
         # every prediction reads one test trial's windows
         trials = [preprocess.car_filter_trial(t) for t in ds.trials]
-        test_rows = [preprocess.window_grid(t).test_rows.size for t in trials]
+        test_rows = [preprocess.window_grid(t).test_offsets.size for t in trials]
         plan = learn.make_fold_plan(len(trials), experiment._stable_seed(rc.seed, 0))
         assert calls["predict"] == [test_rows[i] for _, test in plan.folds
                                     for _ in range(4) for i in test]
@@ -123,6 +123,16 @@ class TestRunExperiment:
                            for score in fold] for fold in want[key]["fold_scores"]]
             assert got[key]["fold_scores"] == renumbered
             assert got[key].get("pca_dims") == want[key].get("pca_dims")
+
+    def test_too_few_usable_trials_names_the_subject(self, tiny_datasets):
+        # s01 keeps all 8 trials; s02 loses one and cannot be split 75/25
+        first, second = tiny_datasets
+        short = dataclasses.replace(second.trials[3], onset_sample=10)
+        second = dataclasses.replace(second, trials=[*second.trials[:3], short,
+                                                     *second.trials[4:]])
+        rc = RunConfig(dataset_path="mem", feature_set_ids=(1,), classifiers=("knn",), folds=1)
+        with pytest.raises(TooFewTrials, match=r"^subject s02: 7 trials < 8;"):
+            run_experiment([first, second], rc)
 
     def test_fs5_records_pca_dims(self):
         # shortest legal trials keep the EMD-heavy feature-set-4 base cheap
@@ -217,18 +227,22 @@ class TestTrialFeatures:
         # FS2 per instance is slow; stand in for it with a cheap fixed matrix
         monkeypatch.setattr(features, "_fs2_values", lambda rows, *a: rows[:, :12].copy())
         grid = preprocess.window_grid(trial)
-        windows, computed = experiment._window_stack(trial, grid.offsets)
-        [base] = features.stack_matrices([(windows, computed)], (1, 3, 4))
+        computed = np.union1d(grid.train_offsets, grid.test_offsets)
+        [base] = features.stack_matrices([(preprocess.window_stack(trial, computed), computed)],
+                                         (1, 3, 4))
 
         train = preprocess.segment_training_trial(trial)
         test = preprocess.segment_test_trial(trial)
         shared = {i.trial_offset for i in train} & {i.trial_offset for i in test}
         assert shared  # the pre-onset windows
         assert list(computed) == sorted({i.trial_offset for i in (*train, *test)})
+        assert grid.train_offsets.tolist() == [i.trial_offset for i in train]
+        assert grid.test_offsets.tolist() == [i.trial_offset for i in test]
         assert set(base) == {1, 3, 4}
         np.testing.assert_array_equal(grid.labels, [i.label for i in train])
-        for rows, instances in ((grid.train_rows, train), (grid.test_rows, test)):
-            matrix_set = {fs: matrix[rows] for fs, matrix in base.items()}
+        for offsets, instances in ((grid.train_offsets, train), (grid.test_offsets, test)):
+            matrix_set = {fs: matrix[np.searchsorted(computed, offsets)]
+                          for fs, matrix in base.items()}
             for fs in (1, 3):
                 expected = np.stack([features.extract_features(i, fs).values
                                      for i in instances])
@@ -260,7 +274,7 @@ class TestReadWindows:
         for i, trial in enumerate(trials):
             offsets = set()
             if any(i in train for train, _ in plan.folds):
-                offsets |= set(preprocess.training_grid(trial)[0])
+                offsets |= set(preprocess.window_grid(trial).train_offsets.tolist())
             if any(i in test for _, test in plan.folds):
                 offsets |= set(preprocess._starts(0, trial.n_samples))
             out.append(sorted(offsets))
@@ -274,8 +288,10 @@ class TestReadWindows:
         ds = generate_synthetic_dataset(cfg)[0]
         trials = [preprocess.car_filter_trial(t) for t in ds.trials]
         grids = [preprocess.window_grid(t) for t in trials]
+        every_offsets = [np.union1d(g.train_offsets, g.test_offsets) for g in grids]
         full = list(features.stack_matrices(
-            [experiment._window_stack(t, g.offsets) for t, g in zip(trials, grids)], (1, 2, 3, 4)))
+            [(preprocess.window_stack(t, o), o) for t, o in zip(trials, every_offsets)],
+            (1, 2, 3, 4)))
         stack_matrices = features.stack_matrices
         fed, returned = [], []
 
@@ -301,13 +317,13 @@ class TestReadWindows:
             want = self.read_offsets(trials, plan)
             assert fed == want
             assert len(returned) == len(trials)
-            for grid, offsets, got, every in zip(grids, want, returned, full):
-                rows = np.searchsorted(grid.offsets, offsets)
+            for all_offsets, offsets, got, every in zip(every_offsets, want, returned, full):
+                rows = np.searchsorted(all_offsets, offsets)
                 assert set(got) == {1, 2, 3, 4}
                 for fs in (1, 2, 3, 4):
                     assert got[fs].tobytes() == every[fs][rows].tobytes()
             plans.append(plan.folds)
-            unread.append(sum(g.offsets.size for g in grids) - sum(map(len, want)))
+            unread.append(sum(o.size for o in every_offsets) - sum(map(len, want)))
         assert plans[0] != plans[1]
         assert 0 < unread[0] < unread[1]
 
@@ -319,7 +335,7 @@ class TestReadWindows:
         tested = {i for _, test in plan.folds for i in test}
         [idx] = sorted(set(range(len(ds.trials))) - tested)  # trains, but is never tested
         trial = ds.trials[idx]
-        train_offsets = preprocess.training_grid(trial)[0]
+        train_offsets = preprocess.window_grid(trial).train_offsets.tolist()
         offset = next(o for o in preprocess._starts(0, trial.n_samples) if o not in train_offsets)
 
         def with_gap(i):

@@ -9,7 +9,7 @@ from iws.preprocess import (
     car_filter,
     segment_test_trial,
     segment_training_trial,
-    training_grid,
+    window_grid,
 )
 
 
@@ -105,8 +105,9 @@ class TestTrainingSegmentation:
                     covered = {int(onset <= i < ending) for i in range(start, start + 64)}
                     assert covered == {label}
                     expected.append((start, label))
-        offsets, labels = training_grid(trial)
-        assert list(zip(offsets, labels)) == expected
+        grid = window_grid(trial)
+        assert list(zip(grid.train_offsets.tolist(), grid.labels.tolist())) == expected
+        assert grid.test_offsets.tolist() == [s for s in range(0, n, 13) if s + 64 <= n]
         assert [(i.trial_offset, i.label) for i in segment_training_trial(trial)] == expected
 
 
