@@ -106,9 +106,6 @@ class SubjectDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "trials", tuple(self.trials))
-        self.validate()
-
-    def validate(self):
         if self.protocol_tag not in PROTOCOL_TAGS:
             raise InvariantViolation(
                 f"subject {self.subject_id}: unknown protocol_tag {self.protocol_tag!r}"
@@ -175,9 +172,6 @@ class SynthConfig:
         check_real("snr", self.snr)
         object.__setattr__(self, "iws_length_range", tuple(int(v) for v in self.iws_length_range))
         object.__setattr__(self, "carrier_band_hz", tuple(float(v) for v in self.carrier_band_hz))
-        self.validate()
-
-    def validate(self):
         if self.n_subjects < 1:
             raise ConfigError("n_subjects must be >= 1")
         if self.trials_per_subject < MIN_TRIALS:
@@ -401,7 +395,6 @@ def _generate_trial(rng, config, subject_id):
 
 def generate_synthetic_dataset(config: SynthConfig):
     """Deterministically generate ``n_subjects`` SubjectDatasets from a seed."""
-    config.validate()
     root = np.random.SeedSequence(config.seed)
     subject_seqs = root.spawn(config.n_subjects)
     datasets = []

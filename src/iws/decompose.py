@@ -99,24 +99,14 @@ def idwt_single_level(approx, detail, n_out):
     approx = np.asarray(approx, dtype=np.float64)
     detail = np.asarray(detail, dtype=np.float64)
     up_len = 2 * max(approx.size, detail.size) + 4
+    #  a[k] reaches x[m] for 2k in [m+1, m+3] and d[k] for 2k in [m-1, m+3], so
+    #  a is read one place ahead (up_a[1:]) and d upsampled one place late
     up_a = np.zeros(up_len)
-    up_d = np.zeros(up_len)
+    up_d = np.zeros(up_len + 1)
     up_a[::2][:approx.size] = approx
-    up_d[::2][:detail.size] = detail
-    x = np.zeros(n_out)
-    for m in range(n_out):
-        #  a[k] contributes for 2k in [m+1, m+3], d[k] for 2k in [m-1, m+3]
-        s = 0.0
-        for j in range(3):
-            t = m + 1 + j
-            if t % 2 == 0:
-                s += REC_LO[j] * up_a[t]
-        for j in range(5):
-            t = m - 1 + j
-            if 0 <= t < up_len and t % 2 == 0:
-                s += REC_HI[j] * up_d[t]
-        x[m] = s
-    return x
+    up_d[1::2][:detail.size] = detail
+    return (np.correlate(up_a[1:], REC_LO, "valid")[:n_out]
+            + np.correlate(up_d, REC_HI, "valid")[:n_out])
 
 
 def dwt_bior22(signal):

@@ -37,9 +37,6 @@ class RunConfig:
             check_int("feature_set_ids", i)
         object.__setattr__(self, "feature_set_ids", tuple(int(i) for i in self.feature_set_ids))
         object.__setattr__(self, "classifiers", tuple(self.classifiers))
-        self.validate()
-
-    def validate(self):
         bad = [i for i in self.feature_set_ids if i not in (1, 2, 3, 4, 5)]
         if bad or not self.feature_set_ids:
             raise ConfigError(f"feature_set_ids must be a non-empty subset of 1..5, got {bad or '[]'}")
@@ -153,9 +150,9 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
                     fold_scores = []
                     for i, X in zip(test_pos, np.split(X_test, splits)):
                         raw = learn.predict(model, X)
-                        pred = postprocess.postprocess_trial(raw, trials[usable[i]])
-                        fold_scores.append(evaluate.score_trial(
-                            pred.corrected_labels, pred.truth_labels, trial_id=usable[i]))
+                        corrected, truth = postprocess.postprocess_trial(raw, trials[usable[i]])
+                        fold_scores.append(evaluate.score_trial(corrected, truth,
+                                                                trial_id=usable[i]))
                     out[(fs, clf)]["fold_scores"].append(fold_scores)
                     if fs == 5:
                         out[(fs, clf)].setdefault("pca_dims", []).append(

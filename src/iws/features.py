@@ -492,10 +492,8 @@ def pca_fit(train_matrix) -> PcaModel:
         ratio = float(cum[n_keep - 1])
     components = eigvecs[:, :n_keep].T
     # deterministic sign: largest-magnitude entry of each component positive
-    for row in components:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
+    pivot = components[np.arange(n_keep), np.argmax(np.abs(components), axis=1)]
+    components[pivot < 0] *= -1.0
     return PcaModel(
         mean=mean,
         components=components,

@@ -1,58 +1,31 @@
 """Window-vote reduction to 0.1 s bins and single-island error correction."""
 
-import math
-from dataclasses import dataclass
+import numpy as np
 
 from .data import STEP_SAMPLES, WINDOW_SAMPLES, Trial
-from .errors import EmptyInput, InvariantViolation
+from .errors import EmptyInput
 
-
-@dataclass(frozen=True)
-class TrialPrediction:
-    """Per-trial label vectors at every post-processing stage."""
-
-    raw_window_labels: tuple
-    bin_labels: tuple
-    corrected_labels: tuple
-    truth_labels: tuple
-
-    def __post_init__(self):
-        lens = {len(self.bin_labels), len(self.corrected_labels), len(self.truth_labels)}
-        if len(lens) != 1:
-            raise InvariantViolation(f"bin/corrected/truth lengths disagree: {lens}")
+# window w spans samples [step*w, step*w + WINDOW_SAMPLES), so it overlaps
+# bins w .. w + _BINS_PER_WINDOW - 1: an interior bin sees 5 windows
+_BINS_PER_WINDOW = (WINDOW_SAMPLES - 1) // STEP_SAMPLES + 1
 
 
 def n_bins_for(n_samples) -> int:
     """Number of 0.1 s bins covering an n-sample trial (last bin may be partial)."""
-    return math.ceil(n_samples / STEP_SAMPLES)
-
-
-def covering_windows(b, n_windows):
-    """Indices of test windows whose sample span overlaps bin ``b``.
-
-    With step = STEP_SAMPLES, window w spans [step*w, step*w + WINDOW_SAMPLES)
-    and bin b spans [step*b, step*(b+1)).  At most ceil(WINDOW_SAMPLES/step) = 5
-    windows overlap an interior bin; edge bins see fewer.
-    """
-    lo = max(0, b - (WINDOW_SAMPLES - 1) // STEP_SAMPLES)
-    hi = min(b, n_windows - 1)
-    return list(range(lo, hi + 1))
-
-
-def _majority(votes):
-    ones = sum(votes)
-    return 1 if 2 * ones > len(votes) else 0  # ties (and no votes) give 0
+    return -(-n_samples // STEP_SAMPLES)
 
 
 def reduce_windows(raw, n_bins) -> list:
-    """Collapse overlapped window labels into per-bin labels by majority vote."""
-    raw = list(raw)
-    if not raw:
+    """Collapse overlapped window labels into per-bin labels by majority vote
+    (a tie gives 0, and so does a bin past the last window's span)."""
+    raw = np.asarray(raw, dtype=np.int64)
+    if raw.size == 0:
         raise EmptyInput("no window labels to reduce")
-    return [
-        _majority([raw[w] for w in covering_windows(b, len(raw))])
-        for b in range(n_bins)
-    ]
+    kernel = np.ones(_BINS_PER_WINDOW, dtype=np.int64)
+    ones = np.convolve(raw, kernel)  # 1 votes of each bin up to the last window's span
+    voters = np.convolve(np.ones_like(raw), kernel)
+    won = (2 * ones[:n_bins] > voters[:n_bins]).astype(np.int64).tolist()
+    return won + [0] * (n_bins - len(won))
 
 
 def correct_errors(bins) -> list:
@@ -72,22 +45,13 @@ def correct_errors(bins) -> list:
 
 def truth_bins(trial: Trial) -> list:
     """Ground-truth bin labels: 1 where more than half the bin's samples are IWS."""
-    labels = []
-    for b in range(n_bins_for(trial.n_samples)):
-        start, end = STEP_SAMPLES * b, STEP_SAMPLES * (b + 1)
-        inside = max(0, min(end, trial.ending_sample) - max(start, trial.onset_sample))
-        labels.append(1 if 2 * inside > STEP_SAMPLES else 0)
-    return labels
+    start = STEP_SAMPLES * np.arange(n_bins_for(trial.n_samples))
+    inside = (np.minimum(start + STEP_SAMPLES, trial.ending_sample)
+              - np.maximum(start, trial.onset_sample))
+    return (2 * inside > STEP_SAMPLES).astype(np.int64).tolist()
 
 
-def postprocess_trial(raw_window_labels, trial: Trial) -> TrialPrediction:
-    """Full reduction + correction + truth discretization for one test trial."""
-    bins = reduce_windows(list(raw_window_labels), n_bins_for(trial.n_samples))
-    corrected = correct_errors(bins)
-    truth = truth_bins(trial)
-    return TrialPrediction(
-        raw_window_labels=tuple(int(v) for v in raw_window_labels),
-        bin_labels=tuple(bins),
-        corrected_labels=tuple(corrected),
-        truth_labels=tuple(truth),
-    )
+def postprocess_trial(raw_window_labels, trial: Trial):
+    """Corrected and truth bin labels of one test trial, as two equal-length lists."""
+    bins = reduce_windows(raw_window_labels, n_bins_for(trial.n_samples))
+    return correct_errors(bins), truth_bins(trial)

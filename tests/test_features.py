@@ -297,6 +297,13 @@ class TestPca:
         gram = model.components @ model.components.T
         np.testing.assert_allclose(gram, np.eye(model.components.shape[0]), atol=1e-8)
 
+    def test_largest_entry_of_each_component_is_positive(self, rng):
+        for _ in range(20):
+            model = pca_fit(rng.standard_normal((40, 9)) * rng.uniform(0.5, 3.0, 9))
+            rows = np.arange(model.components.shape[0])
+            pivots = model.components[rows, np.argmax(np.abs(model.components), axis=1)]
+            assert np.all(pivots > 0)
+
     def test_eigenvalues_match_svd_oracle(self, rng):
         matrix = rng.standard_normal((80, 6)) * np.array([5, 4, 3, 2, 1, 0.5])
         model = pca_fit(matrix)

@@ -6,9 +6,7 @@ import pytest
 from iws.data import Trial
 from iws.errors import EmptyInput
 from iws.postprocess import (
-    TrialPrediction,
     correct_errors,
-    covering_windows,
     n_bins_for,
     postprocess_trial,
     reduce_windows,
@@ -49,7 +47,6 @@ class TestReduceWindows:
 
     def test_interior_tie_goes_to_zero(self):
         # bin 3 of [1,1,0,0] is covered by windows 0..3 voting 1,1,0,0
-        assert covering_windows(3, 4) == [0, 1, 2, 3]
         assert reduce_windows([1, 1, 0, 0], 8)[3] == 0
 
     def test_empty_rejected(self):
@@ -57,13 +54,22 @@ class TestReduceWindows:
             reduce_windows([], 4)
 
     def test_coverage_counts(self):
-        # interior bins see 5 windows, edges fewer
-        assert covering_windows(0, 30) == [0]
-        assert covering_windows(2, 30) == [0, 1, 2]
-        assert covering_windows(10, 30) == [6, 7, 8, 9, 10]
-        assert covering_windows(29, 30) == [25, 26, 27, 28, 29]
-        assert covering_windows(33, 30) == [29]
-        assert covering_windows(34, 30) == []
+        # an interior bin has 5 voters: bin 10 of 30 windows sees windows 6..10
+        three = [0] * 6 + [1, 1, 1, 0, 0] + [0] * 19
+        two = [0] * 6 + [1, 0, 1, 0, 0] + [0] * 19
+        assert reduce_windows(three, 34)[10] == 1
+        assert reduce_windows(two, 34)[10] == 0
+        # the first bins have fewer: 2 ones of bin 2's 3 voters give 1, and
+        # bin 1's 2 voters can tie
+        assert reduce_windows([1, 1] + [0] * 28, 34)[:3] == [1, 1, 1]
+        assert reduce_windows([0, 1] + [0] * 28, 34)[:2] == [0, 0]
+        # bin 33 sees window 29 only; bin 34 lies past the last window's span
+        assert reduce_windows([1] * 30, 35)[33:] == [1, 0]
+        # the last bin of a 768-sample trial (55 windows, 60 bins) is such a bin
+        assert (768 - 64) // 13 + 1 == 55 and n_bins_for(768) == 60
+        assert reduce_windows([1] * 55, 60) == [1] * 59 + [0]
+        # an n_bins shorter than the covered span truncates
+        assert reduce_windows([1] * 30, 12) == [1] * 12
 
     def test_exhaustive_equivalence_up_to_length_12(self):
         for w in range(1, 13):
@@ -71,6 +77,17 @@ class TestReduceWindows:
             for raw in itertools.product((0, 1), repeat=w):
                 assert reduce_windows(list(raw), n_bins) == \
                     reference_reduce(list(raw), n_bins), raw
+
+    def test_random_longer_vectors_match_reference(self):
+        # every trial length gives n_bins = n_windows + 4 or + 5
+        for n in range(192, 5000):
+            assert n_bins_for(n) - ((n - 64) // 13 + 1) in (4, 5), n
+        gen = np.random.default_rng(25)
+        for _ in range(50):
+            w = int(gen.integers(13, 57))
+            raw = gen.integers(0, 2, size=w).tolist()
+            for n_bins in (w + 4, w + 5):
+                assert reduce_windows(raw, n_bins) == reference_reduce(raw, n_bins), raw
 
 
 class TestCorrectErrors:
@@ -145,6 +162,10 @@ class TestTruthBins:
         # onset = 137: only 6 of 13 inside -> 0
         trial = self.make_trial(390, 137, 260)
         assert truth_bins(trial)[10] == 0
+        # the smallest majority: onset = 136 leaves 7 of 13 inside -> 1, and
+        # an exclusive ending = 136 leaves 6 (130..135) -> 0
+        assert truth_bins(self.make_trial(390, 136, 260))[10] == 1
+        assert truth_bins(self.make_trial(390, 60, 136))[10] == 0
 
 
 class TestPostprocessTrial:
@@ -153,9 +174,10 @@ class TestPostprocessTrial:
         trial = Trial(subject_id="x", samples=gen.standard_normal((320, 14)),
                       onset_sample=128, ending_sample=192)
         raw = [0] * 20
-        pred = postprocess_trial(raw, trial)
-        assert len(pred.bin_labels) == len(pred.truth_labels) == n_bins_for(320)
-        assert len(pred.raw_window_labels) == 20
+        corrected, truth = postprocess_trial(raw, trial)
+        assert len(corrected) == len(truth) == n_bins_for(320)
+        for labels in (corrected, truth):
+            assert type(labels) is list and all(type(v) is int for v in labels)
 
     def test_perfect_windows_give_high_overlap(self):
         gen = np.random.default_rng(3)
@@ -167,11 +189,8 @@ class TestPostprocessTrial:
             lo, hi = 13 * w, 13 * w + 64
             inside = max(0, min(hi, 260) - max(lo, 130))
             raw.append(1 if inside > 32 else 0)
-        pred = postprocess_trial(raw, trial)
-        agreement = np.mean(np.array(pred.corrected_labels) == np.array(pred.truth_labels))
+        corrected, truth = postprocess_trial(np.array(raw), trial)
+        for labels in (corrected, truth):
+            assert type(labels) is list and all(type(v) is int for v in labels)
+        agreement = np.mean(np.array(corrected) == np.array(truth))
         assert agreement >= 0.9
-
-    def test_prediction_invariant_enforced(self):
-        with pytest.raises(Exception):
-            TrialPrediction(raw_window_labels=(1,), bin_labels=(1, 0),
-                            corrected_labels=(1,), truth_labels=(1, 0))
