@@ -60,11 +60,14 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    out = Path(args.out)
+    if out.with_suffix(".csv") == out:  # the CSV summary would overwrite the report
+        raise ConfigError(f"--out {out}: the report path must not end in .csv, "
+                          "where the CSV summary goes")
     doc = _load_json(args.config, "run config")
     config = _build_config(experiment.RunConfig, doc, "run config")
     datasets = data.read_dataset(config.dataset_path)
     report = experiment.run_experiment(datasets, config, jobs=args.jobs)
-    out = Path(args.out)
     evaluate.write_report(report, out)
     evaluate.write_report_csv(report, out.with_suffix(".csv"))
     for block in report["results"]:

@@ -86,15 +86,6 @@ class Trial:
                 f"0 < onset ({self.onset_sample}) < ending ({self.ending_sample}) < n ({n})"
             )
 
-    def with_samples(self, samples):
-        """Copy of this trial with new sample data (markers unchanged)."""
-        return Trial(
-            subject_id=self.subject_id,
-            samples=samples,
-            onset_sample=self.onset_sample,
-            ending_sample=self.ending_sample,
-        )
-
 
 @dataclass(frozen=True)
 class SubjectDataset:

@@ -477,12 +477,6 @@ def sift_blocks(blocks, keep_all=False):
             finish(taken[ended], capped[ended])
 
 
-def emd_rows(rows) -> EmdRows:
-    """Decompose every row of an (n_rows, n) stack into IMFs plus a residual,
-    keeping every IMF: ``sift_blocks`` on a feed of one stack."""
-    return next(sift_blocks(iter([rows]), keep_all=True))
-
-
 def emd(signal):
     """Decompose into intrinsic mode functions plus a residual: a batch of one.
 
@@ -491,7 +485,7 @@ def emd(signal):
     (e.g. strictly monotonic input).
     """
     x = _check_signal(np.asarray(signal, dtype=np.float64))
-    out = emd_rows(x[None])
+    out = next(sift_blocks(iter([x[None]]), keep_all=True))
     if out.constant[0]:
         raise DecompositionFailure("constant signal has no oscillatory component")
     if not out.counts[0]:

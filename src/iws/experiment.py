@@ -148,8 +148,7 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
                     )
                     model = learn.train(spec, X_train, y_train)
                     fold_scores = []
-                    for i, X in zip(test_pos, np.split(X_test, splits)):
-                        raw = learn.predict(model, X)
+                    for i, raw in zip(test_pos, np.split(learn.predict(model, X_test), splits)):
                         corrected, truth = postprocess.postprocess_trial(raw, trials[usable[i]])
                         fold_scores.append(evaluate.score_trial(corrected, truth,
                                                                 trial_id=usable[i]))

@@ -45,6 +45,7 @@ _BAND_TAGS = ("w1", "w2", "w3", "w4", "a5")
 _FS2_FEATURES = ("TE", "IE", "HFD", "KFD", "GHE_q1", "GHE_q2")
 _HIGUCHI_K_MAX = 10
 GHE_TAUS = range(1, 20)  # lags of the scaling-of-increments fit, one-sample resolution
+_FS1_BLOCK_ROWS = 64  # rows per band product (see ``_fs1_rows``)
 
 _LAYOUTS = {
     1: tuple((ch, tag, "IE") for ch in range(CHANNEL_COUNT) for tag in _BAND_TAGS),
@@ -122,10 +123,10 @@ def _katz_rows(x):
 def _slopes(u, v, valid):
     """Least-squares slope of each row of ``v`` against the shared abscissae
     ``u``, fitted over the points where ``valid`` holds (nan below 2 points)."""
-    w = valid.astype(np.float64)
-    n = w.sum(axis=1)
+    n = valid.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        du = np.where(valid, u - ((w @ u) / n)[:, None], 0.0)
+        u = np.where(valid, u, 0.0)
+        du = np.where(valid, u - (u.sum(axis=1) / n)[:, None], 0.0)
         v = np.where(valid, v, 0.0)
         dv = v - (v.sum(axis=1) / n)[:, None]
         return np.sum(du * dv, axis=1) / np.sum(du * du, axis=1)
@@ -272,7 +273,14 @@ def _dwt_band_matrices():
 
 
 def _fs1_rows(rows):
-    return np.stack([_ie_rows(rows @ m) for m in _dwt_band_matrices()], axis=1)
+    """Band energies of each row.  The products run on zero-padded blocks of
+    ``_FS1_BLOCK_ROWS`` rows: a BLAS product's bits depend on its row count,
+    and a row's must not depend on the rows stacked beside it."""
+    n, width = rows.shape
+    blocks = np.zeros((-(-n // _FS1_BLOCK_ROWS), _FS1_BLOCK_ROWS, width))
+    blocks.reshape(-1, width)[:n] = rows
+    return np.stack([_ie_rows((blocks @ m).reshape(-1, m.shape[1])[:n])
+                     for m in _dwt_band_matrices()], axis=1)
 
 
 def _fs2_values(rows, dec, where):
@@ -311,7 +319,8 @@ def _row_stack(windows, offsets):
     def where(r):
         return f"channel {r % CHANNEL_COUNT}, instance offset {offsets[r // CHANNEL_COUNT]}"
 
-    return windows.transpose(0, 2, 1).reshape(-1, WINDOW_SAMPLES), where
+    # a copy for any window count: a strided view would change the order of row sums
+    return np.ascontiguousarray(windows.transpose(0, 2, 1)).reshape(-1, WINDOW_SAMPLES), where
 
 
 def _matrices(rows, where, feature_set_ids, dec):

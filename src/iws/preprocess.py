@@ -1,5 +1,6 @@
 """Common average reference cleaning and trial windowing."""
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,7 @@ def car_filter(samples) -> np.ndarray:
 
 
 def car_filter_trial(trial: Trial) -> Trial:
-    return trial.with_samples(car_filter(trial.samples))
+    return replace(trial, samples=car_filter(trial.samples))
 
 
 def _starts(begin, end_exclusive):

@@ -373,6 +373,14 @@ class TestRun:
         assert proc.returncode == 2
         assert "jobs" in proc.stderr
 
+    def test_csv_report_path_exits_2_and_writes_nothing(self, dataset_dir, tmp_path):
+        # the CSV summary goes to the report path with a .csv suffix: here, the report itself
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.run_config(dataset_dir)))
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.csv"))
+        assert_config_error(proc, "--out")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     def test_missing_dataset_exits_3(self, tmp_path):
         doc = self.run_config(tmp_path / "nowhere")
         cfg = tmp_path / "run.json"

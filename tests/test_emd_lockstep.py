@@ -209,6 +209,11 @@ def mixed_rows(seed, n_rows):
     return np.stack([kinds[i % len(kinds)]() for i in range(n_rows)])
 
 
+def sift_stack(rows):
+    """``sift_blocks`` on a feed of one stack, keeping every IMF."""
+    return next(decompose.sift_blocks(iter([rows]), keep_all=True))
+
+
 def colored_noise(seed, n_rows):
     """Colored-noise rows like the synthetic EEG's, some of which run into the
     300-iteration sift cap."""
@@ -217,7 +222,7 @@ def colored_noise(seed, n_rows):
 
 
 def assert_matches_oracle(rows):
-    out = decompose.emd_rows(rows)
+    out = sift_stack(rows)
     for r, x in enumerate(rows):
         values, residual, capped = oracle_decompose(x)
         assert out.capped[r] == capped, r
@@ -249,9 +254,9 @@ def test_mixed_batch_matches_oracle():
 
 def test_row_result_does_not_depend_on_its_batch():
     rows = mixed_rows(12, 25)
-    whole = decompose.emd_rows(rows)
+    whole = sift_stack(rows)
     for r in range(rows.shape[0]):
-        alone = decompose.emd_rows(rows[r:r + 1])
+        alone = sift_stack(rows[r:r + 1])
         assert alone.counts[0] == whole.counts[r]
         assert np.array_equal(alone.imfs[0], whole.imfs[r])
         assert np.array_equal(alone.residuals[0], whole.residuals[r])
@@ -280,7 +285,7 @@ def test_stalled_sift_ends_long_before_the_cap(monkeypatch):
     # iterate, and every later step would repeat it; the oracle still runs
     # its last sift to the cap
     rows = colored_noise(15, 80)
-    capped = np.flatnonzero(decompose.emd_rows(rows).capped)
+    capped = np.flatnonzero(sift_stack(rows).capped)
     assert capped.size
     steps = 0
     sift_step = decompose._sift_step
@@ -303,7 +308,7 @@ def test_tiny_signals_match_oracle():
     # same steps at any amplitude: none may end because its steps are small
     rows = colored_noise(15, 40)
     tiny = assert_matches_oracle(rows * 2.0**-40)
-    out = decompose.emd_rows(rows)
+    out = sift_stack(rows)
     assert tiny.capped.any() and np.array_equal(tiny.capped, out.capped)
     assert np.array_equal(tiny.counts, out.counts)
     assert np.array_equal(tiny.imfs, out.imfs * 2.0**-40)

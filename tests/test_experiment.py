@@ -98,13 +98,13 @@ class TestRunExperiment:
             monkeypatch.setattr(module, name, counted)
         experiment.run_subject(ds, rc, 0)
         assert {name: len(rows) for name, rows in calls.items()} == {
-            "scaler_fit": 4, "scaler_transform": 8, "pca_transform": 8, "predict": 32}
-        # every prediction reads one test trial's windows
+            "scaler_fit": 4, "scaler_transform": 8, "pca_transform": 8, "predict": 16}
+        # every prediction reads one fold's whole test side
         trials = [preprocess.car_filter_trial(t) for t in ds.trials]
         test_rows = [preprocess.window_grid(t).test_offsets.size for t in trials]
         plan = learn.make_fold_plan(len(trials), experiment._stable_seed(rc.seed, 0))
-        assert calls["predict"] == [test_rows[i] for _, test in plan.folds
-                                    for _ in range(4) for i in test]
+        assert calls["predict"] == [sum(test_rows[i] for i in test) for _, test in plan.folds
+                                    for _ in range(4)]
 
     def test_rejected_trial_leaves_the_others_their_ids_and_scores(self, tiny_datasets, caplog):
         ds = tiny_datasets[0]
@@ -246,7 +246,7 @@ class TestTrialFeatures:
             for fs in (1, 3):
                 expected = np.stack([features.extract_features(i, fs).values
                                      for i in instances])
-                np.testing.assert_allclose(matrix_set[fs], expected, rtol=0, atol=1e-12)
+                assert matrix_set[fs].tobytes() == expected.tobytes()
             np.testing.assert_array_equal(matrix_set[4][:, :70], matrix_set[1])
             np.testing.assert_array_equal(matrix_set[4][:, 70 + 168:], matrix_set[3])
 
@@ -342,7 +342,7 @@ class TestReadWindows:
             samples = ds.trials[i].samples.copy()
             samples[offset:offset + WINDOW_SAMPLES] = 0.0
             trials = list(ds.trials)
-            trials[i] = ds.trials[i].with_samples(samples)
+            trials[i] = dataclasses.replace(ds.trials[i], samples=samples)
             return dataclasses.replace(ds, trials=trials)
 
         out = experiment.run_subject(with_gap(idx), rc, 0)

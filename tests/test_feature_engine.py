@@ -10,14 +10,14 @@ the GHE lag range from ``features.GHE_TAUS`` and the EMD rules from the
 import numpy as np
 import pytest
 
-from iws import features
-from iws.data import CHANNEL_COUNT, SignalInstance
+from iws import features, preprocess
+from iws.data import CHANNEL_COUNT, SignalInstance, SynthConfig, generate_synthetic_dataset
 from iws.decompose import (
     CoefficientSet,
     dwt_bior22,
     emd,
-    emd_rows,
     select_imfs_minkowski,
+    sift_blocks,
 )
 from iws.errors import (
     DecompositionFailure,
@@ -317,12 +317,17 @@ def test_emd_fallback_fills_both_slots_from_window():
     assert channel[3] == pytest.approx(1.0, abs=1e-9)  # Katz of a straight line
 
 
+def sift_stack(rows):
+    """``sift_blocks`` on a feed of one stack, keeping every IMF."""
+    return next(sift_blocks(iter([rows]), keep_all=True))
+
+
 def test_emd_warns_once_per_stack_with_fallback_and_cap_counts(caplog):
     windows = eeg_like_windows(7, 3)
     windows[0, :, 2] = 0.1 * np.arange(64) + 1.0  # monotonic: no IMF at all
     windows[2, :, 5] = -0.2 * np.arange(64)
     rows = windows.transpose(0, 2, 1).reshape(-1, 64)
-    capped = int(emd_rows(rows).capped.sum())
+    capped = int(sift_stack(rows).capped.sum())
     assert capped > 0  # colored noise runs into the sift cap now and then
     with caplog.at_level("WARNING", logger="iws.features"):
         one_stack(windows, offsets_for(3), (2,))
@@ -340,7 +345,7 @@ def test_emd_warns_once_per_stack_with_fallback_and_cap_counts(caplog):
 
 def test_emd_silent_without_fallback_or_cap(caplog):
     windows = eeg_like_windows(9, 1)
-    dec = emd_rows(windows[0].T)
+    dec = sift_stack(windows[0].T)
     assert not dec.capped.any() and dec.counts.min() > 0
     with caplog.at_level("WARNING", logger="iws.features"):
         one_stack(windows, offsets_for(1), (2,))
@@ -382,3 +387,51 @@ def test_only_the_sets_a_request_needs_run(monkeypatch, feature_set_ids, fs1_cal
     out = one_stack(eeg_like_windows(11, 2), offsets_for(2), feature_set_ids)
     assert set(out) == set(feature_set_ids)
     assert calls == {"fs1": fs1_calls, "emd": emd_calls}
+
+
+# ---------------------------------------------------------------------------
+# Row independence: a window's rows do not depend on the windows stacked
+# beside it, so neither on how the pipeline groups its windows nor on
+# whether it featurizes one window alone
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def trial_test_windows():
+    """The 55 test windows of one 768-sample SNR-2 trial, with sets 1-3 of the whole stack."""
+    cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=768,
+                      iws_length_range=(192, 288), snr=2.0, seed=424242)
+    trial = preprocess.car_filter_trial(generate_synthetic_dataset(cfg)[0].trials[0])
+    offsets = preprocess.window_grid(trial).test_offsets
+    windows = preprocess.window_stack(trial, offsets)
+    return windows, offsets, one_stack(windows, offsets, (1, 2, 3))
+
+
+def test_rows_do_not_depend_on_the_windows_beside_them(trial_test_windows):
+    windows, offsets, whole = trial_test_windows
+    gen = np.random.default_rng(13)
+    n = len(offsets)
+    picks = [gen.choice(n, size, replace=False) for size in gen.integers(2, n, 6)]
+    picks += [[i] for i in gen.choice(n, 4, replace=False)]
+    for pick in picks:  # in random order
+        part = one_stack(windows[pick], offsets[pick], (1, 2, 3))
+        for fs in (1, 2, 3):
+            assert part[fs].tobytes() == whole[fs][pick].tobytes(), (fs, len(pick))
+
+
+def test_extract_features_gives_the_stack_rows(trial_test_windows):
+    windows, offsets, whole = trial_test_windows
+    for i in (0, 21, len(offsets) - 1):
+        instance = SignalInstance(samples=windows[i], trial_offset=int(offsets[i]))
+        for fs in (1, 2, 3):
+            assert extract_features(instance, fs).values.tobytes() == whole[fs][i].tobytes()
+
+
+def test_slopes_do_not_depend_on_the_rows_beside_them():
+    gen = np.random.default_rng(5)
+    u = np.log(GHE_TAUS)
+    v = gen.standard_normal((400, len(GHE_TAUS)))
+    valid = gen.random(v.shape) < 0.8  # lags skipped at random, as GHE skips them
+    whole = features._slopes(u, v, valid)
+    for size in gen.integers(1, 400, 200):
+        pick = gen.choice(400, size, replace=False)
+        assert features._slopes(u, v[pick], valid[pick]).tobytes() == whole[pick].tobytes()
