@@ -64,6 +64,8 @@ def cmd_run(args) -> int:
     if out.with_suffix(".csv") == out:  # the CSV summary would overwrite the report
         raise ConfigError(f"--out {out}: the report path must not end in .csv, "
                           "where the CSV summary goes")
+    if out.is_dir() or not out.parent.is_dir():  # found before the run, not after it
+        raise ConfigError(f"--out {out}: not a file path in an existing directory")
     doc = _load_json(args.config, "run config")
     config = _build_config(experiment.RunConfig, doc, "run config")
     datasets = data.read_dataset(config.dataset_path)

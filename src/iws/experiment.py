@@ -64,12 +64,12 @@ def _input_set(fs_id):
     return 4 if fs_id == 5 else fs_id
 
 
-def _read_offsets(grids, plan):
-    """The offsets of each usable trial's windows that some fold of ``plan``
+def _read_offsets(grids, folds):
+    """The offsets of each usable trial's windows that some fold of ``folds``
     reads, ascending: its training offsets if it trains in a fold, and its
     test offsets if it is tested in one."""
-    trained = {i for train, _ in plan.folds for i in train}
-    tested = {i for _, test in plan.folds for i in test}
+    trained = {i for train, _ in folds for i in train}
+    tested = {i for _, test in folds for i in test}
     reads = []
     for i, grid in enumerate(grids):
         parts = [grid.train_offsets] if i in trained else []
@@ -99,11 +99,11 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
         except SegmentTooShort as exc:
             log.warning("subject %s trial %d rejected: %s", dataset.subject_id, idx, exc)
     try:
-        plan = learn.make_fold_plan(len(usable), _stable_seed(config.seed, subject_index),
-                                    n_folds=config.folds)
+        folds = learn.make_fold_plan(len(usable), _stable_seed(config.seed, subject_index),
+                                     n_folds=config.folds)
     except TooFewTrials as exc:
         raise named(exc) from exc
-    reads = _read_offsets(grids, plan)
+    reads = _read_offsets(grids, folds)
     # one featurization pass over the windows some fold reads, reading each trial as it goes
     inputs = sorted({_input_set(fs) for fs in config.feature_set_ids})
     stacks = ((preprocess.window_stack(trials[t], read), read) for t, read in zip(usable, reads))
@@ -127,7 +127,7 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
     out = {(fs, clf): {"subject_id": dataset.subject_id, "fold_scores": []}
            for fs in config.feature_set_ids for clf in config.classifiers}
 
-    for fold_idx, (train_pos, test_pos) in enumerate(plan.folds):
+    for fold_idx, (train_pos, test_pos) in enumerate(folds):
         train_rows = np.concatenate([table_rows(i, grids[i].train_offsets) for i in train_pos])
         test_rows = np.concatenate([table_rows(i, grids[i].test_offsets) for i in test_pos])
         splits = np.cumsum([grids[i].test_offsets.size for i in test_pos])[:-1]  # per test trial

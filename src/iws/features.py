@@ -1,9 +1,11 @@
-"""Window features and the five feature-set layouts.
+"""Window features and the five feature sets.
 
-Feature sets:
-  1: band energy (IE) of the 4 wavelet detail sets + approximation, per channel (70)
-  2: TE, IE, HFD, KFD, GHE(q=1), GHE(q=2) of the two selected IMFs, per channel (168)
-  3: GHE(q=1), GHE(q=2) of the cleaned window itself, per channel (28)
+Feature sets, columns channel-major (every column of channel 0, then of 1, ...):
+  1: band energy (IE) per channel of w1, w2, w3, w4, a5, the 4 wavelet detail
+     sets and the approximation (70)
+  2: per channel imf1 then imf2, the two selected IMFs, each as TE, IE, HFD,
+     KFD, GHE_q1, GHE_q2 (168)
+  3: per channel GHE_q1, GHE_q2 of the cleaned window itself (28)
   4: concatenation 1 || 2 || 3 (266)
   5: PCA of z-scored set 4 keeping >= 90% of the variance (<= 266)
 
@@ -17,7 +19,6 @@ import functools
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,42 +42,26 @@ LOG_CLAMP = 1e-12  # floor for log10 arguments; keeps -inf out of classifiers
 FEATURE_SET_WIDTHS = {1: 70, 2: 168, 3: 28, 4: 266}
 PCA_VARIANCE_TARGET = 0.90  # share of set 4's variance that set 5 keeps
 
-_BAND_TAGS = ("w1", "w2", "w3", "w4", "a5")
 _FS2_FEATURES = ("TE", "IE", "HFD", "KFD", "GHE_q1", "GHE_q2")
 _HIGUCHI_K_MAX = 10
 GHE_TAUS = range(1, 20)  # lags of the scaling-of-increments fit, one-sample resolution
 _FS1_BLOCK_ROWS = 64  # rows per band product (see ``_fs1_rows``)
-
-_LAYOUTS = {
-    1: tuple((ch, tag, "IE") for ch in range(CHANNEL_COUNT) for tag in _BAND_TAGS),
-    2: tuple((ch, f"imf{slot}", name) for ch in range(CHANNEL_COUNT)
-             for slot in (1, 2) for name in _FS2_FEATURES),
-    3: tuple((ch, "signal", name) for ch in range(CHANNEL_COUNT)
-             for name in ("GHE_q1", "GHE_q2")),
-}
 
 
 @dataclass(frozen=True)
 class FeatureVector:
     values: np.ndarray
     feature_set_id: int
-    layout: tuple  # one (channel, band, feature) descriptor per value
-    label: Optional[int] = None
-    source_offset: Optional[int] = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "layout", tuple(tuple(e) for e in self.layout))
-        if arr.ndim != 1 or arr.size != len(self.layout):
-            raise InvariantViolation(
-                f"feature vector length {arr.size} does not match layout length {len(self.layout)}"
-            )
+        if arr.ndim != 1:
+            raise InvariantViolation(f"feature vector must be 1-D, got shape {arr.shape}")
         expected = FEATURE_SET_WIDTHS.get(self.feature_set_id)
         if expected is not None and arr.size != expected:
             raise InvariantViolation(
-                f"feature set {self.feature_set_id} must have width {expected}, got {arr.size}"
-            )
+                f"feature set {self.feature_set_id} must have width {expected}, got {arr.size}")
         if self.feature_set_id == 5 and arr.size > FEATURE_SET_WIDTHS[4]:
             raise InvariantViolation(f"feature set 5 width {arr.size} exceeds {FEATURE_SET_WIDTHS[4]}")
 
@@ -258,7 +243,7 @@ def ghe(x, q) -> float:
 # ---------------------------------------------------------------------------
 # Feature sets of a window stack.  Rows are (window, channel) pairs, window
 # major, so a (n_rows, k) result reshapes to (n_windows, 14 * k) in
-# channel-major layout order.
+# channel-major column order.
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -347,9 +332,9 @@ def stack_matrices(stacks, feature_set_ids):
     A stack is (windows, offsets): ``windows`` is (n_windows, 64, 14) and
     ``offsets`` gives each window's trial offset, which errors name together
     with the channel.  Each dict is {feature_set_id: (n_windows, width)
-    matrix}, columns in layout order, for the sets asked for only.  Set 4 is
-    built from sets 1, 2 and 3 (``concat_fs4``), and EMD runs only when set
-    2 is needed.
+    matrix}, columns in the module's order, for the sets asked for only.
+    Set 4 is built from sets 1, 2 and 3 (``concat_fs4``), and EMD runs only
+    when set 2 is needed.
 
     For set 2 the rows of all stacks sift through one EMD queue
     (``sift_blocks``): a stack is read when the queue has room for its rows,
@@ -395,14 +380,7 @@ def extract_features(instance, feature_set_id: int) -> FeatureVector:
         raise InvariantViolation(f"extract_features handles sets 1-3, got {feature_set_id}")
     [matrices] = stack_matrices([(instance.samples[None], [instance.trial_offset])],
                                 (feature_set_id,))
-    values = matrices[feature_set_id][0]
-    return FeatureVector(
-        values=values,
-        feature_set_id=feature_set_id,
-        layout=_LAYOUTS[feature_set_id],
-        label=instance.label,
-        source_offset=instance.trial_offset,
-    )
+    return FeatureVector(matrices[feature_set_id][0], feature_set_id)
 
 
 def assemble_fs4(v1: FeatureVector, v2: FeatureVector, v3: FeatureVector) -> FeatureVector:
@@ -410,18 +388,7 @@ def assemble_fs4(v1: FeatureVector, v2: FeatureVector, v3: FeatureVector) -> Fea
     for v, want in ((v1, 1), (v2, 2), (v3, 3)):
         if v.feature_set_id != want:
             raise LayoutMismatch(f"expected feature set {want}, got {v.feature_set_id}")
-    if not (v1.label == v2.label == v3.label):
-        raise LayoutMismatch("labels disagree across the three vectors")
-    offsets = {v.source_offset for v in (v1, v2, v3) if v.source_offset is not None}
-    if len(offsets) > 1:
-        raise LayoutMismatch(f"vectors come from different instances: offsets {sorted(offsets)}")
-    return FeatureVector(
-        values=concat_fs4(v1.values[None], v2.values[None], v3.values[None])[0],
-        feature_set_id=4,
-        layout=v1.layout + v2.layout + v3.layout,
-        label=v1.label,
-        source_offset=v1.source_offset,
-    )
+    return FeatureVector(concat_fs4(v1.values[None], v2.values[None], v3.values[None])[0], 4)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +424,7 @@ def scaler_transform(model: ScalerModel, matrix) -> np.ndarray:
 
 
 def scaler_apply(model: ScalerModel, v: FeatureVector) -> FeatureVector:
-    return FeatureVector(
-        values=scaler_transform(model, v.values[None])[0],
-        feature_set_id=v.feature_set_id,
-        layout=v.layout,
-        label=v.label,
-        source_offset=v.source_offset,
-    )
+    return FeatureVector(scaler_transform(model, v.values[None])[0], v.feature_set_id)
 
 
 @dataclass(frozen=True)
@@ -522,12 +483,4 @@ def pca_transform(model: PcaModel, matrix) -> np.ndarray:
 
 
 def pca_apply(model: PcaModel, v: FeatureVector) -> FeatureVector:
-    projected = pca_transform(model, v.values[None])[0]
-    layout = [("pca", f"pc{i:03d}", "proj") for i in range(projected.size)]
-    return FeatureVector(
-        values=projected,
-        feature_set_id=5,
-        layout=layout,
-        label=v.label,
-        source_offset=v.source_offset,
-    )
+    return FeatureVector(pca_transform(model, v.values[None])[0], 5)

@@ -36,23 +36,9 @@ class ClassifierSpec:
             raise InvariantViolation(f"unknown classifier kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Four independent seeded 75/25 trial-level splits for one subject."""
-
-    folds: tuple  # of (train_ids, test_ids) tuples
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "folds", tuple((tuple(tr), tuple(te)) for tr, te in self.folds)
-        )
-        for tr, te in self.folds:
-            if set(tr) & set(te):
-                raise InvariantViolation("train and test trials overlap")
-
-
-def make_fold_plan(n_trials, seed, n_folds=4) -> FoldPlan:
-    """Shuffle trial indices ``n_folds`` times and split each shuffle 75/25.
+def make_fold_plan(n_trials, seed, n_folds=4) -> tuple:
+    """One subject's folds, ``((train_ids, test_ids), ...)``: shuffle the
+    trial indices ``n_folds`` times and split each shuffle 75/25.
 
     Splits are at trial granularity, never window granularity, so no
     windows of a test trial can leak into training.
@@ -67,7 +53,7 @@ def make_fold_plan(n_trials, seed, n_folds=4) -> FoldPlan:
         perm = rng.permutation(n_trials)
         folds.append((tuple(int(i) for i in perm[:n_train]),
                       tuple(int(i) for i in perm[n_train:])))
-    return FoldPlan(folds=tuple(folds))
+    return tuple(folds)
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,19 @@ class TestRun:
         assert_config_error(proc, "--out")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
+    @pytest.mark.parametrize("out", ["missing/r.json", "existing"],
+                             ids=["missing-parent", "directory"])
+    def test_unwritable_report_path_exits_2_and_writes_nothing(self, dataset_dir, tmp_path,
+                                                                out):
+        # refused before the dataset is read, not after the whole run
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(self.run_config(dataset_dir)))
+        (tmp_path / "existing").mkdir()
+        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / out))
+        assert_config_error(proc, "--out")
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+            "existing", "run.json"]
+
     def test_missing_dataset_exits_3(self, tmp_path):
         doc = self.run_config(tmp_path / "nowhere")
         cfg = tmp_path / "run.json"

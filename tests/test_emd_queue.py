@@ -167,8 +167,8 @@ def test_non_finite_imf_names_the_first_trial(headline_subject, monkeypatch):
     # the queue ids number the rows of those windows only
     trials = [preprocess.car_filter_trial(t) for t in headline_subject.trials]
     grids = [preprocess.window_grid(t) for t in trials]
-    plan = learn.make_fold_plan(len(grids), experiment._stable_seed(0, 0))
-    reads = experiment._read_offsets(grids, plan)
+    folds = learn.make_fold_plan(len(grids), experiment._stable_seed(0, 0))
+    reads = experiment._read_offsets(grids, folds)
     starts = np.cumsum([0] + [read.size * CHANNEL_COUNT for read in reads])
     # one IMF of a row in trial 5 and of one in trial 2 turn infinite
     bad = {starts[5] + 3, starts[2] + 20}

@@ -102,8 +102,8 @@ class TestRunExperiment:
         # every prediction reads one fold's whole test side
         trials = [preprocess.car_filter_trial(t) for t in ds.trials]
         test_rows = [preprocess.window_grid(t).test_offsets.size for t in trials]
-        plan = learn.make_fold_plan(len(trials), experiment._stable_seed(rc.seed, 0))
-        assert calls["predict"] == [sum(test_rows[i] for i in test) for _, test in plan.folds
+        folds = learn.make_fold_plan(len(trials), experiment._stable_seed(rc.seed, 0))
+        assert calls["predict"] == [sum(test_rows[i] for i in test) for _, test in folds
                                     for _ in range(4)]
 
     def test_rejected_trial_leaves_the_others_their_ids_and_scores(self, tiny_datasets, caplog):
@@ -266,16 +266,16 @@ class TestReadWindows:
     some fold reads."""
 
     @staticmethod
-    def read_offsets(trials, plan):
+    def read_offsets(trials, folds):
         """Oracle: per trial, the ascending offsets of its training windows if
-        it trains in a fold of ``plan``, and of its test windows if it is
+        it trains in one of ``folds``, and of its test windows if it is
         tested in one."""
         out = []
         for i, trial in enumerate(trials):
             offsets = set()
-            if any(i in train for train, _ in plan.folds):
+            if any(i in train for train, _ in folds):
                 offsets |= set(preprocess.window_grid(trial).train_offsets.tolist())
-            if any(i in test for _, test in plan.folds):
+            if any(i in test for _, test in folds):
                 offsets |= set(preprocess._starts(0, trial.n_samples))
             out.append(sorted(offsets))
         return out
@@ -313,8 +313,8 @@ class TestReadWindows:
             rc = RunConfig(dataset_path="mem", feature_set_ids=(1, 2, 3, 4),
                            classifiers=("knn",), seed=seed)
             experiment.run_subject(ds, rc, 0)
-            plan = learn.make_fold_plan(len(trials), experiment._stable_seed(seed, 0))
-            want = self.read_offsets(trials, plan)
+            folds = learn.make_fold_plan(len(trials), experiment._stable_seed(seed, 0))
+            want = self.read_offsets(trials, folds)
             assert fed == want
             assert len(returned) == len(trials)
             for all_offsets, offsets, got, every in zip(every_offsets, want, returned, full):
@@ -322,7 +322,7 @@ class TestReadWindows:
                 assert set(got) == {1, 2, 3, 4}
                 for fs in (1, 2, 3, 4):
                     assert got[fs].tobytes() == every[fs][rows].tobytes()
-            plans.append(plan.folds)
+            plans.append(folds)
             unread.append(sum(o.size for o in every_offsets) - sum(map(len, want)))
         assert plans[0] != plans[1]
         assert 0 < unread[0] < unread[1]
@@ -331,8 +331,8 @@ class TestReadWindows:
         # a zero-filled 64-sample gap gives GHE no lag to fit
         ds = tiny_datasets[0]
         rc = RunConfig(dataset_path="mem", feature_set_ids=(3,), classifiers=("knn",), seed=0)
-        plan = learn.make_fold_plan(len(ds.trials), experiment._stable_seed(rc.seed, 0))
-        tested = {i for _, test in plan.folds for i in test}
+        folds = learn.make_fold_plan(len(ds.trials), experiment._stable_seed(rc.seed, 0))
+        tested = {i for _, test in folds for i in test}
         [idx] = sorted(set(range(len(ds.trials))) - tested)  # trains, but is never tested
         trial = ds.trials[idx]
         train_offsets = preprocess.window_grid(trial).train_offsets.tolist()

@@ -46,10 +46,6 @@ TOL = 1e-12
 # Oracles: the scalar implementation, verbatim
 # ---------------------------------------------------------------------------
 
-_BAND_TAGS = ("w1", "w2", "w3", "w4", "a5")
-_FS2_FEATURES = ("TE", "IE", "HFD", "KFD", "GHE_q1", "GHE_q2")
-
-
 def _values_of(w):
     return np.asarray(getattr(w, "values", w), dtype=np.float64)
 
@@ -134,22 +130,19 @@ def oracle_ghe(x, q) -> float:
     return float(slope) / q
 
 
-def _fs1_channel(x, ch):
-    sets = dwt_bior22(x)
-    values = [oracle_instantaneous_energy(s) for s in sets]
-    layout = [(ch, tag, "IE") for tag in _BAND_TAGS]
-    return values, layout
+def _fs1_channel(x):
+    return [oracle_instantaneous_energy(s) for s in dwt_bior22(x)]
 
 
-def _fs2_channel(x, ch):
+def _fs2_channel(x):
     try:
         imfs, _residual = emd(x)
         selected = select_imfs_minkowski(x, imfs)
     except DecompositionFailure:
         pseudo = CoefficientSet(values=x, kind="imf")
         selected = [pseudo, pseudo]
-    values, layout = [], []
-    for slot, imf in enumerate(selected, start=1):
+    values = []
+    for imf in selected:
         v = imf.values
         values.extend([
             oracle_teager_energy(v),
@@ -159,35 +152,31 @@ def _fs2_channel(x, ch):
             oracle_ghe(v, 1),
             oracle_ghe(v, 2),
         ])
-        layout.extend([(ch, f"imf{slot}", name) for name in _FS2_FEATURES])
-    return values, layout
+    return values
 
 
-def _fs3_channel(x, ch):
-    values = [oracle_ghe(x, 1), oracle_ghe(x, 2)]
-    layout = [(ch, "signal", "GHE_q1"), (ch, "signal", "GHE_q2")]
-    return values, layout
+def _fs3_channel(x):
+    return [oracle_ghe(x, 1), oracle_ghe(x, 2)]
 
 
 def oracle_extract(instance, feature_set_id):
-    """(values, layout) of one instance, channel-major."""
-    values, layout = [], []
+    """The feature values of one instance, channel-major."""
+    values = []
     for ch in range(CHANNEL_COUNT):
         x = instance.samples[:, ch]
         try:
             if feature_set_id == 1:
-                v, l = _fs1_channel(x, ch)
+                v = _fs1_channel(x)
             elif feature_set_id == 2:
-                v, l = _fs2_channel(x, ch)
+                v = _fs2_channel(x)
             else:
-                v, l = _fs3_channel(x, ch)
+                v = _fs3_channel(x)
         except IwsError as exc:
             raise type(exc)(
                 f"channel {ch}, instance offset {instance.trial_offset}: {exc}"
             ) from exc
         values.extend(v)
-        layout.extend(l)
-    return np.asarray(values), layout
+    return np.asarray(values)
 
 
 # ---------------------------------------------------------------------------
@@ -227,10 +216,9 @@ def test_matrices_match_channel_loops(fs, n_windows):
     offsets = offsets_for(n_windows)
     matrix = one_stack(windows, offsets, (fs,))[fs]
     for i, (w, off) in enumerate(zip(windows, offsets)):
-        expected, layout = oracle_extract(SignalInstance(samples=w, trial_offset=off), fs)
+        expected = oracle_extract(SignalInstance(samples=w, trial_offset=off), fs)
         assert_close(matrix[i], expected)
         fv = extract_features(SignalInstance(samples=w, trial_offset=off, label=1), fs)
-        assert fv.layout == tuple(layout)
         assert_close(fv.values, expected)
 
 
@@ -275,7 +263,7 @@ def test_constant_rows():
     windows = eeg_like_windows(3, 2)
     windows[1, :, 4] = 2.5
     fs1 = one_stack(windows, offsets_for(2), (1,))[1]
-    expected, _ = oracle_extract(SignalInstance(samples=windows[1], trial_offset=13), 1)
+    expected = oracle_extract(SignalInstance(samples=windows[1], trial_offset=13), 1)
     assert_close(fs1[1], expected)
     detail_bands = fs1[1, 4 * 5:4 * 5 + 4]  # channel 4, w1..w4
     assert np.all(detail_bands == np.log10(LOG_CLAMP))
@@ -310,7 +298,7 @@ def test_emd_fallback_fills_both_slots_from_window():
     with pytest.raises(DecompositionFailure):
         emd(windows[0, :, 2])
     matrix = one_stack(windows, [0], (2,))[2]
-    expected, _ = oracle_extract(SignalInstance(samples=windows[0], trial_offset=0), 2)
+    expected = oracle_extract(SignalInstance(samples=windows[0], trial_offset=0), 2)
     assert_close(matrix[0], expected)
     channel = matrix[0, 2 * 12:3 * 12]
     np.testing.assert_array_equal(channel[:6], channel[6:])

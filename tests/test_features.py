@@ -173,27 +173,21 @@ class TestGhe:
             ghe(np.zeros(64), 1)
 
 
-def labeled_instance(seed=0, label=0):
+def random_instance(seed=0):
     gen = np.random.default_rng(seed)
-    return SignalInstance(samples=gen.standard_normal((64, 14)),
-                          trial_offset=13, label=label)
+    return SignalInstance(samples=gen.standard_normal((64, 14)), trial_offset=13)
 
 
 class TestExtraction:
     def test_fs1_width_and_layout(self):
-        fv = extract_features(labeled_instance(), 1)
+        fv = extract_features(random_instance(), 1)
         assert fv.values.size == 70
-        assert fv.layout[0] == (0, "w1", "IE")
-        assert fv.layout[4] == (0, "a5", "IE")
-        assert fv.layout[-1] == (13, "a5", "IE")
         assert fv.feature_set_id == 1
 
     def test_fs2_width_and_finiteness(self):
-        fv = extract_features(labeled_instance(3), 2)
+        fv = extract_features(random_instance(3), 2)
         assert fv.values.size == 168
         assert np.all(np.isfinite(fv.values))
-        assert fv.layout[0] == (0, "imf1", "TE")
-        assert fv.layout[6] == (0, "imf2", "TE")
 
     def test_fs3_identical_channels_identical_features(self):
         walk = np.cumsum(np.random.default_rng(5).standard_normal(64))
@@ -206,36 +200,20 @@ class TestExtraction:
         assert np.max(np.abs(h2 - h2[0])) < 1e-12
 
     def test_determinism(self):
-        a = extract_features(labeled_instance(9), 1)
-        b = extract_features(labeled_instance(9), 1)
+        a = extract_features(random_instance(9), 1)
+        b = extract_features(random_instance(9), 1)
         assert np.array_equal(a.values, b.values)
-        assert a.layout == b.layout
-
-    def test_label_and_offset_travel(self):
-        fv = extract_features(labeled_instance(1, label=1), 1)
-        assert fv.label == 1 and fv.source_offset == 13
 
 
 class TestAssembleFs4:
     def test_widths_sum(self):
-        inst = labeled_instance(2, label=1)
+        inst = random_instance(2)
         v = assemble_fs4(*(extract_features(inst, k) for k in (1, 2, 3)))
         assert v.values.size == 266
         assert v.feature_set_id == 4
-        assert v.label == 1
-
-    def test_mismatched_instances_rejected(self):
-        a = extract_features(labeled_instance(2, label=1), 1)
-        other = SignalInstance(
-            samples=np.random.default_rng(3).standard_normal((64, 14)),
-            trial_offset=99, label=1)
-        b = extract_features(other, 2)
-        c = extract_features(labeled_instance(2, label=1), 3)
-        with pytest.raises(LayoutMismatch):
-            assemble_fs4(a, b, c)
 
     def test_wrong_order_rejected(self):
-        inst = labeled_instance(2)
+        inst = random_instance(2)
         v1, v2, v3 = (extract_features(inst, k) for k in (1, 2, 3))
         with pytest.raises(LayoutMismatch):
             assemble_fs4(v2, v1, v3)
@@ -243,9 +221,7 @@ class TestAssembleFs4:
 
 class TestScaler:
     def _vectors(self, matrix):
-        layout = [("x", "x", f"f{i}") for i in range(matrix.shape[1])]
-        return [FeatureVector(values=row, feature_set_id=0, layout=layout)
-                for row in matrix]
+        return [FeatureVector(values=row, feature_set_id=0) for row in matrix]
 
     def test_golden_population_std(self):
         vecs = self._vectors(np.array([[0.0, 10.0], [2.0, 10.0], [4.0, 10.0]]))
@@ -315,9 +291,7 @@ class TestPca:
     def test_projection_variance_ratio(self, rng):
         matrix = rng.standard_normal((150, 20)) * rng.uniform(0.1, 4.0, 20)
         model = pca_fit(matrix)
-        layout = [("x", "x", f"f{i}") for i in range(20)]
-        vecs = [FeatureVector(values=row, feature_set_id=0, layout=layout)
-                for row in matrix]
+        vecs = [FeatureVector(values=row, feature_set_id=0) for row in matrix]
         projected = np.stack([pca_apply(model, v).values for v in vecs])
         ratio = projected.var(axis=0).sum() / (matrix - matrix.mean(axis=0)).var(axis=0).sum()
         assert ratio >= 0.90
@@ -326,10 +300,8 @@ class TestPca:
     def test_apply_sets_feature_set_five(self, rng):
         matrix = rng.standard_normal((30, 5))
         model = pca_fit(matrix)
-        layout = [("x", "x", f"f{i}") for i in range(5)]
-        v = FeatureVector(values=matrix[0], feature_set_id=0, layout=layout, label=1)
-        out = pca_apply(model, v)
-        assert out.feature_set_id == 5 and out.label == 1
+        out = pca_apply(model, FeatureVector(values=matrix[0], feature_set_id=0))
+        assert out.feature_set_id == 5
 
     def test_needs_two_rows(self):
         with pytest.raises(EmptyInput):

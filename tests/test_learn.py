@@ -124,22 +124,22 @@ def nearest_centroid_oracle(X, y):
 class TestFoldPlan:
     @pytest.mark.parametrize("n,train,test", [(100, 75, 25), (160, 120, 40), (8, 6, 2)])
     def test_split_sizes(self, n, train, test):
-        plan = make_fold_plan(n, seed=1)
-        assert len(plan.folds) == 4
-        for tr, te in plan.folds:
+        folds = make_fold_plan(n, seed=1)
+        assert len(folds) == 4
+        for tr, te in folds:
             assert len(tr) == train and len(te) == test
             assert set(tr) | set(te) == set(range(n))
             assert not set(tr) & set(te)
 
     def test_determinism(self):
-        assert make_fold_plan(40, seed=9).folds == make_fold_plan(40, seed=9).folds
+        assert make_fold_plan(40, seed=9) == make_fold_plan(40, seed=9)
 
     def test_seed_changes_plan(self):
-        assert make_fold_plan(40, seed=9).folds != make_fold_plan(40, seed=10).folds
+        assert make_fold_plan(40, seed=9) != make_fold_plan(40, seed=10)
 
     def test_default_split_is_floor_of_three_quarters(self):
         for n in range(8, 300):
-            tr, te = make_fold_plan(n, seed=0, n_folds=1).folds[0]
+            [(tr, te)] = make_fold_plan(n, seed=0, n_folds=1)
             assert len(tr) == 3 * n // 4 and len(te) == n - 3 * n // 4
 
     def test_too_few_trials(self):
