@@ -2,7 +2,6 @@
 
 import logging
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -33,25 +32,6 @@ SIFT_TOLERANCE = 0.05  # envelope-mean bound, as a fraction of the row's std
 # rows sifting at once: a narrower queue pays each step's fixed cost more
 # often; a wider one (512) ran slower and took ~3 MiB more peak memory
 EMD_QUEUE_ROWS = 256
-
-COEFF_KINDS = ("detail_level_1", "detail_level_2", "detail_level_3",
-               "detail_level_4", "approximation_level_5")
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """One decomposition band: a detail/approximation sequence or one IMF."""
-
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.size == 0:
-            raise InvariantViolation(f"coefficient set {self.kind}: empty")
-        if not np.all(np.isfinite(arr)):
-            raise InvariantViolation(f"coefficient set {self.kind}: non-finite values")
-        object.__setattr__(self, "values", arr)
 
 
 # ---------------------------------------------------------------------------
@@ -112,30 +92,33 @@ def idwt_single_level(approx, detail, n_out):
 def dwt_bior22(signal):
     """Decompose a 64-sample window into 4 detail sets plus the approximation.
 
-    Returns [w1, w2, w3, w4, a5] as CoefficientSets, finest detail first.
+    Returns the arrays [w1, w2, w3, w4, a5], finest detail first.  A band
+    that overflows to a non-finite value raises InvariantViolation.
     """
     x = _check_signal(signal)
     if x.size != WINDOW_SAMPLES:
         raise InvariantViolation(f"expected a {WINDOW_SAMPLES}-sample window, got {x.size}")
-    details = []
+    bands = []
     cur = x
     for _ in range(DWT_LEVELS):
         cur, det = dwt_single_level(cur)
-        details.append(det)
-    sets = [CoefficientSet(values=det, kind=COEFF_KINDS[j]) for j, det in enumerate(details)]
-    sets.append(CoefficientSet(values=cur, kind=COEFF_KINDS[4]))
-    return sets
+        bands.append(det)
+    bands.append(cur)
+    for name, band in zip(("w1", "w2", "w3", "w4", "a5"), bands):
+        if not np.all(np.isfinite(band)):
+            raise InvariantViolation(f"dwt band {name}: non-finite values")
+    return bands
 
 
-def idwt_bior22(sets):
+def idwt_bior22(bands):
     """Reconstruct the window from dwt_bior22 output (perfect to ~1e-12)."""
-    if len(sets) != DWT_LEVELS + 1:
-        raise InvariantViolation(f"expected {DWT_LEVELS + 1} coefficient sets, got {len(sets)}")
-    # each level's input is as long as the detail set it produced
-    lengths = [WINDOW_SAMPLES] + [s.values.size for s in sets[:DWT_LEVELS - 1]]
-    cur = sets[-1].values
+    if len(bands) != DWT_LEVELS + 1:
+        raise InvariantViolation(f"expected {DWT_LEVELS + 1} bands, got {len(bands)}")
+    # each level's input is as long as the detail band it produced
+    lengths = [WINDOW_SAMPLES] + [len(band) for band in bands[:DWT_LEVELS - 1]]
+    cur = bands[-1]
     for level in range(DWT_LEVELS - 1, -1, -1):
-        cur = idwt_single_level(cur, sets[level].values, lengths[level])
+        cur = idwt_single_level(cur, bands[level], lengths[level])
     return cur
 
 
@@ -480,9 +463,10 @@ def sift_blocks(blocks, keep_all=False):
 def emd(signal):
     """Decompose into intrinsic mode functions plus a residual: a batch of one.
 
-    Returns (imfs, residual) with sum(imfs) + residual == signal exactly.
-    Raises DecompositionFailure when no IMF at all can be extracted
-    (e.g. strictly monotonic input).
+    Returns (imfs, residual): ``imfs`` is (k, n), one IMF per row, and
+    imfs.sum(axis=0) + residual == signal exactly.  Raises
+    DecompositionFailure when no IMF at all can be extracted (e.g. strictly
+    monotonic input), and InvariantViolation when an IMF is non-finite.
     """
     x = _check_signal(np.asarray(signal, dtype=np.float64))
     out = next(sift_blocks(iter([x[None]]), keep_all=True))
@@ -490,8 +474,9 @@ def emd(signal):
         raise DecompositionFailure("constant signal has no oscillatory component")
     if not out.counts[0]:
         raise DecompositionFailure("no IMF satisfied the sifting conditions")
-    imfs = [CoefficientSet(values=imf, kind="imf") for imf in out.imfs[0, :out.counts[0]]]
-    return imfs, out.residuals[0]
+    if not out.finite[0]:
+        raise InvariantViolation("emd: non-finite IMF values")
+    return out.imfs[0, :out.counts[0]], out.residuals[0]
 
 
 def minkowski_distance(signal, imf_values):
@@ -502,14 +487,14 @@ def minkowski_distance(signal, imf_values):
 
 
 def select_imfs_minkowski(signal, imfs):
-    """Pick the two IMFs closest to the signal (Minkowski distance), preserving
-    their input order; a tie keeps the earlier IMF.  A single IMF is
-    duplicated so downstream feature widths stay constant.
+    """The two rows of ``imfs`` closest to the signal (Minkowski distance), as
+    a (2, n) array in their input order; a tie keeps the earlier IMF.  A
+    single IMF is duplicated so downstream feature widths stay constant.
     """
-    if not imfs:
+    imfs = np.asarray(imfs, dtype=np.float64)
+    if len(imfs) == 0:
         raise EmptyInput("no IMFs to select from")
     if len(imfs) == 1:
-        return [imfs[0], imfs[0]]
-    values = np.stack([np.asarray(imf.values, dtype=np.float64) for imf in imfs])
-    first, second = np.sort(np.argsort(minkowski_distance(signal, values), kind="stable")[:2])
-    return [imfs[first], imfs[second]]
+        return imfs[[0, 0]]
+    first, second = np.sort(np.argsort(minkowski_distance(signal, imfs), kind="stable")[:2])
+    return imfs[[first, second]]

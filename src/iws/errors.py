@@ -53,7 +53,8 @@ class WidthMismatch(IwsError):
 
 
 class LayoutMismatch(IwsError):
-    """Feature vectors being combined do not describe the same instance."""
+    """A feature row or matrix has the wrong width for its operation: sets
+    assembled out of order, or a width other than the scaler's or PCA's."""
 
 
 class LengthMismatch(IwsError):

@@ -134,13 +134,13 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
         y_train = np.concatenate([grids[i].labels for i in train_pos])
         for s in inputs:  # one input set's z-scored rows at a time
             scaler = features.scaler_fit(table[s][train_rows])
-            scaled = [features.scaler_transform(scaler, table[s][rows])
+            scaled = [features.scaler_apply(scaler, table[s][rows])
                       for rows in (train_rows, test_rows)]
             for fs in [f for f in config.feature_set_ids if _input_set(f) == s]:
                 X_train, X_test = scaled
                 if fs == 5:
                     pca = features.pca_fit(X_train)
-                    X_train, X_test = (features.pca_transform(pca, X) for X in scaled)
+                    X_train, X_test = (features.pca_apply(pca, X) for X in scaled)
                 for clf_idx, clf in enumerate(config.classifiers):
                     spec = ClassifierSpec(
                         kind=clf,

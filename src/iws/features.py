@@ -12,7 +12,8 @@ Feature sets, columns channel-major (every column of channel 0, then of 1, ...):
 Every feature is computed row-wise on a stack of signals, one row per
 (window, channel); ``stack_matrices`` turns each stack of windows into one
 matrix per feature set.  The scalar functions and the per-instance
-``extract_features`` are batches of one.
+``extract_features`` are batches of one, and ``assemble_fs4``,
+``scaler_apply`` and ``pca_apply`` take one window's row or a matrix of rows.
 """
 
 import functools
@@ -46,28 +47,6 @@ _FS2_FEATURES = ("TE", "IE", "HFD", "KFD", "GHE_q1", "GHE_q2")
 _HIGUCHI_K_MAX = 10
 GHE_TAUS = range(1, 20)  # lags of the scaling-of-increments fit, one-sample resolution
 _FS1_BLOCK_ROWS = 64  # rows per band product (see ``_fs1_rows``)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    feature_set_id: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", arr)
-        if arr.ndim != 1:
-            raise InvariantViolation(f"feature vector must be 1-D, got shape {arr.shape}")
-        expected = FEATURE_SET_WIDTHS.get(self.feature_set_id)
-        if expected is not None and arr.size != expected:
-            raise InvariantViolation(
-                f"feature set {self.feature_set_id} must have width {expected}, got {arr.size}")
-        if self.feature_set_id == 5 and arr.size > FEATURE_SET_WIDTHS[4]:
-            raise InvariantViolation(f"feature set 5 width {arr.size} exceeds {FEATURE_SET_WIDTHS[4]}")
-
-
-def _values_of(w):
-    return np.asarray(getattr(w, "values", w), dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +176,7 @@ def _hurst_pair(x, where):
 
 def instantaneous_energy(w) -> float:
     """log10 of the mean squared coefficient value."""
-    x = _values_of(w)
+    x = np.asarray(w, dtype=np.float64)
     if x.size == 0:
         raise EmptyInput("instantaneous_energy of empty set")
     return float(_ie_rows(x.reshape(1, -1))[0])
@@ -205,7 +184,7 @@ def instantaneous_energy(w) -> float:
 
 def teager_energy(w) -> float:
     """log10 of the mean absolute energy-operator output (see ``_teager_rows``)."""
-    x = _values_of(w)
+    x = np.asarray(w, dtype=np.float64)
     if x.size < 3:
         raise InputTooShort(f"teager_energy needs >= 3 samples, got {x.size}")
     return float(_teager_rows(x.reshape(1, -1))[0])
@@ -251,7 +230,7 @@ def _dwt_band_matrices():
     """bior2.2 analysis with anti-reflect extension is linear in the window:
     band j of a row x is x @ M[j].  Built by decomposing the unit vectors."""
     bands = zip(*(dwt_bior22(e) for e in np.eye(WINDOW_SAMPLES)))
-    mats = tuple(np.stack([s.values for s in band]) for band in bands)
+    mats = tuple(np.stack(band) for band in bands)
     for m in mats:
         m.setflags(write=False)
     return mats
@@ -333,7 +312,7 @@ def stack_matrices(stacks, feature_set_ids):
     ``offsets`` gives each window's trial offset, which errors name together
     with the channel.  Each dict is {feature_set_id: (n_windows, width)
     matrix}, columns in the module's order, for the sets asked for only.
-    Set 4 is built from sets 1, 2 and 3 (``concat_fs4``), and EMD runs only
+    Set 4 is built from sets 1, 2 and 3 (``assemble_fs4``), and EMD runs only
     when set 2 is needed.
 
     For set 2 the rows of all stacks sift through one EMD queue
@@ -358,7 +337,7 @@ def stack_matrices(stacks, feature_set_ids):
         rows, where = read.popleft()
         matrices = _matrices(rows, where, base, dec)
         if 4 in feature_set_ids:
-            matrices[4] = concat_fs4(matrices[1], matrices[2], matrices[3])
+            matrices[4] = assemble_fs4(matrices[1], matrices[2], matrices[3])
         yield {fs: matrices[fs] for fs in feature_set_ids}
         if dec is not None:
             n_rows += rows.shape[0]
@@ -369,26 +348,24 @@ def stack_matrices(stacks, feature_set_ids):
                     "%d stopped at the sift-iteration cap", n_rows, no_imf, capped)
 
 
-def concat_fs4(m1, m2, m3) -> np.ndarray:
-    """Feature set 4 rows: sets 1, 2, 3 of the same windows side by side."""
-    return np.concatenate([m1, m2, m3], axis=1)
-
-
-def extract_features(instance, feature_set_id: int) -> FeatureVector:
-    """Compute feature set 1, 2 or 3 for one SignalInstance, channel-major order."""
+def extract_features(instance, feature_set_id: int) -> np.ndarray:
+    """Feature set 1, 2 or 3 of one SignalInstance: its row of the set's matrix."""
     if feature_set_id not in (1, 2, 3):
         raise InvariantViolation(f"extract_features handles sets 1-3, got {feature_set_id}")
     [matrices] = stack_matrices([(instance.samples[None], [instance.trial_offset])],
                                 (feature_set_id,))
-    return FeatureVector(matrices[feature_set_id][0], feature_set_id)
+    return matrices[feature_set_id][0]
 
 
-def assemble_fs4(v1: FeatureVector, v2: FeatureVector, v3: FeatureVector) -> FeatureVector:
-    """Concatenate sets 1, 2, 3 (in that order) for one instance."""
-    for v, want in ((v1, 1), (v2, 2), (v3, 3)):
-        if v.feature_set_id != want:
-            raise LayoutMismatch(f"expected feature set {want}, got {v.feature_set_id}")
-    return FeatureVector(concat_fs4(v1.values[None], v2.values[None], v3.values[None])[0], 4)
+def assemble_fs4(m1, m2, m3) -> np.ndarray:
+    """Feature set 4: sets 1, 2, 3 (in that order) side by side, of one window
+    (three rows) or of a stack (three matrices of the same windows)."""
+    parts = [np.asarray(m, dtype=np.float64) for m in (m1, m2, m3)]
+    for fs, part in enumerate(parts, start=1):
+        if part.shape[-1:] != (FEATURE_SET_WIDTHS[fs],):
+            raise LayoutMismatch(
+                f"feature set {fs} has width {FEATURE_SET_WIDTHS[fs]}, got shape {part.shape}")
+    return np.concatenate(parts, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -402,29 +379,24 @@ class ScalerModel:
 
 
 def scaler_fit(train) -> ScalerModel:
-    """Fit on training rows: an (n, d) matrix or a sequence of FeatureVectors."""
+    """Fit on training rows: an (n, d) matrix or a sequence of rows."""
     if len(train) == 0:
         raise EmptyInput("scaler_fit on empty training set")
-    matrix = (np.asarray(train, dtype=np.float64) if getattr(train, "ndim", 0) == 2
-              else np.stack([_values_of(v) for v in train]))
+    matrix = np.asarray(train, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise InvariantViolation(f"scaler_fit needs (n, d) training rows, got shape {matrix.shape}")
     mean = matrix.mean(axis=0)
     std = matrix.std(axis=0)  # population (divide by n)
     std = np.where(std > 0.0, std, 1.0)
     return ScalerModel(mean=mean, std=std)
 
 
-def scaler_transform(model: ScalerModel, matrix) -> np.ndarray:
-    """Z-score every row of an (n, d) matrix."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != model.mean.size:
-        raise LayoutMismatch(
-            f"vector width {matrix.shape[-1]} does not match scaler width {model.mean.size}"
-        )
-    return (matrix - model.mean) / model.std
-
-
-def scaler_apply(model: ScalerModel, v: FeatureVector) -> FeatureVector:
-    return FeatureVector(scaler_transform(model, v.values[None])[0], v.feature_set_id)
+def scaler_apply(model: ScalerModel, x) -> np.ndarray:
+    """Z-score a row, or every row of an (n, d) matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != model.mean.size:
+        raise LayoutMismatch(f"shape {x.shape} does not match scaler width {model.mean.size}")
+    return (x - model.mean) / model.std
 
 
 @dataclass(frozen=True)
@@ -472,15 +444,11 @@ def pca_fit(train_matrix) -> PcaModel:
     )
 
 
-def pca_transform(model: PcaModel, matrix) -> np.ndarray:
-    """Project every row of an (n, d) matrix onto the kept components."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[1] != model.mean.size:
-        raise LayoutMismatch(
-            f"vector width {matrix.shape[-1]} does not match PCA input width {model.mean.size}"
-        )
-    return (matrix - model.mean) @ model.components.T
-
-
-def pca_apply(model: PcaModel, v: FeatureVector) -> FeatureVector:
-    return FeatureVector(pca_transform(model, v.values[None])[0], 5)
+def pca_apply(model: PcaModel, x) -> np.ndarray:
+    """Project a row, or every row of an (n, d) matrix, onto the kept
+    components.  A row is projected as a one-row matrix."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != model.mean.size:
+        raise LayoutMismatch(f"shape {x.shape} does not match PCA input width {model.mean.size}")
+    out = (np.atleast_2d(x) - model.mean) @ model.components.T
+    return out if x.ndim == 2 else out[0]

@@ -93,10 +93,10 @@ def test_criterion_3_dwt_bior22():
     for _ in range(1000):
         x = rng.standard_normal(64) * rng.uniform(0.1, 10.0)
         worst = max(worst, float(np.max(np.abs(idwt_bior22(dwt_bior22(x)) - x))))
-    const_detail = max(float(np.max(np.abs(s.values)))
-                       for s in dwt_bior22(np.full(64, 2.5))[:4])
-    ramp_detail = max(float(np.max(np.abs(s.values)))
-                      for s in dwt_bior22(0.3 * np.arange(64) + 1.0)[:4])
+    const_detail = max(float(np.max(np.abs(band)))
+                       for band in dwt_bior22(np.full(64, 2.5))[:4])
+    ramp_detail = max(float(np.max(np.abs(band)))
+                      for band in dwt_bior22(0.3 * np.arange(64) + 1.0)[:4])
     ok = worst <= 1e-8 and const_detail <= 1e-8 and ramp_detail <= 1e-8
     _verdict(3, ok, f"PR worst={worst:.2e}, const detail={const_detail:.2e}, "
                     f"ramp detail={ramp_detail:.2e}")
@@ -122,9 +122,9 @@ def test_criterion_4_emd():
         except DecompositionFailure:
             failures += 1
             continue
-        rec = np.sum([i.values for i in imfs], axis=0) + resid
+        rec = np.sum(imfs, axis=0) + resid
         worst = max(worst, float(np.max(np.abs(rec - x))))
-        violations += sum(0 if count_condition(i.values) else 1 for i in imfs)
+        violations += sum(0 if count_condition(imf) else 1 for imf in imfs)
     ok = worst <= 1e-8 and violations == 0 and failures == 0
     _verdict(4, ok, f"completeness worst={worst:.2e}, count violations={violations}, "
                     f"failures={failures} over 500 signals")
@@ -177,13 +177,13 @@ def test_criterion_6_feature_set_geometry():
             v1, v2, v3 = (extract_features(inst, k) for k in (1, 2, 3))
             v4 = assemble_fs4(v1, v2, v3)
             fs4_vectors.append(v4)
-            if (v1.values.size, v2.values.size, v3.values.size, v4.values.size) != (70, 168, 28, 266):
+            if (v1.size, v2.size, v3.size, v4.size) != (70, 168, 28, 266):
                 widths_ok = False
     scaler = scaler_fit(fs4_vectors)
     scaled = [scaler_apply(scaler, v) for v in fs4_vectors]
-    matrix = np.stack([v.values for v in scaled])
+    matrix = np.stack(scaled)
     model = pca_fit(matrix)
-    projected = np.stack([pca_apply(model, v).values for v in scaled])
+    projected = np.stack([pca_apply(model, v) for v in scaled])
     recomputed = projected.var(axis=0).sum() / (matrix - matrix.mean(axis=0)).var(axis=0).sum()
     fs5_ok = projected.shape[1] <= 266 and recomputed >= 0.90
     _verdict(6, widths_ok and fs5_ok,

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from iws import decompose
-from iws.decompose import CoefficientSet
 from iws.errors import DecompositionFailure, EmptyInput, InvariantViolation
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,7 @@ def emd(signal):
         imf = _sift(residual, scale)
         if imf is None:
             break
-        imfs.append(CoefficientSet(values=imf, kind="imf"))
+        imfs.append(imf)
         residual = residual - imf
         maxima, minima = _local_extrema(residual)
         if maxima.size + minima.size < 2:  # residual effectively monotonic
@@ -151,7 +150,7 @@ def select_imfs_minkowski(signal, imfs):
         raise EmptyInput("no IMFs to select from")
     if len(imfs) == 1:
         return [imfs[0], imfs[0]]
-    distances = [minkowski_distance(signal, imf.values) for imf in imfs]
+    distances = [minkowski_distance(signal, imf) for imf in imfs]
     keep = sorted(np.argsort(distances, kind="stable")[:2])
     return [imfs[keep[0]], imfs[keep[1]]]
 
@@ -185,13 +184,12 @@ def oracle_decompose(x):
         imfs, residual = emd(x)
     except DecompositionFailure:
         return None, None, scale != 0.0 and oracle_sift_hits_cap(x, scale)
-    values = [imf.values for imf in imfs]
     capped = False
-    if len(values) < decompose.MAX_IMFS:
+    if len(imfs) < decompose.MAX_IMFS:
         maxima, minima = _local_extrema(residual)
         if maxima.size + minima.size >= 2:  # ended because a sift returned None
             capped = oracle_sift_hits_cap(residual, scale)
-    return values, residual, capped
+    return imfs, residual, capped
 
 
 def mixed_rows(seed, n_rows):
@@ -236,8 +234,7 @@ def assert_matches_oracle(rows):
             assert np.array_equal(out.imfs[r, slot], v), (r, slot)
         assert not np.any(out.imfs[r, len(values):]), r
         assert np.array_equal(out.residuals[r], residual), r
-        chosen = select_imfs_minkowski(x, [CoefficientSet(values=v, kind="imf") for v in values])
-        assert np.array_equal(out.selected[r], [c.values for c in chosen]), r
+        assert np.array_equal(out.selected[r], select_imfs_minkowski(x, values)), r
     return out
 
 
@@ -347,7 +344,7 @@ def test_emd_is_a_batch_of_one():
                 decompose.emd(x)
             continue
         imfs, got_residual = decompose.emd(x)
-        assert all(np.array_equal(a.values, b) for a, b in zip(imfs, values, strict=True))
+        assert all(np.array_equal(a, b) for a, b in zip(imfs, values, strict=True))
         assert np.array_equal(got_residual, residual)
 
 
@@ -374,10 +371,8 @@ def test_selection_ties_and_single_imf_match_oracle():
     # x itself is the closest; the pair still comes back in input order
     for values, want in (((a, b, c), [0, 2]), ((b,), [0, 0]), ((c, a), [0, 1]),
                          ((b, a, x), [1, 2])):
-        sets = [CoefficientSet(values=v, kind="imf") for v in values]
         for select in (decompose.select_imfs_minkowski, select_imfs_minkowski):
-            chosen = select(x, sets)
-            assert [next(i for i, s in enumerate(sets) if s is c) for c in chosen] == want
+            assert np.array_equal(select(x, list(values)), [values[i] for i in want])
     with pytest.raises(EmptyInput):
         decompose.select_imfs_minkowski(x, [])
 

@@ -87,8 +87,8 @@ class TestRunExperiment:
         ds = generate_synthetic_dataset(cfg)[0]
         rc = RunConfig(dataset_path="mem", feature_set_ids=(4, 5),
                        classifiers=("random_forest", "logreg"), seed=99)
-        patched = ((features, "scaler_fit"), (features, "scaler_transform"),
-                   (features, "pca_transform"), (learn, "predict"))
+        patched = ((features, "scaler_fit"), (features, "scaler_apply"),
+                   (features, "pca_apply"), (learn, "predict"))
         calls = {name: [] for _, name in patched}
         for module, name in patched:
             def counted(*args, _fn=getattr(module, name), _seen=calls[name]):
@@ -98,7 +98,7 @@ class TestRunExperiment:
             monkeypatch.setattr(module, name, counted)
         experiment.run_subject(ds, rc, 0)
         assert {name: len(rows) for name, rows in calls.items()} == {
-            "scaler_fit": 4, "scaler_transform": 8, "pca_transform": 8, "predict": 16}
+            "scaler_fit": 4, "scaler_apply": 8, "pca_apply": 8, "predict": 16}
         # every prediction reads one fold's whole test side
         trials = [preprocess.car_filter_trial(t) for t in ds.trials]
         test_rows = [preprocess.window_grid(t).test_offsets.size for t in trials]
@@ -244,8 +244,7 @@ class TestTrialFeatures:
             matrix_set = {fs: matrix[np.searchsorted(computed, offsets)]
                           for fs, matrix in base.items()}
             for fs in (1, 3):
-                expected = np.stack([features.extract_features(i, fs).values
-                                     for i in instances])
+                expected = np.stack([features.extract_features(i, fs) for i in instances])
                 assert matrix_set[fs].tobytes() == expected.tobytes()
             np.testing.assert_array_equal(matrix_set[4][:, :70], matrix_set[1])
             np.testing.assert_array_equal(matrix_set[4][:, 70 + 168:], matrix_set[3])

@@ -13,7 +13,6 @@ import pytest
 from iws import features, preprocess
 from iws.data import CHANNEL_COUNT, SignalInstance, SynthConfig, generate_synthetic_dataset
 from iws.decompose import (
-    CoefficientSet,
     dwt_bior22,
     emd,
     select_imfs_minkowski,
@@ -30,7 +29,6 @@ from iws.errors import (
 from iws.features import (
     GHE_TAUS,
     LOG_CLAMP,
-    concat_fs4,
     extract_features,
     ghe,
     higuchi_fd,
@@ -46,13 +44,9 @@ TOL = 1e-12
 # Oracles: the scalar implementation, verbatim
 # ---------------------------------------------------------------------------
 
-def _values_of(w):
-    return np.asarray(getattr(w, "values", w), dtype=np.float64)
-
-
 def oracle_instantaneous_energy(w) -> float:
     """log10 of the mean squared coefficient value."""
-    x = _values_of(w)
+    x = np.asarray(w, dtype=np.float64)
     if x.size == 0:
         raise EmptyInput("instantaneous_energy of empty set")
     ms = float(np.mean(x ** 2))
@@ -60,7 +54,7 @@ def oracle_instantaneous_energy(w) -> float:
 
 
 def oracle_teager_energy(w) -> float:
-    x = _values_of(w)
+    x = np.asarray(w, dtype=np.float64)
     if x.size < 3:
         raise InputTooShort(f"teager_energy needs >= 3 samples, got {x.size}")
     terms = np.abs(x[1:-1] ** 2 - x[:-2] * x[2:])
@@ -139,11 +133,9 @@ def _fs2_channel(x):
         imfs, _residual = emd(x)
         selected = select_imfs_minkowski(x, imfs)
     except DecompositionFailure:
-        pseudo = CoefficientSet(values=x, kind="imf")
-        selected = [pseudo, pseudo]
+        selected = [x, x]
     values = []
-    for imf in selected:
-        v = imf.values
+    for v in selected:
         values.extend([
             oracle_teager_energy(v),
             oracle_instantaneous_energy(v),
@@ -218,8 +210,8 @@ def test_matrices_match_channel_loops(fs, n_windows):
     for i, (w, off) in enumerate(zip(windows, offsets)):
         expected = oracle_extract(SignalInstance(samples=w, trial_offset=off), fs)
         assert_close(matrix[i], expected)
-        fv = extract_features(SignalInstance(samples=w, trial_offset=off, label=1), fs)
-        assert_close(fv.values, expected)
+        row = extract_features(SignalInstance(samples=w, trial_offset=off, label=1), fs)
+        assert_close(row, expected)
 
 
 def test_fs1_matches_dwt_band_energies():
@@ -354,7 +346,7 @@ def test_set_4_is_sets_1_2_3_side_by_side():
     base = one_stack(windows, offsets_for(3), (1, 2, 3))
     fs4 = one_stack(windows, offsets_for(3), (4,))
     assert set(fs4) == {4}
-    assert np.array_equal(fs4[4], concat_fs4(base[1], base[2], base[3]))
+    assert np.array_equal(fs4[4], np.concatenate([base[1], base[2], base[3]], axis=1))
 
 
 @pytest.mark.parametrize("feature_set_ids,fs1_calls,emd_calls", [
@@ -411,7 +403,7 @@ def test_extract_features_gives_the_stack_rows(trial_test_windows):
     for i in (0, 21, len(offsets) - 1):
         instance = SignalInstance(samples=windows[i], trial_offset=int(offsets[i]))
         for fs in (1, 2, 3):
-            assert extract_features(instance, fs).values.tobytes() == whole[fs][i].tobytes()
+            assert extract_features(instance, fs).tobytes() == whole[fs][i].tobytes()
 
 
 def test_slopes_do_not_depend_on_the_rows_beside_them():

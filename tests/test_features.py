@@ -10,7 +10,6 @@ from iws.errors import (
     LayoutMismatch,
 )
 from iws.features import (
-    FeatureVector,
     assemble_fs4,
     extract_features,
     ghe,
@@ -180,37 +179,34 @@ def random_instance(seed=0):
 
 class TestExtraction:
     def test_fs1_width_and_layout(self):
-        fv = extract_features(random_instance(), 1)
-        assert fv.values.size == 70
-        assert fv.feature_set_id == 1
+        assert extract_features(random_instance(), 1).shape == (70,)
 
     def test_fs2_width_and_finiteness(self):
-        fv = extract_features(random_instance(3), 2)
-        assert fv.values.size == 168
-        assert np.all(np.isfinite(fv.values))
+        row = extract_features(random_instance(3), 2)
+        assert row.shape == (168,)
+        assert np.all(np.isfinite(row))
 
     def test_fs3_identical_channels_identical_features(self):
         walk = np.cumsum(np.random.default_rng(5).standard_normal(64))
         inst = SignalInstance(samples=np.tile(walk[:, None], (1, 14)), trial_offset=0)
-        fv = extract_features(inst, 3)
-        assert fv.values.size == 28
-        h1 = fv.values[0::2]
-        h2 = fv.values[1::2]
+        row = extract_features(inst, 3)
+        assert row.shape == (28,)
+        h1 = row[0::2]
+        h2 = row[1::2]
         assert np.max(np.abs(h1 - h1[0])) < 1e-12
         assert np.max(np.abs(h2 - h2[0])) < 1e-12
 
     def test_determinism(self):
         a = extract_features(random_instance(9), 1)
         b = extract_features(random_instance(9), 1)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 class TestAssembleFs4:
     def test_widths_sum(self):
         inst = random_instance(2)
         v = assemble_fs4(*(extract_features(inst, k) for k in (1, 2, 3)))
-        assert v.values.size == 266
-        assert v.feature_set_id == 4
+        assert v.shape == (266,)
 
     def test_wrong_order_rejected(self):
         inst = random_instance(2)
@@ -220,29 +216,26 @@ class TestAssembleFs4:
 
 
 class TestScaler:
-    def _vectors(self, matrix):
-        return [FeatureVector(values=row, feature_set_id=0) for row in matrix]
-
     def test_golden_population_std(self):
-        vecs = self._vectors(np.array([[0.0, 10.0], [2.0, 10.0], [4.0, 10.0]]))
+        vecs = list(np.array([[0.0, 10.0], [2.0, 10.0], [4.0, 10.0]]))
         model = scaler_fit(vecs)
-        out = np.stack([scaler_apply(model, v).values for v in vecs])
+        out = np.stack([scaler_apply(model, v) for v in vecs])
         np.testing.assert_allclose(out[:, 0], [-1.224744871, 0.0, 1.224744871], atol=1e-8)
         # zero-variance column: centered but not scaled
         np.testing.assert_allclose(out[:, 1], [0.0, 0.0, 0.0], atol=1e-12)
 
     def test_train_set_statistics(self, rng):
-        vecs = self._vectors(rng.standard_normal((40, 7)) * 3 + 1)
+        vecs = list(rng.standard_normal((40, 7)) * 3 + 1)
         model = scaler_fit(vecs)
-        out = np.stack([scaler_apply(model, v).values for v in vecs])
+        out = np.stack([scaler_apply(model, v) for v in vecs])
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-9)
 
     def test_single_vector_degenerate(self):
-        vecs = self._vectors(np.array([[3.0, -1.0, 7.0]]))
+        vecs = list(np.array([[3.0, -1.0, 7.0]]))
         model = scaler_fit(vecs)
         out = scaler_apply(model, vecs[0])
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-12)
+        np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
@@ -291,18 +284,59 @@ class TestPca:
     def test_projection_variance_ratio(self, rng):
         matrix = rng.standard_normal((150, 20)) * rng.uniform(0.1, 4.0, 20)
         model = pca_fit(matrix)
-        vecs = [FeatureVector(values=row, feature_set_id=0) for row in matrix]
-        projected = np.stack([pca_apply(model, v).values for v in vecs])
+        projected = np.stack([pca_apply(model, row) for row in matrix])
         ratio = projected.var(axis=0).sum() / (matrix - matrix.mean(axis=0)).var(axis=0).sum()
         assert ratio >= 0.90
         assert model.retained_variance_ratio >= 0.90
 
-    def test_apply_sets_feature_set_five(self, rng):
-        matrix = rng.standard_normal((30, 5))
-        model = pca_fit(matrix)
-        out = pca_apply(model, FeatureVector(values=matrix[0], feature_set_id=0))
-        assert out.feature_set_id == 5
-
     def test_needs_two_rows(self):
         with pytest.raises(EmptyInput):
             pca_fit(np.zeros((1, 4)))
+
+
+class TestOneFunctionPerOperation:
+    """A window's row through a per-window operation is that row of the
+    operation on a matrix."""
+
+    def _sets(self, rng, n=30):
+        return [rng.standard_normal((n, w)) for w in (70, 168, 28)]
+
+    def test_assemble_rows_are_the_matrix_rows(self, rng):
+        sets = self._sets(rng)
+        whole = assemble_fs4(*sets)
+        assert whole.shape == (30, 266)
+        for i in range(30):
+            assert assemble_fs4(*(m[i] for m in sets)).tobytes() == whole[i].tobytes()
+
+    def test_scaler_rows_are_the_matrix_rows(self, rng):
+        matrix = rng.standard_normal((40, 266)) * rng.uniform(0.1, 5.0, 266)
+        model = scaler_fit(matrix[:25])
+        whole = scaler_apply(model, matrix)
+        for i, row in enumerate(matrix):
+            assert scaler_apply(model, row).tobytes() == whole[i].tobytes()
+
+    def test_pca_rows_agree_with_the_matrix_rows(self, rng):
+        matrix = rng.standard_normal((40, 266)) * rng.uniform(0.1, 5.0, 266)
+        model = pca_fit(matrix[:25])
+        whole = pca_apply(model, matrix)
+        for i, row in enumerate(matrix):
+            got = pca_apply(model, row)
+            # a BLAS product's bits depend on its shape: close to the matrix row,
+            # and bit-equal to the row projected as a one-row matrix
+            np.testing.assert_allclose(got, whole[i], rtol=0, atol=1e-12)
+            one_row = (row[None] - model.mean) @ model.components.T
+            assert got.tobytes() == one_row[0].tobytes()
+
+    def test_wrong_width_refused(self, rng):
+        sets = self._sets(rng, n=4)
+        matrix = np.concatenate(sets, axis=1)
+        scaler, pca = scaler_fit(matrix), pca_fit(matrix)
+        for x in (matrix, matrix[0]):
+            for apply, model in ((scaler_apply, scaler), (pca_apply, pca)):
+                with pytest.raises(LayoutMismatch):
+                    apply(model, x[..., 1:])
+        for parts in (sets, [m[0] for m in sets]):
+            with pytest.raises(LayoutMismatch):
+                assemble_fs4(parts[1], parts[0], parts[2])
+            with pytest.raises(LayoutMismatch):
+                assemble_fs4(parts[0], parts[1][..., 1:], parts[2])

@@ -2,8 +2,9 @@
 API gives ``run_experiment``'s report byte for byte.
 
 The reference cuts each trial into ``SignalInstance``s, featurizes every
-instance on its own into ``FeatureVector``s, stacks the vectors of each fold
-side, and predicts and scores one test trial at a time.  It has no window
+instance on its own into one row per input set, z-scores the rows one at a
+time and stacks them per fold side, and predicts and scores one test trial at
+a time.  It has no window
 grid, offsets, feature table or read union.  Since a window's feature rows
 are the same bits in any stack, a mismatch in sets 1-4 is a plumbing bug.
 """
@@ -30,8 +31,8 @@ from iws.experiment import RunConfig, _stable_seed
 from iws.features import (
     assemble_fs4,
     extract_features,
+    pca_apply,
     pca_fit,
-    pca_transform,
     scaler_apply,
     scaler_fit,
 )
@@ -51,8 +52,8 @@ class UsableTrial(NamedTuple):
     index: int  # in the subject's dataset
     trial: Trial  # CAR-filtered
     labels: list  # of the training instances
-    train: dict  # {input set: [FeatureVector per training instance]}
-    test: dict  # {input set: [FeatureVector per test instance]}
+    train: dict  # {input set: [feature row per training instance]}
+    test: dict  # {input set: [feature row per test instance]}
 
 
 def cut_test_trial(trial):
@@ -62,7 +63,7 @@ def cut_test_trial(trial):
 
 
 def vectors(instances, input_sets):
-    """{input set: [FeatureVector per instance]}; set 4 is assembled from 1-3."""
+    """{input set: [feature row per instance]}; set 4 is assembled from 1-3."""
     base = {1, 2, 3} if 4 in input_sets else set(input_sets)
     out = {fs: [extract_features(inst, fs) for inst in instances] for fs in base}
     if 4 in input_sets:
@@ -91,7 +92,7 @@ def featurized(name):
 
 
 def stacked(model, vecs):
-    return np.stack([scaler_apply(model, v).values for v in vecs])
+    return np.stack([scaler_apply(model, v) for v in vecs])
 
 
 def reference_run_subject(subject_id, usable, config, subject_index):
@@ -109,9 +110,9 @@ def reference_run_subject(subject_id, usable, config, subject_index):
             X_tests = [stacked(scaler, usable[i].test[input_set]) for i in test_ids]
             if fs == 5:  # one projection per stacked fold side
                 pca = pca_fit(X_train)
-                X_train = pca_transform(pca, X_train)
+                X_train = pca_apply(pca, X_train)
                 splits = np.cumsum([len(X) for X in X_tests])[:-1]
-                X_tests = np.split(pca_transform(pca, np.concatenate(X_tests)), splits)
+                X_tests = np.split(pca_apply(pca, np.concatenate(X_tests)), splits)
             for clf_idx, clf in enumerate(config.classifiers):
                 seed = _stable_seed(config.seed, subject_index, fold_idx, clf_idx, fs)
                 model = learn.train(learn.ClassifierSpec(kind=clf, seed=seed), X_train, y_train)
