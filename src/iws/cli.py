@@ -12,16 +12,7 @@ import sys
 from pathlib import Path
 
 from . import data, evaluate, experiment, postprocess
-from .errors import (
-    ConfigError,
-    DecompositionFailure,
-    DegenerateScaling,
-    InvariantViolation,
-    IwsError,
-    LengthMismatch,
-    MalformedFile,
-    NumericalFailure,
-)
+from .errors import ConfigError, InvariantViolation, IwsError, NumericalFailure
 
 log = logging.getLogger(__name__)
 
@@ -84,9 +75,9 @@ def cmd_score(args) -> int:
     doc = _load_json(args.pred, "predictions")
     if not isinstance(doc, dict) or not isinstance(doc.get("trials"), list):
         raise ConfigError("predictions file must be an object with a 'trials' list")
-    datasets = {ds.subject_id: ds for ds in data.read_dataset(args.dataset)}
     if not doc["trials"]:
         raise ConfigError("predictions 'trials' list is empty")
+    datasets = {ds.subject_id: ds for ds in data.read_dataset(args.dataset)}
     scores, lines, seen = [], [], set()
     for i, entry in enumerate(doc["trials"]):
         if not isinstance(entry, dict):
@@ -116,8 +107,8 @@ def cmd_score(args) -> int:
         truth = postprocess.truth_bins(ds.trials[entry["trial_index"]])
         try:
             score = evaluate.score_trial(bins, truth, trial_id=entry["trial_index"])
-        except LengthMismatch as exc:
-            raise LengthMismatch(f"predictions trials[{i}]: {exc}") from exc
+        except InvariantViolation as exc:
+            raise InvariantViolation(f"predictions trials[{i}]: {exc}") from exc
         scores.append(score)
         lines.append(f"{entry['subject_id']} trial {entry['trial_index']}: "
                      f"P={score.precision:.4f} R={score.recall:.4f} F1={score.f1:.4f}")
@@ -175,13 +166,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MalformedFile, InvariantViolation, LengthMismatch, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATASET
-    except (NumericalFailure, DecompositionFailure, DegenerateScaling) as exc:
+    except NumericalFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except IwsError as exc:
+    except (IwsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATASET
 

@@ -7,7 +7,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .data import WINDOW_SAMPLES
-from .errors import DecompositionFailure, EmptyInput, InvariantViolation
+from .errors import DecompositionFailure, InvariantViolation
 
 log = logging.getLogger(__name__)
 
@@ -493,7 +493,7 @@ def select_imfs_minkowski(signal, imfs):
     """
     imfs = np.asarray(imfs, dtype=np.float64)
     if len(imfs) == 0:
-        raise EmptyInput("no IMFs to select from")
+        raise InvariantViolation("no IMFs to select from")
     if len(imfs) == 1:
         return imfs[[0, 0]]
     first, second = np.sort(np.argsort(minkowski_distance(signal, imfs), kind="stable")[:2])

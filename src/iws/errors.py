@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A class exists only where some handler or reader tells it apart.  The CLI
+maps each error to its exit code by family, in this order: ``ConfigError``
+exits 2, ``NumericalFailure`` and its subclasses exit 4, and every other
+``IwsError`` (and an ``OSError``) exits 3.
+"""
 
 
 class IwsError(Exception):
@@ -6,7 +12,9 @@ class IwsError(Exception):
 
 
 class InvariantViolation(IwsError):
-    """A domain-type invariant does not hold (bad markers, non-finite data, ...)."""
+    """A domain-type invariant does not hold: bad markers, non-finite data or
+    features, an empty or too-short input, a width or length that does not
+    match its operation's, or training data with one class only."""
 
 
 class MalformedFile(IwsError):
@@ -24,42 +32,18 @@ class SegmentTooShort(IwsError):
     """A trial segment cannot host a single full analysis window."""
 
 
-class DecompositionFailure(IwsError):
-    """EMD could not extract a single intrinsic mode function."""
-
-
-class EmptyInput(IwsError):
-    """An operation received an empty sequence/collection."""
-
-
-class InputTooShort(IwsError):
-    """A sequence is shorter than the operation's minimum length."""
-
-
-class DegenerateScaling(IwsError):
-    """Too few valid lag points to fit a scaling exponent."""
-
-
 class TooFewTrials(IwsError):
     """A subject has fewer trials than the cross-validation scheme needs."""
 
 
-class SingleClassTraining(IwsError):
-    """Training data contains only one class where two are required."""
-
-
-class WidthMismatch(IwsError):
-    """Feature width at prediction time differs from training width."""
-
-
-class LayoutMismatch(IwsError):
-    """A feature row or matrix has the wrong width for its operation: sets
-    assembled out of order, or a width other than the scaler's or PCA's."""
-
-
-class LengthMismatch(IwsError):
-    """Prediction and truth vectors differ in length."""
-
-
 class NumericalFailure(IwsError):
-    """A numerical routine (eigensolve, optimizer) failed to converge."""
+    """A numerical routine failed: an eigensolve that does not converge, EMD
+    that extracts no IMF, or a scaling fit with too few valid lag points."""
+
+
+class DecompositionFailure(NumericalFailure):
+    """EMD could not extract a single intrinsic mode function."""
+
+
+class DegenerateScaling(NumericalFailure):
+    """Too few valid lag points to fit a scaling exponent."""

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch
+from .errors import InvariantViolation
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -39,9 +39,9 @@ def score_trial(pred, truth, trial_id=0) -> TrialScore:
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.size != truth.size:
-        raise LengthMismatch(f"pred length {pred.size} != truth length {truth.size}")
+        raise InvariantViolation(f"pred length {pred.size} != truth length {truth.size}")
     if pred.size == 0:
-        raise EmptyInput("cannot score empty vectors")
+        raise InvariantViolation("cannot score empty vectors")
     tp = int(np.sum((pred == 1) & (truth == 1)))
     fp = int(np.sum((pred == 1) & (truth == 0)))
     fn = int(np.sum((pred == 0) & (truth == 1)))
@@ -54,7 +54,7 @@ def score_trial(pred, truth, trial_id=0) -> TrialScore:
 def aggregate(scores):
     """Arithmetic mean and population standard deviation per metric."""
     if not scores:
-        raise EmptyInput("no scores to aggregate")
+        raise InvariantViolation("no scores to aggregate")
     out = {}
     for metric in METRICS:
         vals = np.array([getattr(s, metric) for s in scores], dtype=np.float64)
@@ -79,7 +79,7 @@ def build_report(subject_results, config_echo, seed) -> dict:
     TrialScore) and optional extras such as retained PCA dimensions.
     """
     if not subject_results:
-        raise EmptyInput("no subject results to report")
+        raise InvariantViolation("no subject results to report")
     results = []
     for (fs_id, clf), subjects in sorted(subject_results.items()):
         subject_blocks = []

@@ -27,14 +27,7 @@ from .data import CHANNEL_COUNT, WINDOW_SAMPLES
 from .decompose import dwt_bior22, sift_blocks
 # the per-signal forms stay importable from here: perfbench/tracing.py wraps them
 from .decompose import emd, select_imfs_minkowski  # noqa: F401
-from .errors import (
-    DegenerateScaling,
-    EmptyInput,
-    InputTooShort,
-    InvariantViolation,
-    LayoutMismatch,
-    NumericalFailure,
-)
+from .errors import DegenerateScaling, InvariantViolation, NumericalFailure
 
 log = logging.getLogger(__name__)
 
@@ -178,7 +171,7 @@ def instantaneous_energy(w) -> float:
     """log10 of the mean squared coefficient value."""
     x = np.asarray(w, dtype=np.float64)
     if x.size == 0:
-        raise EmptyInput("instantaneous_energy of empty set")
+        raise InvariantViolation("instantaneous_energy of empty set")
     return float(_ie_rows(x.reshape(1, -1))[0])
 
 
@@ -186,7 +179,7 @@ def teager_energy(w) -> float:
     """log10 of the mean absolute energy-operator output (see ``_teager_rows``)."""
     x = np.asarray(w, dtype=np.float64)
     if x.size < 3:
-        raise InputTooShort(f"teager_energy needs >= 3 samples, got {x.size}")
+        raise InvariantViolation(f"teager_energy needs >= 3 samples, got {x.size}")
     return float(_teager_rows(x.reshape(1, -1))[0])
 
 
@@ -194,7 +187,7 @@ def higuchi_fd(x, k_max: int = _HIGUCHI_K_MAX) -> float:
     """Higuchi fractal dimension (see ``_higuchi_rows``); constants return 0."""
     x = np.asarray(x, dtype=np.float64)
     if x.size < k_max + 1:
-        raise InputTooShort(f"higuchi_fd needs >= {k_max + 1} samples, got {x.size}")
+        raise InvariantViolation(f"higuchi_fd needs >= {k_max + 1} samples, got {x.size}")
     return float(_higuchi_rows(x.reshape(1, -1), k_max)[0])
 
 
@@ -202,7 +195,7 @@ def katz_fd(x) -> float:
     """Katz waveform dimension (see ``_katz_rows``); straight lines give 1."""
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2:
-        raise InputTooShort(f"katz_fd needs >= 2 samples, got {x.size}")
+        raise InvariantViolation(f"katz_fd needs >= 2 samples, got {x.size}")
     return float(_katz_rows(x.reshape(1, -1))[0])
 
 
@@ -212,7 +205,7 @@ def ghe(x, q) -> float:
         raise InvariantViolation(f"ghe handles q = 1 or 2, got {q!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2 * GHE_TAUS[-1]:
-        raise InputTooShort(f"ghe needs >= {2 * GHE_TAUS[-1]} samples, got {x.size}")
+        raise InvariantViolation(f"ghe needs >= {2 * GHE_TAUS[-1]} samples, got {x.size}")
     h, n_points = _ghe_rows(x.reshape(1, -1))[q - 1]
     if n_points[0] < 3:
         raise DegenerateScaling(_degenerate_message(n_points[0], q))
@@ -294,12 +287,17 @@ def _matrices(rows, where, feature_set_ids, dec):
         raise InvariantViolation(f"{where(int(np.argmin(finite)))}: non-finite values in signal")
     out = {}
     for fs in feature_set_ids:
-        if fs == 1:
-            values = _fs1_rows(rows)
-        elif fs == 2:
-            values = _fs2_values(rows, dec, where)
-        else:
-            values = np.stack(_hurst_pair(rows, where), axis=1)
+        with np.errstate(over="ignore"):  # an overflow is refused below, naming its row
+            if fs == 1:
+                values = _fs1_rows(rows)
+            elif fs == 2:
+                values = _fs2_values(rows, dec, where)
+            else:
+                values = np.stack(_hurst_pair(rows, where), axis=1)
+        finite = np.all(np.isfinite(values), axis=1)
+        if not finite.all():
+            raise InvariantViolation(
+                f"{where(int(np.argmin(finite)))}: feature set {fs}: non-finite values")
         out[fs] = values.reshape(-1, FEATURE_SET_WIDTHS[fs])
     return out
 
@@ -363,7 +361,7 @@ def assemble_fs4(m1, m2, m3) -> np.ndarray:
     parts = [np.asarray(m, dtype=np.float64) for m in (m1, m2, m3)]
     for fs, part in enumerate(parts, start=1):
         if part.shape[-1:] != (FEATURE_SET_WIDTHS[fs],):
-            raise LayoutMismatch(
+            raise InvariantViolation(
                 f"feature set {fs} has width {FEATURE_SET_WIDTHS[fs]}, got shape {part.shape}")
     return np.concatenate(parts, axis=-1)
 
@@ -381,7 +379,7 @@ class ScalerModel:
 def scaler_fit(train) -> ScalerModel:
     """Fit on training rows: an (n, d) matrix or a sequence of rows."""
     if len(train) == 0:
-        raise EmptyInput("scaler_fit on empty training set")
+        raise InvariantViolation("scaler_fit on empty training set")
     matrix = np.asarray(train, dtype=np.float64)
     if matrix.ndim != 2:
         raise InvariantViolation(f"scaler_fit needs (n, d) training rows, got shape {matrix.shape}")
@@ -395,7 +393,7 @@ def scaler_apply(model: ScalerModel, x) -> np.ndarray:
     """Z-score a row, or every row of an (n, d) matrix."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != model.mean.size:
-        raise LayoutMismatch(f"shape {x.shape} does not match scaler width {model.mean.size}")
+        raise InvariantViolation(f"shape {x.shape} does not match scaler width {model.mean.size}")
     return (x - model.mean) / model.std
 
 
@@ -413,7 +411,7 @@ def pca_fit(train_matrix) -> PcaModel:
     the variance."""
     matrix = np.asarray(train_matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
-        raise EmptyInput("pca_fit needs a matrix with >= 2 rows")
+        raise InvariantViolation("pca_fit needs a matrix with >= 2 rows")
     mean = matrix.mean(axis=0)
     centered = matrix - mean
     cov = centered.T @ centered / matrix.shape[0]
@@ -449,6 +447,6 @@ def pca_apply(model: PcaModel, x) -> np.ndarray:
     components.  A row is projected as a one-row matrix."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != model.mean.size:
-        raise LayoutMismatch(f"shape {x.shape} does not match PCA input width {model.mean.size}")
+        raise InvariantViolation(f"shape {x.shape} does not match PCA input width {model.mean.size}")
     out = (np.atleast_2d(x) - model.mean) @ model.components.T
     return out if x.ndim == 2 else out[0]

@@ -8,12 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import MIN_TRIALS
-from .errors import (
-    InvariantViolation,
-    SingleClassTraining,
-    TooFewTrials,
-    WidthMismatch,
-)
+from .errors import InvariantViolation, TooFewTrials
 
 log = logging.getLogger(__name__)
 
@@ -385,7 +380,7 @@ def _check_predict_input(X, n_features):
     if X.ndim == 1:
         X = X.reshape(0, n_features) if X.size == 0 else X.reshape(1, -1)
     if X.shape[1] != n_features:
-        raise WidthMismatch(f"expected {n_features} features, got {X.shape[1]}")
+        raise InvariantViolation(f"expected {n_features} features, got {X.shape[1]}")
     return X
 
 
@@ -405,7 +400,7 @@ def train(spec: ClassifierSpec, X, y):
     y = y.astype(np.int64)
     classes = np.unique(y)
     if spec.kind in ("random_forest", "logreg") and classes.size < 2:
-        raise SingleClassTraining(f"{spec.kind} needs both classes in training data")
+        raise InvariantViolation(f"{spec.kind} needs both classes in training data")
     if spec.kind == "random_forest":
         return _train_random_forest(X, y, spec.seed)
     if spec.kind == "knn":

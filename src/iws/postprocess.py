@@ -3,7 +3,7 @@
 import numpy as np
 
 from .data import STEP_SAMPLES, WINDOW_SAMPLES, Trial
-from .errors import EmptyInput
+from .errors import InvariantViolation
 
 # window w spans samples [step*w, step*w + WINDOW_SAMPLES), so it overlaps
 # bins w .. w + _BINS_PER_WINDOW - 1: an interior bin sees 5 windows
@@ -20,7 +20,7 @@ def reduce_windows(raw, n_bins) -> list:
     (a tie gives 0, and so does a bin past the last window's span)."""
     raw = np.asarray(raw, dtype=np.int64)
     if raw.size == 0:
-        raise EmptyInput("no window labels to reduce")
+        raise InvariantViolation("no window labels to reduce")
     kernel = np.ones(_BINS_PER_WINDOW, dtype=np.int64)
     ones = np.convolve(raw, kernel)  # 1 votes of each bin up to the last window's span
     voters = np.convolve(np.ones_like(raw), kernel)

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from iws import cli, data, postprocess
 from iws.data import SynthConfig
-from iws.errors import ConfigError
+from iws import errors
+from iws.errors import ConfigError, IwsError, NumericalFailure
 from iws.experiment import RunConfig
 
 SYNTH_CFG = {
@@ -341,8 +342,10 @@ class TestRun:
             cfg.write_text(json.dumps(self.run_config(ds)))
             args = ("--config", str(cfg), "--out", str(tmp_path / "r.json"))
         else:
+            # a non-empty list: an empty one is refused before the dataset is read
+            entry = {"subject_id": "s01", "trial_index": 0, "bins": [0]}
             pred = tmp_path / "pred.json"
-            pred.write_text(json.dumps({"trials": []}))
+            pred.write_text(json.dumps({"trials": [entry]}))
             args = ("--pred", str(pred), "--dataset", str(ds))
         proc = run_cli(command, *args)
         assert proc.returncode == 3
@@ -516,6 +519,10 @@ class TestScore:
         proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
         assert proc.returncode == 2
         assert "trials" in proc.stderr and "Traceback" not in proc.stderr
+        # the predictions file is checked before the dataset is read
+        proc = run_cli("score", "--pred", str(pred), "--dataset", str(tmp_path / "nowhere"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: predictions 'trials' list is empty\n"
 
     def test_repeated_trial_exits_2(self, dataset_dir, tmp_path):
         doc = self.make_predictions(dataset_dir)
@@ -552,6 +559,29 @@ class TestScore:
         proc = run_cli("score", "--pred", str(pred), "--dataset", str(dataset_dir))
         assert proc.returncode == 2
         assert "trials" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _error_classes(cls=IwsError):
+    return [cls] + [sub for child in cls.__subclasses__() for sub in _error_classes(child)]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("cls", _error_classes() + [OSError], ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_the_error_family(self, cls, monkeypatch, capsys):
+        assert cls is OSError or getattr(errors, cls.__name__) is cls
+
+        def score(args):
+            raise cls(f"stub {cls.__name__}")
+
+        monkeypatch.setattr(cli, "cmd_score", score)
+        code = cli.main(["score", "--pred", "p.json", "--dataset", "ds"])
+        if issubclass(cls, ConfigError):
+            assert code == 2
+        elif issubclass(cls, NumericalFailure):
+            assert code == 4
+        else:
+            assert code == 3
+        assert capsys.readouterr().err == f"error: stub {cls.__name__}\n"
 
 
 NUMPY_ONLY_SCRIPT = """

@@ -12,7 +12,7 @@ from iws.decompose import (
     minkowski_distance,
     select_imfs_minkowski,
 )
-from iws.errors import DecompositionFailure, EmptyInput, InvariantViolation
+from iws.errors import DecompositionFailure, InvariantViolation
 
 
 def count_extrema(x):
@@ -198,7 +198,7 @@ class TestMinkowskiSelection:
         assert np.array_equal(selected, [only, only])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantViolation, match="no IMFs to select from"):
             select_imfs_minkowski(np.zeros(4), [])
 
     @given(st.integers(0, 2**31 - 1))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from iws import decompose
-from iws.errors import DecompositionFailure, EmptyInput, InvariantViolation
+from iws.errors import DecompositionFailure, InvariantViolation
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-signal implementation, verbatim
@@ -147,7 +147,7 @@ def select_imfs_minkowski(signal, imfs):
     A single IMF is duplicated so downstream feature widths stay constant.
     """
     if not imfs:
-        raise EmptyInput("no IMFs to select from")
+        raise InvariantViolation("no IMFs to select from")
     if len(imfs) == 1:
         return [imfs[0], imfs[0]]
     distances = [minkowski_distance(signal, imf) for imf in imfs]
@@ -373,7 +373,7 @@ def test_selection_ties_and_single_imf_match_oracle():
                          ((b, a, x), [1, 2])):
         for select in (decompose.select_imfs_minkowski, select_imfs_minkowski):
             assert np.array_equal(select(x, list(values)), [values[i] for i in want])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(InvariantViolation, match="no IMFs to select from"):
         decompose.select_imfs_minkowski(x, [])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from iws.errors import EmptyInput, LengthMismatch
+from iws.errors import InvariantViolation
 from iws.evaluate import (
     REPORT_SCHEMA,
     TrialScore,
@@ -34,11 +34,11 @@ class TestScoreTrial:
         assert s.f1 == pytest.approx(0.6)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvariantViolation, match="pred length 2 != truth length 3"):
             score_trial([0, 1], [0, 1, 0])
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantViolation, match="cannot score empty vectors"):
             score_trial([], [])
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=40),
@@ -80,7 +80,7 @@ class TestAggregate:
         assert agg["precision"]["std"] == 0.0
 
     def test_empty(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantViolation, match="no scores to aggregate"):
             aggregate([])
 
 
@@ -128,7 +128,7 @@ class TestBuildReport:
             assert sub["aggregate"]["f1"]["std"] == pytest.approx(np.std(f1s), abs=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantViolation, match="no subject results"):
             build_report({}, {}, 0)
 
 

@@ -21,8 +21,6 @@ from iws.decompose import (
 from iws.errors import (
     DecompositionFailure,
     DegenerateScaling,
-    EmptyInput,
-    InputTooShort,
     InvariantViolation,
     IwsError,
 )
@@ -48,7 +46,7 @@ def oracle_instantaneous_energy(w) -> float:
     """log10 of the mean squared coefficient value."""
     x = np.asarray(w, dtype=np.float64)
     if x.size == 0:
-        raise EmptyInput("instantaneous_energy of empty set")
+        raise InvariantViolation("instantaneous_energy of empty set")
     ms = float(np.mean(x ** 2))
     return float(np.log10(max(ms, LOG_CLAMP)))
 
@@ -56,7 +54,7 @@ def oracle_instantaneous_energy(w) -> float:
 def oracle_teager_energy(w) -> float:
     x = np.asarray(w, dtype=np.float64)
     if x.size < 3:
-        raise InputTooShort(f"teager_energy needs >= 3 samples, got {x.size}")
+        raise InvariantViolation(f"teager_energy needs >= 3 samples, got {x.size}")
     terms = np.abs(x[1:-1] ** 2 - x[:-2] * x[2:])
     val = float(np.sum(terms)) / x.size
     return float(np.log10(max(val, LOG_CLAMP)))
@@ -66,7 +64,7 @@ def oracle_higuchi_fd(x, k_max: int = 10) -> float:
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     if n < k_max + 1:
-        raise InputTooShort(f"higuchi_fd needs >= {k_max + 1} samples, got {n}")
+        raise InvariantViolation(f"higuchi_fd needs >= {k_max + 1} samples, got {n}")
     log_inv_k, log_l = [], []
     for k in range(1, k_max + 1):
         lengths = []
@@ -90,7 +88,7 @@ def oracle_katz_fd(x) -> float:
     x = np.asarray(x, dtype=np.float64)
     m = x.size
     if m < 2:
-        raise InputTooShort(f"katz_fd needs >= 2 samples, got {m}")
+        raise InvariantViolation(f"katz_fd needs >= 2 samples, got {m}")
     path = float(np.sum(np.sqrt(1.0 + np.diff(x) ** 2)))
     t = np.arange(m, dtype=np.float64)
     d = float(np.max(np.sqrt(t ** 2 + (x - x[0]) ** 2)))
@@ -104,7 +102,7 @@ def oracle_katz_fd(x) -> float:
 def oracle_ghe(x, q) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2 * GHE_TAUS[-1]:
-        raise InputTooShort(f"ghe needs >= {2 * GHE_TAUS[-1]} samples, got {x.size}")
+        raise InvariantViolation(f"ghe needs >= {2 * GHE_TAUS[-1]} samples, got {x.size}")
     denom = float(np.mean(np.abs(x) ** q))
     log_tau, log_k = [], []
     for tau in GHE_TAUS:
@@ -282,6 +280,13 @@ def test_non_finite_input_rejected():
     for fs in (1, 2, 3):
         with pytest.raises(InvariantViolation, match="channel 7, instance offset 13"):
             one_stack(windows, offsets_for(2), (fs,))
+
+
+def test_overflowing_feature_rejected():
+    # finite samples whose squares overflow: band energies come out inf
+    window = np.random.default_rng(0).standard_normal((64, CHANNEL_COUNT)) * 1e200
+    with pytest.raises(InvariantViolation, match="channel 0, instance offset 13"):
+        one_stack(window[None], [13], (1,))
 
 
 def test_emd_fallback_fills_both_slots_from_window():

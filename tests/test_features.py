@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from iws.data import SignalInstance
-from iws.errors import (
-    DegenerateScaling,
-    EmptyInput,
-    InputTooShort,
-    LayoutMismatch,
-)
+from iws.errors import DegenerateScaling, InvariantViolation
 from iws.features import (
     assemble_fs4,
     extract_features,
@@ -56,7 +51,7 @@ class TestInstantaneousEnergy:
             np.log10(7.5), abs=1e-9)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantViolation, match="empty set"):
             instantaneous_energy([])
 
     @given(st.integers(0, 2**31 - 1), st.floats(0.01, 100.0))
@@ -80,7 +75,7 @@ class TestTeagerEnergy:
         assert teager_energy([3.0, 6.0, 12.0, 24.0, 48.0]) == -12.0
 
     def test_too_short(self):
-        with pytest.raises(InputTooShort):
+        with pytest.raises(InvariantViolation, match="needs >= 3 samples, got 2"):
             teager_energy([1.0, 2.0])
 
     @given(st.integers(0, 2**31 - 1), st.floats(0.01, 100.0))
@@ -114,7 +109,7 @@ class TestHiguchi:
         assert higuchi_fd(x + 100.0) == pytest.approx(higuchi_fd(x), abs=1e-9)
 
     def test_too_short(self):
-        with pytest.raises(InputTooShort):
+        with pytest.raises(InvariantViolation, match="needs >= 11 samples, got 10"):
             higuchi_fd(np.zeros(10), k_max=10)
 
 
@@ -135,7 +130,7 @@ class TestKatz:
         assert katz_fd(np.zeros(16)) == pytest.approx(1.0)
 
     def test_too_short(self):
-        with pytest.raises(InputTooShort):
+        with pytest.raises(InvariantViolation, match="needs >= 2 samples, got 1"):
             katz_fd([1.0])
 
 
@@ -164,7 +159,7 @@ class TestGhe:
         assert ghe(c * x, 1) == pytest.approx(ghe(x, 1), abs=1e-9)
 
     def test_too_short(self):
-        with pytest.raises(InputTooShort):
+        with pytest.raises(InvariantViolation, match="needs >= 38 samples, got 37"):
             ghe(np.zeros(37), 1)  # needs >= 2 * 19 = 38, twice the largest lag
 
     def test_degenerate_scaling(self):
@@ -211,7 +206,7 @@ class TestAssembleFs4:
     def test_wrong_order_rejected(self):
         inst = random_instance(2)
         v1, v2, v3 = (extract_features(inst, k) for k in (1, 2, 3))
-        with pytest.raises(LayoutMismatch):
+        with pytest.raises(InvariantViolation, match="feature set 1 has width 70"):
             assemble_fs4(v2, v1, v3)
 
 
@@ -238,7 +233,7 @@ class TestScaler:
         np.testing.assert_allclose(out, 0.0, atol=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantViolation, match="empty training set"):
             scaler_fit([])
 
 
@@ -290,7 +285,7 @@ class TestPca:
         assert model.retained_variance_ratio >= 0.90
 
     def test_needs_two_rows(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantViolation, match=">= 2 rows"):
             pca_fit(np.zeros((1, 4)))
 
 
@@ -333,10 +328,10 @@ class TestOneFunctionPerOperation:
         scaler, pca = scaler_fit(matrix), pca_fit(matrix)
         for x in (matrix, matrix[0]):
             for apply, model in ((scaler_apply, scaler), (pca_apply, pca)):
-                with pytest.raises(LayoutMismatch):
+                with pytest.raises(InvariantViolation, match="does not match"):
                     apply(model, x[..., 1:])
         for parts in (sets, [m[0] for m in sets]):
-            with pytest.raises(LayoutMismatch):
+            with pytest.raises(InvariantViolation, match="feature set 1 has width 70"):
                 assemble_fs4(parts[1], parts[0], parts[2])
-            with pytest.raises(LayoutMismatch):
+            with pytest.raises(InvariantViolation, match="feature set 2 has width 168"):
                 assemble_fs4(parts[0], parts[1][..., 1:], parts[2])

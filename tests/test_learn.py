@@ -4,12 +4,7 @@ from hypothesis import given, strategies as st
 from scipy.spatial.distance import cdist
 
 from iws import learn
-from iws.errors import (
-    InvariantViolation,
-    SingleClassTraining,
-    TooFewTrials,
-    WidthMismatch,
-)
+from iws.errors import InvariantViolation, TooFewTrials
 from iws.learn import (
     ClassifierSpec,
     RandomForestModel,
@@ -181,7 +176,7 @@ class TestTraining:
     @pytest.mark.parametrize("kind", ["random_forest", "logreg"])
     def test_single_class_rejected(self, kind):
         X = np.random.default_rng(0).standard_normal((20, 3))
-        with pytest.raises(SingleClassTraining):
+        with pytest.raises(InvariantViolation, match="needs both classes"):
             train(ClassifierSpec(kind=kind), X, np.zeros(20, dtype=int))
 
     def test_bad_shapes_rejected(self):
@@ -231,7 +226,7 @@ class TestPredict:
         for kind in ("random_forest", "knn", "logreg"):
             model = train(ClassifierSpec(kind=kind, seed=1), X, y)
             for shape in ((3, 5), (0, 5)):
-                with pytest.raises(WidthMismatch):
+                with pytest.raises(InvariantViolation, match="expected 4 features, got 5"):
                     predict(model, np.zeros(shape))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iws.data import Trial
-from iws.errors import EmptyInput
+from iws.errors import InvariantViolation
 from iws.postprocess import (
     correct_errors,
     n_bins_for,
@@ -50,7 +50,7 @@ class TestReduceWindows:
         assert reduce_windows([1, 1, 0, 0], 8)[3] == 0
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(InvariantViolation, match="no window labels"):
             reduce_windows([], 4)
 
     def test_coverage_counts(self):
