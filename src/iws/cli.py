@@ -23,7 +23,7 @@ EXIT_NUMERICAL = 4
 
 def _load_json(path, what):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}")
@@ -57,6 +57,8 @@ def cmd_run(args) -> int:
                           "where the CSV summary goes")
     if out.is_dir() or not out.parent.is_dir():  # found before the run, not after it
         raise ConfigError(f"--out {out}: not a file path in an existing directory")
+    if args.jobs < 1:  # as run_experiment checks it, but before the dataset is read
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     doc = _load_json(args.config, "run config")
     config = _build_config(experiment.RunConfig, doc, "run config")
     datasets = data.read_dataset(config.dataset_path)

@@ -50,6 +50,8 @@ class Trial:
 
     ``onset_sample`` is the first IWS sample; ``ending_sample`` is the first
     post-IWS ISS sample (exclusive end), so the IWS length is ``ending - onset``.
+    Checked once, when built: the samples become one read-only, finite float64
+    array, n x CHANNEL_COUNT with n >= 3 * WINDOW_SAMPLES, and 0 < onset < ending < n.
     """
 
     subject_id: str
@@ -59,23 +61,14 @@ class Trial:
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", arr)
-        self.validate()
-        arr.setflags(write=False)  # shared across threads; must not mutate
-
-    @property
-    def n_samples(self):
-        return self.samples.shape[0]
-
-    def validate(self):
-        if self.samples.ndim != 2 or self.samples.shape[1] != CHANNEL_COUNT:
+        if arr.ndim != 2 or arr.shape[1] != CHANNEL_COUNT:
             raise InvariantViolation(
                 f"trial {self.subject_id}: samples must be n x {CHANNEL_COUNT}, "
-                f"got shape {self.samples.shape}"
+                f"got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(self.samples)):
+        if not np.all(np.isfinite(arr)):
             raise InvariantViolation(f"trial {self.subject_id}: non-finite sample values")
-        n = self.samples.shape[0]
+        n = arr.shape[0]
         if n < 3 * WINDOW_SAMPLES:
             raise InvariantViolation(
                 f"trial {self.subject_id}: {n} samples < {3 * WINDOW_SAMPLES} minimum"
@@ -85,6 +78,12 @@ class Trial:
                 f"trial {self.subject_id}: markers must satisfy "
                 f"0 < onset ({self.onset_sample}) < ending ({self.ending_sample}) < n ({n})"
             )
+        object.__setattr__(self, "samples", arr)
+        arr.setflags(write=False)  # shared across threads; must not mutate
+
+    @property
+    def n_samples(self):
+        return self.samples.shape[0]
 
 
 @dataclass(frozen=True)
@@ -110,26 +109,18 @@ class SubjectDataset:
 
 @dataclass(frozen=True)
 class SignalInstance:
-    """One 0.5 s analysis window (64 samples x 14 channels) cut from a trial.
+    """One 0.5 s analysis window cut from a trial, held as given.
 
-    ``label`` is 0 (ISS) / 1 (IWS) for training instances, None for test
-    instances extracted continuously.
+    ``samples`` is a WINDOW_SAMPLES x CHANNEL_COUNT window; ``label`` is 0
+    (ISS) / 1 (IWS) for training instances, None for test instances
+    extracted continuously.  The record checks nothing itself: the checks
+    hold where the values are used.  ``features.extract_features`` refuses
+    a window of any other shape, and ``learn.train`` labels other than 0 / 1.
     """
 
     samples: np.ndarray
     trial_offset: int
     label: Optional[int] = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.shape != (WINDOW_SAMPLES, CHANNEL_COUNT):
-            raise InvariantViolation(
-                f"signal instance must be {WINDOW_SAMPLES} x {CHANNEL_COUNT}, got {arr.shape}"
-            )
-        if self.label not in (None, 0, 1):
-            raise InvariantViolation(f"label must be 0, 1 or None, got {self.label!r}")
-        object.__setattr__(self, "samples", arr)
-        arr.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -200,7 +191,6 @@ _JSON_NUMBERS = frozenset((int, float))  # what json.load makes of a number; boo
 
 
 def write_trial_file(trial: Trial, path) -> None:
-    trial.validate()
     head = {
         "subject_id": trial.subject_id,
         "sampling_rate": SAMPLING_RATE,
@@ -212,7 +202,7 @@ def write_trial_file(trial: Trial, path) -> None:
     # written WINDOW_SAMPLES rows per call to the C encoder: json.dump would
     # stream through the pure-Python encoder, one call would hold the whole
     # text at once, and one call per row costs ~25% more time
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(head)[:-1] + ', "samples": [')
         for start in range(0, trial.n_samples, WINDOW_SAMPLES):
             rows = json.dumps(trial.samples[start:start + WINDOW_SAMPLES].tolist())
@@ -232,7 +222,7 @@ def _require(doc, key, kind, where):
 
 def read_trial_file(path) -> Trial:
     where = str(path)
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # also an integer past Python's digit limit
@@ -285,7 +275,7 @@ def write_dataset(datasets, out_dir) -> None:
             {"subject_id": ds.subject_id, "protocol_tag": ds.protocol_tag, "files": files}
         )
     tmp = out_dir / "manifest.json.tmp"
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
     os.replace(tmp, out_dir / "manifest.json")
 
@@ -294,7 +284,7 @@ def read_dataset(in_dir):
     """Load a dataset directory back into a list of SubjectDataset."""
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
-    with open(manifest_path) as fh:
+    with open(manifest_path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
         except ValueError as exc:  # also an integer past Python's digit limit

@@ -2,7 +2,6 @@
 
 import logging
 from collections import deque
-from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -254,21 +253,9 @@ def _envelopes(x, maxima, minima, n_max, n_min):
     return _spline_rows(t, v, counts + 2, np.arange(n, dtype=np.float64), cum)
 
 
-class EmdRows(NamedTuple):
-    """EMD of an (n_rows, n) signal stack, as the sifting loop hands it back."""
-
-    # (n_rows, MAX_IMFS, n), row r in its first counts[r] slots; None unless kept
-    imfs: Optional[np.ndarray]
-    counts: np.ndarray     # IMFs per row; 0 when the row has no oscillatory component
-    residuals: Optional[np.ndarray]  # (n_rows, n): each row minus its IMFs; None unless kept
-    constant: np.ndarray   # rows with zero spread, never sifted
-    capped: np.ndarray     # rows whose last sift ran into, or would run into, MAX_SIFT_ITERATIONS
-    selected: np.ndarray   # (n_rows, 2, n): the two IMFs closest to each row (see _keep_closest)
-    finite: np.ndarray     # rows whose IMFs are all finite
-
-
-class _Block:
-    """A stack read from the feed: its output, filled in as its rows end."""
+class EmdRows:
+    """EMD of an (n_rows, n) signal stack: the one record ``sift_blocks`` makes
+    when it reads the stack, fills in as the stack's rows end and yields."""
 
     def __init__(self, rows, start, keep_all):
         n_rows, n = rows.shape
@@ -278,15 +265,15 @@ class _Block:
         self.tolerance = SIFT_TOLERANCE * scale
         self.sifted = scale > 0.0
         self.left = int(self.sifted.sum())  # sifted rows that have not ended yet
-        self.out = EmdRows(
-            imfs=np.zeros((n_rows, MAX_IMFS, n)) if keep_all else None,
-            counts=np.zeros(n_rows, dtype=np.intp),
-            residuals=rows.copy() if keep_all else None,
-            constant=scale == 0.0,
-            capped=np.zeros(n_rows, dtype=bool),
-            selected=np.zeros((n_rows, 2, n)),
-            finite=np.ones(n_rows, dtype=bool),
-        )
+        self.constant = scale == 0.0  # rows with zero spread, never sifted
+        # (n_rows, MAX_IMFS, n), row r in its first counts[r] slots, and (n_rows, n),
+        # each row minus its IMFs: both None unless kept
+        self.imfs = np.zeros((n_rows, MAX_IMFS, n)) if keep_all else None
+        self.residuals = rows.copy() if keep_all else None
+        self.counts = np.zeros(n_rows, dtype=np.intp)  # IMFs per row; 0: no oscillation
+        self.capped = np.zeros(n_rows, dtype=bool)  # last sift ran into, or would, the cap
+        self.selected = np.zeros((n_rows, 2, n))  # the two IMFs closest to each row
+        self.finite = np.ones(n_rows, dtype=bool)  # rows whose IMFs are all finite
 
 
 def _slots(n, keep_all):
@@ -379,7 +366,8 @@ def _sift_step(live, keep_all):
 
 
 def sift_blocks(blocks, keep_all=False):
-    """The EMD sifting loop.  Yields one EmdRows per stack of ``blocks``, in order.
+    """The EMD sifting loop.  Yields the EmdRows of each stack of ``blocks``,
+    in order: the record made when the stack is read, filled as its rows end.
 
     ``blocks`` yields (n_rows, n) signal stacks.  It is read only while fewer
     than ``EMD_QUEUE_ROWS`` rows are sifting, and each step does one sift
@@ -411,7 +399,7 @@ def sift_blocks(blocks, keep_all=False):
                 rows = next(blocks, None)
                 if rows is None:
                     break
-                current = _Block(np.asarray(rows, dtype=np.float64), n_read, keep_all)
+                current = EmdRows(np.asarray(rows, dtype=np.float64), n_read, keep_all)
                 cursor, n_read = 0, n_read + current.rows.shape[0]
                 fed.append(current)
                 if state is None:
@@ -429,14 +417,14 @@ def sift_blocks(blocks, keep_all=False):
             mine = (local >= 0) & (local < block.rows.shape[0])
             if not mine.any():
                 continue
-            src, dst, out = slots[mine], local[mine], block.out
-            out.counts[dst] = state["counts"][src]
-            out.selected[dst] = state["selected"][src]
-            out.finite[dst] = state["finite"][src]
-            out.capped[dst] = capped[mine]
+            src, dst = slots[mine], local[mine]
+            block.counts[dst] = state["counts"][src]
+            block.selected[dst] = state["selected"][src]
+            block.finite[dst] = state["finite"][src]
+            block.capped[dst] = capped[mine]
             if keep_all:
-                out.imfs[dst] = state["imfs"][src]
-                out.residuals[dst] = state["residual"][src]
+                block.imfs[dst] = state["imfs"][src]
+                block.residuals[dst] = state["residual"][src]
             block.left -= dst.size
         state["id"][slots] = -1
 
@@ -445,7 +433,7 @@ def sift_blocks(blocks, keep_all=False):
         if state is None:  # an empty feed
             return
         while fed and fed[0].left == 0:
-            yield fed.popleft().out
+            yield fed.popleft()
         taken = np.flatnonzero(state["id"] >= 0)
         if not taken.size:  # the feed is used up
             return

@@ -126,7 +126,7 @@ def write_report(report, path) -> None:
     """Atomic write (temp file + rename) so interruptions never truncate."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, path)
@@ -134,7 +134,7 @@ def write_report(report, path) -> None:
 
 def write_report_csv(report, path) -> None:
     """Flatten to one row per subject x feature_set x classifier for plotting."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature_set_id", "classifier", "subject_id",
                          "mean_f1", "std_f1", "mean_precision", "std_precision",

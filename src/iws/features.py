@@ -350,7 +350,7 @@ def extract_features(instance, feature_set_id: int) -> np.ndarray:
     """Feature set 1, 2 or 3 of one SignalInstance: its row of the set's matrix."""
     if feature_set_id not in (1, 2, 3):
         raise InvariantViolation(f"extract_features handles sets 1-3, got {feature_set_id}")
-    [matrices] = stack_matrices([(instance.samples[None], [instance.trial_offset])],
+    [matrices] = stack_matrices([([instance.samples], [instance.trial_offset])],
                                 (feature_set_id,))
     return matrices[feature_set_id][0]
 

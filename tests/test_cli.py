@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -352,29 +353,39 @@ class TestRun:
         assert "manifest.json" in proc.stderr and "subjects[1].subject_id" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("command", ["run", "score"])
-    @pytest.mark.parametrize("content", [
-        b'{"seed": ' + b"9" * 5000 + b"}",  # past Python's 4300-digit integer limit
-        b"\xff\xfe" + b'{"seed": 1}'.decode().encode("utf-16-le"),  # UTF-16, not UTF-8
-    ], ids=["long-integer", "utf16-bytes"])
-    def test_undecodable_json_exits_2(self, dataset_dir, tmp_path, command, content):
+    @pytest.mark.parametrize("command", ["generate", "run", "score"])
+    @pytest.mark.parametrize("content,message", [
+        # past Python's 4300-digit integer limit
+        (b'{"seed": ' + b"9" * 5000 + b"}", "not valid JSON"),
+        # UTF-16, not UTF-8
+        (b"\xff\xfe" + b'{"seed": 1}'.decode().encode("utf-16-le"), "not valid JSON"),
+        (None, "file not found"),  # no document at all
+        (b"[1]", "must be an? (JSON )?object"),  # a document that is no object
+    ], ids=["long-integer", "utf16-bytes", "missing-file", "json-array"])
+    def test_undecodable_json_exits_2(self, dataset_dir, tmp_path, command, content, message):
         doc = tmp_path / "doc.json"
-        doc.write_bytes(content)
-        if command == "run":
+        if content is not None:
+            doc.write_bytes(content)
+        if command == "generate":
+            args = ("--config", str(doc), "--out", str(tmp_path / "ds"))
+        elif command == "run":
             args = ("--config", str(doc), "--out", str(tmp_path / "r.json"))
         else:
             args = ("--pred", str(doc), "--dataset", str(dataset_dir))
         proc = run_cli(command, *args)
         assert proc.returncode == 2
-        assert "not valid JSON" in proc.stderr and "Traceback" not in proc.stderr
+        assert re.search(message, proc.stderr) and "Traceback" not in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["doc.json"] if content else [])
 
     def test_zero_jobs_exits_2(self, dataset_dir, tmp_path):
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps(self.run_config(dataset_dir)))
-        proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"),
-                       "--jobs", "0")
-        assert proc.returncode == 2
-        assert "jobs" in proc.stderr
+        # refused before the config's dataset is read, so also when it is missing
+        for dataset in (dataset_dir, tmp_path / "nowhere"):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(self.run_config(dataset)))
+            proc = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"),
+                           "--jobs", "0")
+            assert_config_error(proc, "jobs must be >= 1, got 0")
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     def test_csv_report_path_exits_2_and_writes_nothing(self, dataset_dir, tmp_path):
         # the CSV summary goes to the report path with a .csv suffix: here, the report itself
@@ -625,6 +636,61 @@ class TestNumpyOnlyRuntime:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+class TestFileEncoding:
+    """Every file the CLI reads or writes is UTF-8, whatever the locale."""
+
+    def test_run_under_an_ascii_locale(self, dataset_dir, tmp_path):
+        # subject s01 renamed to the raw UTF-8 id "sé" in the manifest and its
+        # trial files, which keep their ASCII names
+        ds = tmp_path / "ds"
+        shutil.copytree(dataset_dir, ds)
+        for path in ds.glob("*.json"):
+            path.write_bytes(path.read_bytes().replace(
+                b'"subject_id": "s01"', '"subject_id": "sé"'.encode("utf-8")))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dataset_path": str(ds), "feature_set_ids": [1],
+                                   "classifiers": ["logreg"], "folds": 1}))
+        out = tmp_path / "r.json"
+        # a C locale that keeps ASCII: neither locale coercion (PEP 538) nor UTF-8 mode (PEP 540)
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+            capture_output=True, text=True, env=env)
+        assert proc.stdout.strip() in ("ANSI_X3.4-1968", "US-ASCII", "ascii"), proc.stdout
+        proc = subprocess.run([sys.executable, "-m", "iws.cli", "run", "--config", str(cfg),
+                               "--out", str(out)], capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert [b["subject_id"] for b in json.loads(out.read_text())["results"][0]["subjects"]] \
+            == ["sé", "s02"]
+        assert ",sé," in out.with_suffix(".csv").read_bytes().decode("utf-8")
+
+    def test_no_file_opened_in_the_locale_encoding(self, tmp_path):
+        # PEP 597: each open() that names no encoding warns, here as an error
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "iws.cli", *args], capture_output=True, text=True)
+
+        synth, cfg, pred, ds = (tmp_path / name for name in ("synth.json", "run.json",
+                                                              "pred.json", "ds"))
+        synth.write_text(json.dumps({"n_subjects": 1, "trials_per_subject": 8,
+                                     "trial_length_samples": 224, "iws_length_range": [64, 96],
+                                     "seed": 1}))
+        cfg.write_text(json.dumps({"dataset_path": str(ds), "feature_set_ids": [1],
+                                   "classifiers": ["logreg"], "folds": 1}))
+        proc = run("generate", "--config", str(synth), "--out", str(ds))
+        assert proc.returncode == 0, proc.stderr
+        proc = run("run", "--config", str(cfg), "--out", str(tmp_path / "r.json"))
+        assert proc.returncode == 0, proc.stderr
+        trials = [{"subject_id": d.subject_id, "trial_index": i,
+                   "bins": postprocess.truth_bins(t)}
+                  for d in data.read_dataset(ds) for i, t in enumerate(d.trials)]
+        pred.write_text(json.dumps({"trials": trials}))
+        proc = run("score", "--pred", str(pred), "--dataset", str(ds))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].endswith("F1=1.0000")
 
 
 RUN_DOC = {"dataset_path": "ds", "feature_set_ids": [1, 5],

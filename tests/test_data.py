@@ -10,6 +10,7 @@ from scipy.signal import lfilter, periodogram
 
 from iws.data import (
     CHANNEL_COUNT,
+    SubjectDataset,
     SynthConfig,
     Trial,
     _background,
@@ -119,6 +120,8 @@ class TestTrialFiles:
     @pytest.mark.parametrize("case,check", [
         ("nan", "non-finite sample values"), ("infinity", "non-finite sample values"),
         ("-infinity", "non-finite sample values"), ("short", "150 samples < 192 minimum"),
+        ("array", "top-level value must be an object"),
+        ("channels", "field 'channels' must list 14 names"), ("empty", "field 'samples' is empty"),
     ])
     def test_invalid_trial_names_the_file(self, tmp_path, case, check):
         # json.load reads NaN and Infinity; the Trial check rejects them
@@ -127,6 +130,12 @@ class TestTrialFiles:
         doc = json.loads(path.read_text())
         if case == "short":
             doc["samples"] = doc["samples"][:150]
+        elif case == "array":
+            doc = [doc]
+        elif case == "channels":
+            doc["channels"] = doc["channels"][:13]
+        elif case == "empty":
+            doc["samples"] = []
         else:
             doc["samples"][3][2] = float(case)
         path.write_text(json.dumps(doc))
@@ -222,6 +231,14 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=256,
                         iws_length_range=(64, 200))
+        # nor may the range be reversed or shorter than a window, or the carrier reach Nyquist
+        for change, message in [({"iws_length_range": (128, 64)}, "0 < min <= max"),
+                                ({"iws_length_range": (32, 128)}, "minimum 32 < window size 64"),
+                                ({"carrier_band_hz": (8.0, 64.0)}, "inside (0, Nyquist)")]:
+            cfg = dict(n_subjects=1, trials_per_subject=8, trial_length_samples=320,
+                       iws_length_range=(64, 128))
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                SynthConfig(**{**cfg, **change})
 
     def test_zero_snr_allowed(self):
         cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=320,
@@ -248,10 +265,14 @@ class TestGenerator:
 
     def test_all_trials_valid(self):
         for ds in generate_synthetic_dataset(SynthConfig(seed=3, snr=5.0, **self.CFG)):
-            for t in ds.trials:
-                t.validate()
+            for t in ds.trials:  # each was checked when it was built
                 assert t.onset_sample >= 64
                 assert t.n_samples - t.ending_sample >= 64
+        # the subject record refuses an unknown protocol and too few trials for the split
+        with pytest.raises(InvariantViolation, match="unknown protocol_tag 'dataset9'"):
+            SubjectDataset(subject_id=ds.subject_id, trials=ds.trials, protocol_tag="dataset9")
+        with pytest.raises(InvariantViolation, match="7 trials < 8"):
+            SubjectDataset(subject_id=ds.subject_id, trials=ds.trials[:7])
 
     def test_snr_zero_variance_ratio(self):
         # oracle: direct variance computation over 100 generated trials

@@ -7,6 +7,7 @@ from iws.decompose import (
     DEC_HI,
     DEC_LO,
     dwt_bior22,
+    dwt_single_level,
     emd,
     idwt_bior22,
     minkowski_distance,
@@ -43,8 +44,6 @@ class TestDwt:
 
     def test_interior_coefficients_match_direct_convolution(self, rng):
         # oracle: dot products with the published taps, away from boundaries
-        from iws.decompose import dwt_single_level
-
         x = rng.standard_normal(64)
         detail = dwt_bior22(x)[0]
         for k in range(2, 30):  # taps x[2k-2 .. 2k] fully interior
@@ -80,6 +79,12 @@ class TestDwt:
     def test_wrong_length_rejected(self):
         with pytest.raises(InvariantViolation):
             dwt_bior22(np.zeros(63))
+        with pytest.raises(InvariantViolation, match="expected a 1-D signal, got ndim=2"):
+            dwt_single_level(np.zeros((4, 16)))
+        with pytest.raises(InvariantViolation, match="signal too short: 5 < 6"):
+            dwt_single_level(np.zeros(5))
+        with pytest.raises(InvariantViolation, match="expected 5 bands, got 4"):
+            idwt_bior22(dwt_bior22(np.zeros(64))[:4])
 
     def test_nonfinite_rejected(self):
         x = np.zeros(64)

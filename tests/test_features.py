@@ -161,6 +161,8 @@ class TestGhe:
     def test_too_short(self):
         with pytest.raises(InvariantViolation, match="needs >= 38 samples, got 37"):
             ghe(np.zeros(37), 1)  # needs >= 2 * 19 = 38, twice the largest lag
+        with pytest.raises(InvariantViolation, match="ghe handles q = 1 or 2, got 3"):
+            ghe(np.zeros(64), 3)
 
     def test_degenerate_scaling(self):
         with pytest.raises(DegenerateScaling):
@@ -195,6 +197,19 @@ class TestExtraction:
         a = extract_features(random_instance(9), 1)
         b = extract_features(random_instance(9), 1)
         assert np.array_equal(a, b)
+
+    def test_window_checked_where_it_is_used(self):
+        # the instance holds its window as given; extract_features reads a
+        # list-of-rows window as the array and refuses any other shape or set
+        w = random_instance(4).samples
+        for fs in (1, 2, 3):
+            as_list = SignalInstance(samples=w.tolist(), trial_offset=13)
+            assert np.array_equal(extract_features(as_list, fs),
+                                  extract_features(SignalInstance(samples=w, trial_offset=13), fs))
+        with pytest.raises(InvariantViolation, match="expected 1 windows of 64 x 14"):
+            extract_features(SignalInstance(samples=w[:63], trial_offset=13), 1)
+        with pytest.raises(InvariantViolation, match="extract_features handles sets 1-3, got 4"):
+            extract_features(SignalInstance(samples=w, trial_offset=13), 4)
 
 
 class TestAssembleFs4:
@@ -235,10 +250,12 @@ class TestScaler:
     def test_empty_rejected(self):
         with pytest.raises(InvariantViolation, match="empty training set"):
             scaler_fit([])
+        with pytest.raises(InvariantViolation, match=r"needs \(n, d\) training rows"):
+            scaler_fit(np.zeros((2, 3, 4)))
 
 
 class TestPca:
-    def test_rank_two_data(self, rng):
+    def test_rank_two_data(self, rng, caplog):
         # variance along two orthogonal directions only, comparable sizes
         n = 200
         basis = np.zeros((2, 8))
@@ -249,6 +266,11 @@ class TestPca:
         model = pca_fit(matrix)
         assert model.components.shape[0] == 2
         assert model.retained_variance_ratio == pytest.approx(1.0, abs=1e-12)
+        # rank zero: identical rows keep one component, with a warning
+        with caplog.at_level("WARNING", logger="iws.features"):
+            model = pca_fit(np.full((n, 8), 5.0))
+        assert model.components.shape[0] == 1 and model.retained_variance_ratio == 1.0
+        assert "zero total variance" in caplog.text
 
     def test_isotropic_keeps_about_ninety_percent(self, rng):
         matrix = rng.standard_normal((1000, 10))

@@ -40,6 +40,8 @@ class TestCarFilter:
         x[2, 2] = np.inf
         with pytest.raises(InvariantViolation):
             car_filter(x)
+        with pytest.raises(InvariantViolation, match="expected a 2-D samples matrix, got ndim=1"):
+            car_filter(np.zeros(14))
 
     @given(st.integers(0, 2**31 - 1))
     def test_idempotent(self, seed):
