@@ -159,6 +159,9 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a subject id that stdout cannot encode is escaped, as stderr does by default
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     logging.basicConfig(
         level=getattr(logging, args.log_level),
         format="%(asctime)s %(name)s %(levelname)s %(message)s",

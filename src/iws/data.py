@@ -191,23 +191,16 @@ _JSON_NUMBERS = frozenset((int, float))  # what json.load makes of a number; boo
 
 
 def write_trial_file(trial: Trial, path) -> None:
-    head = {
+    doc = {
         "subject_id": trial.subject_id,
         "sampling_rate": SAMPLING_RATE,
         "channels": _channel_names(),
         "onset_sample": int(trial.onset_sample),
         "ending_sample": int(trial.ending_sample),
+        "samples": trial.samples.tolist(),
     }
-    # the bytes of json.dumps on the whole document with the samples added,
-    # written WINDOW_SAMPLES rows per call to the C encoder: json.dump would
-    # stream through the pure-Python encoder, one call would hold the whole
-    # text at once, and one call per row costs ~25% more time
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(head)[:-1] + ', "samples": [')
-        for start in range(0, trial.n_samples, WINDOW_SAMPLES):
-            rows = json.dumps(trial.samples[start:start + WINDOW_SAMPLES].tolist())
-            fh.write((", " if start else "") + rows[1:-1])
-        fh.write("]}")
+        fh.write(json.dumps(doc))
 
 
 def _require(doc, key, kind, where):
@@ -260,6 +253,15 @@ def trial_filename(subject_id, trial_index):
     return f"{subject_id}_{trial_index:03d}.json"
 
 
+def _file_path(directory, name):
+    """The path of the file ``name`` in ``directory``: on disk, the name is its
+    UTF-8 bytes whatever the filesystem encoding."""
+    try:
+        return directory / os.fsdecode(name.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise MalformedFile(f"{directory}: file name {name!r} is not valid UTF-8 ({exc})") from exc
+
+
 def write_dataset(datasets, out_dir) -> None:
     """Write each trial as <subject>_<index>.json plus a manifest.json index."""
     out_dir = Path(out_dir)
@@ -269,7 +271,7 @@ def write_dataset(datasets, out_dir) -> None:
         files = []
         for i, trial in enumerate(ds.trials):
             name = trial_filename(ds.subject_id, i)
-            write_trial_file(trial, out_dir / name)
+            write_trial_file(trial, _file_path(out_dir, name))
             files.append(name)
         manifest["subjects"].append(
             {"subject_id": ds.subject_id, "protocol_tag": ds.protocol_tag, "files": files}
@@ -319,11 +321,12 @@ def read_dataset(in_dir):
         if len(files) < MIN_TRIALS:
             raise MalformedFile(f"{where}: field 'subjects[{i}].files' lists {len(files)} "
                                 f"trials < {MIN_TRIALS} (75/25 split needs at least 2 test trials)")
-        missing = [name for name in files if not (in_dir / name).is_file()]
+        paths = [_file_path(in_dir, name) for name in files]
+        missing = [name for name, path in zip(files, paths) if not path.is_file()]
         if missing:
             raise MalformedFile(f"{where}: field 'subjects[{i}].files' names {missing[0]!r}, "
                                 f"which is not a file in {in_dir}")
-        trials = [read_trial_file(in_dir / name) for name in files]
+        trials = [read_trial_file(path) for path in paths]
         for name, trial in zip(files, trials):
             if trial.subject_id != sid:
                 raise MalformedFile(

@@ -126,8 +126,9 @@ def idwt_bior22(bands):
 # endpoints are the first/last extremum mirrored across the window boundary
 # to suppress end swings.  Rows sift in lockstep through one bounded queue:
 # one step does one sift iteration of every row in it, each row's own
-# stopping rules decide when it emits an IMF and when it ends, and rows from
-# the feed take the places of those that ended.
+# stopping rules decide when it emits an IMF and when it ends.  The rows
+# sifting hold the queue's first slots: the last of them fill the slots of
+# those that end, and rows from the feed start in the slots after them.
 # ---------------------------------------------------------------------------
 
 def _extremum_masks(x):
@@ -263,8 +264,8 @@ class EmdRows:
         with np.errstate(invalid="ignore"):  # a row holding inf has no spread: never sifted
             scale = np.std(rows, axis=1)
         self.tolerance = SIFT_TOLERANCE * scale
-        self.sifted = scale > 0.0
-        self.left = int(self.sifted.sum())  # sifted rows that have not ended yet
+        self.todo = np.flatnonzero(scale > 0.0)  # rows to sift that have not started yet
+        self.left = self.todo.size  # rows to sift that have not ended yet
         self.constant = scale == 0.0  # rows with zero spread, never sifted
         # (n_rows, MAX_IMFS, n), row r in its first counts[r] slots, and (n_rows, n),
         # each row minus its IMFs: both None unless kept
@@ -278,9 +279,9 @@ class EmdRows:
 
 def _slots(n, keep_all):
     """The sift state of the queue: one array per quantity, one entry per
-    slot, each slot free (``id`` -1) until a row starts in it."""
+    slot; the rows sifting hold the first slots."""
     state = {
-        "id": np.full(EMD_QUEUE_ROWS, -1),  # queue id of the row in each slot
+        "id": np.zeros(EMD_QUEUE_ROWS, dtype=np.intp),  # queue id of the row in each slot
         "signal": np.zeros((EMD_QUEUE_ROWS, n)),
         "h": np.zeros((EMD_QUEUE_ROWS, n)),  # the current sift iterate
         "residual": np.zeros((EMD_QUEUE_ROWS, n)),
@@ -297,7 +298,7 @@ def _slots(n, keep_all):
 
 
 def _start_rows(state, slots, ids, signal, tolerance):
-    """Start the rows ``signal`` (queue ids ``ids``) in the free ``slots``."""
+    """Start the rows ``signal`` (queue ids ``ids``) in ``slots``."""
     state["id"][slots] = ids
     for key in ("signal", "h", "residual"):
         state[key][slots] = signal
@@ -386,66 +387,51 @@ def sift_blocks(blocks, keep_all=False):
     the queue width.
     """
     fed = deque()  # stacks read and not handed back yet
-    # the stack rows are started from, its next row, and the rows read so far
-    current, cursor, n_read = None, 0, 0
+    n_read = live = 0  # rows read so far, and rows sifting: those in the first live slots
     state = None  # the sift state, in EMD_QUEUE_ROWS slots, made at the first stack
-
-    def admit():
-        """Start rows from the feed in the free slots."""
-        nonlocal current, cursor, n_read, state
-        free = np.arange(EMD_QUEUE_ROWS) if state is None else np.flatnonzero(state["id"] < 0)
-        while free.size:
-            if current is None or cursor == current.rows.shape[0]:
-                rows = next(blocks, None)
-                if rows is None:
-                    break
-                current = EmdRows(np.asarray(rows, dtype=np.float64), n_read, keep_all)
-                cursor, n_read = 0, n_read + current.rows.shape[0]
-                fed.append(current)
-                if state is None:
-                    state = _slots(current.rows.shape[1], keep_all)
-            start = np.flatnonzero(current.sifted[cursor:])[:free.size] + cursor
-            cursor = start[-1] + 1 if start.size == free.size else current.rows.shape[0]
-            slots, free = free[:start.size], free[start.size:]
-            _start_rows(state, slots, start + current.start,
-                        current.rows[start], current.tolerance[start])
-
-    def finish(slots, capped):
-        """Copy the results of the rows in ``slots`` out, and free the slots."""
-        for block in fed:
-            local = state["id"][slots] - block.start
-            mine = (local >= 0) & (local < block.rows.shape[0])
-            if not mine.any():
+    while True:
+        while live < EMD_QUEUE_ROWS:  # start rows from the feed in the free slots
+            if fed and fed[-1].todo.size:
+                block = fed[-1]
+                start, block.todo = np.split(block.todo, [EMD_QUEUE_ROWS - live])
+                _start_rows(state, slice(live, live + start.size), start + block.start,
+                            block.rows[start], block.tolerance[start])
+                live += start.size
                 continue
-            src, dst = slots[mine], local[mine]
+            rows = next(blocks, None)
+            if rows is None:
+                break
+            fed.append(EmdRows(np.asarray(rows, dtype=np.float64), n_read, keep_all))
+            n_read += fed[-1].rows.shape[0]
+            if state is None:
+                state = _slots(fed[-1].rows.shape[1], keep_all)
+        while fed and fed[0].left == 0:
+            yield fed.popleft()
+        if not live:  # the feed is used up
+            return
+        sifting = {key: value[:live] for key, value in state.items()}
+        ended, capped = _sift_step(sifting, keep_all)
+        state["h"][:live], state["iterations"][:live] = sifting["h"], sifting["iterations"]
+        e = np.flatnonzero(ended)
+        if not e.size:
+            continue
+        ids = state["id"][e]  # copy the results of the rows that end out
+        for block in fed:
+            mine = (ids >= block.start) & (ids < block.start + block.rows.shape[0])
+            src, dst = e[mine], ids[mine] - block.start
             block.counts[dst] = state["counts"][src]
             block.selected[dst] = state["selected"][src]
             block.finite[dst] = state["finite"][src]
-            block.capped[dst] = capped[mine]
+            block.capped[dst] = capped[src]
             if keep_all:
                 block.imfs[dst] = state["imfs"][src]
                 block.residuals[dst] = state["residual"][src]
             block.left -= dst.size
-        state["id"][slots] = -1
-
-    while True:
-        admit()
-        if state is None:  # an empty feed
-            return
-        while fed and fed[0].left == 0:
-            yield fed.popleft()
-        taken = np.flatnonzero(state["id"] >= 0)
-        if not taken.size:  # the feed is used up
-            return
-        if taken.size == EMD_QUEUE_ROWS:  # a full queue steps in place
-            ended, capped = _sift_step(state, keep_all)
-        else:  # on a compacted copy of the taken slots, written back after
-            live = {key: value[taken] for key, value in state.items()}
-            ended, capped = _sift_step(live, keep_all)
-            for key, value in live.items():
-                state[key][taken] = value
-        if ended.any():
-            finish(taken[ended], capped[ended])
+        # and move the last rows still sifting into the slots of those that end
+        live -= e.size
+        holes, movers = e[e < live], live + np.flatnonzero(~ended[live:])
+        for value in state.values():
+            value[holes] = value[movers]
 
 
 def emd(signal):

@@ -692,6 +692,61 @@ class TestFileEncoding:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1].endswith("F1=1.0000")
 
+    def test_score_escapes_what_stdout_cannot_encode(self, dataset_dir, tmp_path):
+        ds, pred = tmp_path / "ds", tmp_path / "pred.json"
+        shutil.copytree(dataset_dir, ds)
+        for path in ds.glob("*.json"):
+            path.write_bytes(path.read_bytes().replace(
+                b'"subject_id": "s01"', '"subject_id": "sé"'.encode("utf-8")))
+        trials = [{"subject_id": d.subject_id, "trial_index": i,
+                   "bins": postprocess.truth_bins(t)}
+                  for d in data.read_dataset(ds) for i, t in enumerate(d.trials)]
+        pred.write_text(json.dumps({"trials": trials}))
+        proc = subprocess.run([sys.executable, "-m", "iws.cli", "score", "--pred", str(pred),
+                               "--dataset", str(ds)], capture_output=True,
+                              env=dict(os.environ, PYTHONIOENCODING="ascii"))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.decode("ascii").splitlines()
+        assert lines[0].startswith("s\\xe9 trial 0: P=1.0000 ")
+        assert lines[-1].endswith("F1=1.0000")
+
+    def test_file_names_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # a subject "sé" written under UTF-8 mode names its trial files in
+        # UTF-8 bytes; under an ASCII filesystem encoding they are the same
+        # names, read and written
+        ascii_env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        utf8_env = dict(os.environ, PYTHONUTF8="1")
+        write = ("import dataclasses, sys; from iws import data; "
+                 "cfg = data.SynthConfig(n_subjects=1, trials_per_subject=8, "
+                 "trial_length_samples=224, iws_length_range=(64, 96), seed=1); "
+                 "[ds] = data.generate_synthetic_dataset(cfg); "
+                 "trials = [dataclasses.replace(t, subject_id='s\\xe9') for t in ds.trials]; "
+                 "data.write_dataset([data.SubjectDataset('s\\xe9', trials)], sys.argv[1]); "
+                 "print(sys.getfilesystemencoding())")
+        written = {}
+        for name, env, encoding in (("utf8", utf8_env, "utf-8"), ("ascii", ascii_env, "ascii")):
+            proc = subprocess.run([sys.executable, "-c", write, str(tmp_path / name)],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == encoding
+            folder = os.fsencode(tmp_path / name)
+            written[name] = {f: Path(os.fsdecode(os.path.join(folder, f))).read_bytes()
+                             for f in os.listdir(folder)}
+        assert written["ascii"] == written["utf8"]
+        assert "sé_000.json".encode("utf-8") in written["utf8"]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"dataset_path": str(tmp_path / "utf8"),
+                                   "feature_set_ids": [1], "classifiers": ["logreg"],
+                                   "folds": 1}))
+        for name, env in (("utf8", utf8_env), ("ascii", ascii_env)):
+            proc = subprocess.run([sys.executable, "-m", "iws.cli", "run", "--config", str(cfg),
+                                   "--out", str(tmp_path / f"{name}-report.json")],
+                                  capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        for suffix in (".json", ".csv"):
+            assert ((tmp_path / f"ascii-report{suffix}").read_bytes()
+                    == (tmp_path / f"utf8-report{suffix}").read_bytes())
+
 
 RUN_DOC = {"dataset_path": "ds", "feature_set_ids": [1, 5],
            "classifiers": ["random_forest", "logreg"], "folds": 4, "seed": 0}

@@ -430,6 +430,17 @@ class TestDatasetDirectory:
             read_dataset(tmp_path)
         assert str(path) in str(exc.value)
 
+    def test_file_name_without_utf8_bytes_refused(self, tmp_path):
+        # a lone surrogate has no UTF-8 encoding, so no file name on disk
+        name = "s\udce9"
+        trials = [make_trial(seed=i, subject=name) for i in range(8)]
+        with pytest.raises(MalformedFile, match="is not valid UTF-8"):
+            write_dataset([SubjectDataset(subject_id=name, trials=trials)], tmp_path / "out")
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"subjects": [{"subject_id": "s01", "files": EIGHT_FILES[:7] + [name + ".json"]}]}))
+        with pytest.raises(MalformedFile, match="is not valid UTF-8"):
+            read_dataset(tmp_path)
+
     def test_manifest_naming_a_missing_trial_file_names_it(self, tmp_path):
         cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=320,
                           iws_length_range=(64, 128), snr=2.0, seed=13)

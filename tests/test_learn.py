@@ -293,6 +293,27 @@ class TestDeterminismAndProperties:
         assert all(b <= a for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[2] < losses[1] < losses[0]
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_logreg_failed_solve_ends_the_fit(self, monkeypatch, k):
+        # a solve that fails at the k-th Newton step leaves the iterate of k - 1 steps
+        X, y = blobs(n_per_class=50, margin=1.0, seed=5)
+        monkeypatch.setattr(learn, "LOGREG_NEWTON_STEPS", k - 1)
+        capped = train(ClassifierSpec(kind="logreg"), X, y)
+        monkeypatch.undo()
+        solve, calls = np.linalg.solve, []
+
+        def failing(a, b):
+            calls.append(k)
+            if len(calls) == k:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        model = train(ClassifierSpec(kind="logreg"), X, y)
+        assert len(calls) == k
+        assert model.weights.tobytes() == capped.weights.tobytes()
+        assert np.float64(model.intercept).tobytes() == np.float64(capped.intercept).tobytes()
+
     def test_logreg_model_loss_decreases(self):
         X, y = blobs(n_per_class=50, margin=2.0, seed=5)
         model = train(ClassifierSpec(kind="logreg"), X, y)
