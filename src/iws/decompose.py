@@ -277,10 +277,10 @@ class EmdRows:
         self.finite = np.ones(n_rows, dtype=bool)  # rows whose IMFs are all finite
 
 
-def _slots(n, keep_all):
+def _slots(n):
     """The sift state of the queue: one array per quantity, one entry per
     slot; the rows sifting hold the first slots."""
-    state = {
+    return {
         "id": np.zeros(EMD_QUEUE_ROWS, dtype=np.intp),  # queue id of the row in each slot
         "signal": np.zeros((EMD_QUEUE_ROWS, n)),
         "h": np.zeros((EMD_QUEUE_ROWS, n)),  # the current sift iterate
@@ -288,13 +288,8 @@ def _slots(n, keep_all):
         "tolerance": np.zeros(EMD_QUEUE_ROWS),
         "iterations": np.zeros(EMD_QUEUE_ROWS, dtype=np.intp),  # of the current sift
         "counts": np.zeros(EMD_QUEUE_ROWS, dtype=np.intp),
-        "selected": np.zeros((EMD_QUEUE_ROWS, 2, n)),
-        "distance": np.zeros((EMD_QUEUE_ROWS, 2)),
-        "finite": np.ones(EMD_QUEUE_ROWS, dtype=bool),
+        "imfs": np.zeros((EMD_QUEUE_ROWS, MAX_IMFS, n)),  # a row's IMFs in its first counts slots
     }
-    if keep_all:
-        state["imfs"] = np.zeros((EMD_QUEUE_ROWS, MAX_IMFS, n))
-    return state
 
 
 def _start_rows(state, slots, ids, signal, tolerance):
@@ -303,33 +298,29 @@ def _start_rows(state, slots, ids, signal, tolerance):
     for key in ("signal", "h", "residual"):
         state[key][slots] = signal
     state["tolerance"][slots] = tolerance
-    for key in ("iterations", "counts", "selected", "distance", "imfs"):
-        if key in state:
-            state[key][slots] = 0
-    state["finite"][slots] = True
+    for key in ("iterations", "counts", "imfs"):
+        state[key][slots] = 0
 
 
-def _keep_closest(live, e, imf):
-    """Offer each emitting row ``e[j]`` its new IMF ``imf[j]``.
+def _closest_pairs(signals, imfs, counts):
+    """The two IMFs closest to each row of ``signals`` (Minkowski distance),
+    as an (n_rows, 2, n) stack in slot order; a tie keeps the earlier IMF.
 
-    A row keeps the two IMFs closest to its signal (Minkowski distance), in
-    slot order: the first IMF fills both places, the second takes the second
-    place, and a later one replaces the farther of the two kept when it is
-    strictly closer, so a tie keeps the earlier IMF.
+    ``imfs`` is (n_rows, n_slots, n) with row r's IMFs in its first
+    ``counts[r]`` slots.  A row with one IMF gets it twice, so feature widths
+    stay constant, and a row with none gets zeros.
     """
-    d = minkowski_distance(live["signal"][e], imf)
-    sel, dist, slot = live["selected"][e], live["distance"][e], live["counts"][e]
-    worst = np.where(dist[:, 0] > dist[:, 1], 0, 1)  # the later one on a tie
-    take = np.flatnonzero((slot < 2) | (d < dist[np.arange(e.size), worst]))
-    kept = 1 - worst[take]
-    sel[take, 0], dist[take, 0] = sel[take, kept], dist[take, kept]
-    sel[take, 1], dist[take, 1] = imf[take], d[take]
-    first = slot == 0
-    sel[first, 0], dist[first, 0] = imf[first], d[first]
-    live["selected"][e], live["distance"][e] = sel, dist
+    dist = minkowski_distance(signals[:, None], imfs)
+    dist[np.arange(imfs.shape[1]) >= counts[:, None]] = np.inf
+    order = np.argsort(dist, axis=1, kind="stable")
+    pairs = np.sort(order.take([0, 1], axis=1, mode="clip"), axis=1)
+    pairs[counts == 1] = 0
+    selected = np.take_along_axis(imfs, pairs[:, :, None], axis=1)
+    selected[counts == 0] = 0.0
+    return selected
 
 
-def _sift_step(live, keep_all):
+def _sift_step(live):
     """One sift iteration of every row of ``live``, in place.  Returns the
     rows that end, and those of them that ran into the sift-iteration cap or
     stalled on the way to it."""
@@ -355,10 +346,7 @@ def _sift_step(live, keep_all):
     if e.size:
         imf, residual, counts = h[e], live["residual"], live["counts"]
         residual[e] = residual[e] - imf
-        _keep_closest(live, e, imf)
-        live["finite"][e] &= np.all(np.isfinite(imf), axis=1)
-        if keep_all:
-            live["imfs"][e, counts[e]] = imf
+        live["imfs"][e, counts[e]] = imf
         counts[e] += 1
         res_max, res_min = _extremum_masks(residual[e])
         ended[e] = (res_max.sum(axis=1) + res_min.sum(axis=1) < 2) | (counts[e] == MAX_IMFS)
@@ -381,10 +369,11 @@ def sift_blocks(blocks, keep_all=False):
     up to the cap: the row ends as capped), when its residual has fewer than
     2 extrema, or after ``MAX_IMFS`` IMFs.  A stack is handed
     back once its last row has ended and every stack before it is handed
-    back.  Each row's two closest IMFs are kept as they are emitted; every
-    IMF and the residual only with ``keep_all``.  A row's result does not
-    depend on the rows sifting beside it, so neither on the stacking nor on
-    the queue width.
+    back.  The queue keeps each sifting row's IMFs; when rows end, the two
+    closest to each (``_closest_pairs``) and whether all are finite go to
+    their records, and every IMF and the residual only with ``keep_all``.  A
+    row's result does not depend on the rows sifting beside it, so neither
+    on the stacking nor on the queue width.
     """
     fed = deque()  # stacks read and not handed back yet
     n_read = live = 0  # rows read so far, and rows sifting: those in the first live slots
@@ -404,27 +393,30 @@ def sift_blocks(blocks, keep_all=False):
             fed.append(EmdRows(np.asarray(rows, dtype=np.float64), n_read, keep_all))
             n_read += fed[-1].rows.shape[0]
             if state is None:
-                state = _slots(fed[-1].rows.shape[1], keep_all)
+                state = _slots(fed[-1].rows.shape[1])
         while fed and fed[0].left == 0:
             yield fed.popleft()
         if not live:  # the feed is used up
             return
         sifting = {key: value[:live] for key, value in state.items()}
-        ended, capped = _sift_step(sifting, keep_all)
+        ended, capped = _sift_step(sifting)
         state["h"][:live], state["iterations"][:live] = sifting["h"], sifting["iterations"]
         e = np.flatnonzero(ended)
         if not e.size:
             continue
-        ids = state["id"][e]  # copy the results of the rows that end out
+        # copy the results of the rows that end out, selected once for them all
+        ids, counts, imfs = state["id"][e], state["counts"][e], state["imfs"][e]
+        selected = _closest_pairs(state["signal"][e], imfs, counts)
+        finite = np.isfinite(imfs).all(axis=(1, 2))
         for block in fed:
             mine = (ids >= block.start) & (ids < block.start + block.rows.shape[0])
             src, dst = e[mine], ids[mine] - block.start
-            block.counts[dst] = state["counts"][src]
-            block.selected[dst] = state["selected"][src]
-            block.finite[dst] = state["finite"][src]
+            block.counts[dst] = counts[mine]
+            block.selected[dst] = selected[mine]
+            block.finite[dst] = finite[mine]
             block.capped[dst] = capped[src]
             if keep_all:
-                block.imfs[dst] = state["imfs"][src]
+                block.imfs[dst] = imfs[mine]
                 block.residuals[dst] = state["residual"][src]
             block.left -= dst.size
         # and move the last rows still sifting into the slots of those that end
@@ -462,13 +454,10 @@ def minkowski_distance(signal, imf_values):
 
 def select_imfs_minkowski(signal, imfs):
     """The two rows of ``imfs`` closest to the signal (Minkowski distance), as
-    a (2, n) array in their input order; a tie keeps the earlier IMF.  A
-    single IMF is duplicated so downstream feature widths stay constant.
+    a (2, n) array in their input order: ``_closest_pairs`` on a batch of one.
     """
     imfs = np.asarray(imfs, dtype=np.float64)
     if len(imfs) == 0:
         raise InvariantViolation("no IMFs to select from")
-    if len(imfs) == 1:
-        return imfs[[0, 0]]
-    first, second = np.sort(np.argsort(minkowski_distance(signal, imfs), kind="stable")[:2])
-    return imfs[[first, second]]
+    signal = np.asarray(signal, dtype=np.float64)
+    return _closest_pairs(signal[None], imfs[None], np.array([len(imfs)]))[0]

@@ -36,12 +36,17 @@ def score_trial(pred, truth, trial_id=0) -> TrialScore:
 
     Zero-denominator cases score 0 (pessimistic convention).
     """
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
+    pred, truth = np.asarray(pred), np.asarray(truth)
+    if pred.ndim != 1 or truth.ndim != 1:
+        raise InvariantViolation(
+            f"pred and truth must be 1-D, got shapes {pred.shape} and {truth.shape}")
     if pred.size != truth.size:
         raise InvariantViolation(f"pred length {pred.size} != truth length {truth.size}")
     if pred.size == 0:
         raise InvariantViolation("cannot score empty vectors")
+    for name, labels in (("pred", pred), ("truth", truth)):
+        if not ((labels == 0) | (labels == 1)).all():
+            raise InvariantViolation(f"{name} labels must be 0 or 1")
     tp = int(np.sum((pred == 1) & (truth == 1)))
     fp = int(np.sum((pred == 1) & (truth == 0)))
     fn = int(np.sum((pred == 0) & (truth == 1)))

@@ -377,6 +377,8 @@ def _train_logreg(X, y):
 
 def _check_predict_input(X, n_features):
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim not in (1, 2):
+        raise InvariantViolation(f"expected a feature row or matrix, got ndim={X.ndim}")
     if X.ndim == 1:
         X = X.reshape(0, n_features) if X.size == 0 else X.reshape(1, -1)
     if X.shape[1] != n_features:

@@ -160,13 +160,16 @@ class TestEmd:
         assert len(imfs) <= 2
 
     def test_non_finite_imf_rejected(self, rng, monkeypatch):
-        keep_closest = decompose._keep_closest
+        sift_step = decompose._sift_step
 
-        def poisoning(live, e, imf):
-            imf[0] = np.inf  # the first IMF the call emits
-            keep_closest(live, e, imf)
+        def poisoning(live):
+            before = live["counts"].copy()
+            result = sift_step(live)
+            e = np.flatnonzero(live["counts"] > before)
+            live["imfs"][e, live["counts"][e] - 1] = np.inf  # every IMF as it is stored
+            return result
 
-        monkeypatch.setattr(decompose, "_keep_closest", poisoning)
+        monkeypatch.setattr(decompose, "_sift_step", poisoning)
         with pytest.raises(InvariantViolation, match="non-finite"):
             emd(rng.standard_normal(64))
 

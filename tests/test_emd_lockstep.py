@@ -287,10 +287,10 @@ def test_stalled_sift_ends_long_before_the_cap(monkeypatch):
     steps = 0
     sift_step = decompose._sift_step
 
-    def counting(live, keep_all):
+    def counting(live):
         nonlocal steps
         steps += 1
-        return sift_step(live, keep_all)
+        return sift_step(live)
 
     monkeypatch.setattr(decompose, "_sift_step", counting)
     for r in capped:
@@ -381,13 +381,16 @@ def test_non_finite_imf_names_the_row(monkeypatch):
     from iws import features
 
     windows = mixed_rows(17, 14).T[None]  # one window, a mixed row per channel
-    keep_closest = decompose._keep_closest
+    sift_step = decompose._sift_step
 
-    def overflowing(live, e, imf):
-        imf[live["id"][e] == 2, 5] = np.inf  # row 2 is channel 2 of the window
-        keep_closest(live, e, imf)
+    def overflowing(live):
+        before = live["counts"].copy()
+        result = sift_step(live)
+        e = np.flatnonzero((live["counts"] > before) & (live["id"] == 2))  # channel 2
+        live["imfs"][e, live["counts"][e] - 1, 5] = np.inf  # of the IMF just stored
+        return result
 
-    monkeypatch.setattr(decompose, "_keep_closest", overflowing)
+    monkeypatch.setattr(decompose, "_sift_step", overflowing)
     with pytest.raises(InvariantViolation, match="^channel 2, instance offset 39: "
                                                  "coefficient set imf: non-finite"):
         list(features.stack_matrices([(windows, [39])], (2,)))

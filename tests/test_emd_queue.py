@@ -2,8 +2,8 @@
 
 A row's decomposition does not depend on the rows sifting beside it, so the
 queue's width, the order of the rows and the way they are cut into stacks
-change nothing in its result.  The streaming selection must pick what the
-batch selection below, ``select_imf_pairs``, picks from the full set of IMFs.
+change nothing in its result.  The selection made when a row ends must pick
+what the oracle below, ``select_imf_pairs``, picks from the full set of IMFs.
 """
 
 import numpy as np
@@ -66,23 +66,26 @@ def test_selection_matches_select_imf_pairs(reference):
     assert not ref.selected[~has_imf].any()
 
 
-def test_streaming_selection_ties_keep_the_earlier_imf():
+def test_closest_pairs_ties_keep_the_earlier_imf():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     far = np.zeros(4)  # distance sqrt(30)
     a = np.array([1.0, 2.0, 3.0, 5.0])  # distance 1
     c = np.array([1.0, 2.0, 2.0, 4.0])  # distance 1
     d = np.array([0.0, 2.0, 3.0, 4.0])  # distance 1
-    live = {"signal": x[None], "selected": np.zeros((1, 2, 4)),
-            "distance": np.zeros((1, 2)), "counts": np.zeros(1, dtype=np.intp)}
-    kept = []
-    for imf in (far, a, c, d):
-        decompose._keep_closest(live, np.array([0]), imf[None])
-        live["counts"] += 1
-        kept.append(live["selected"][0].tolist())
+    # row k holds the first k + 1 IMFs; its slots past them hold x itself
+    # (distance 0), which the selection must not see
+    imfs = np.stack([far, a, c, d])
+    slots = np.broadcast_to(x, (4, 4, 4)).copy()
+    for k in range(4):
+        slots[k, :k + 1] = imfs[:k + 1]
+    counts = np.arange(1, 5)
+    kept = decompose._closest_pairs(np.broadcast_to(x, (4, 4)), slots, counts).tolist()
     assert kept == [[far.tolist()] * 2, [far.tolist(), a.tolist()],
                     [a.tolist(), c.tolist()], [a.tolist(), c.tolist()]]
-    imfs = np.stack([far, a, c, d])[None]
-    assert select_imf_pairs(x[None], imfs, np.array([4])).tolist() == [[1, 2]]
+    pairs = select_imf_pairs(np.broadcast_to(x, (4, 4)), slots, counts)
+    assert pairs.tolist() == [[0, 0], [0, 1], [1, 2], [1, 2]]
+    none = decompose._closest_pairs(x[None], slots[:1], np.array([0]))
+    assert none.tolist() == [[[0.0] * 4] * 2]  # a row without IMFs gets zeros
 
 
 @pytest.mark.parametrize("budget,cuts", [(1, (5, 6, 60, 95)), (7, ()), (7, (30, 60)),
@@ -172,13 +175,16 @@ def test_non_finite_imf_names_the_first_trial(headline_subject, monkeypatch):
     starts = np.cumsum([0] + [read.size * CHANNEL_COUNT for read in reads])
     # one IMF of a row in trial 5 and of one in trial 2 turn infinite
     bad = {starts[5] + 3, starts[2] + 20}
-    keep_closest = decompose._keep_closest
+    sift_step = decompose._sift_step
 
-    def poisoning(live, e, imf):
-        imf[np.isin(live["id"][e], list(bad))] = np.inf
-        keep_closest(live, e, imf)
+    def poisoning(live):
+        before = live["counts"].copy()
+        result = sift_step(live)
+        e = np.flatnonzero((live["counts"] > before) & np.isin(live["id"], list(bad)))
+        live["imfs"][e, live["counts"][e] - 1] = np.inf  # the IMF just stored
+        return result
 
-    monkeypatch.setattr(decompose, "_keep_closest", poisoning)
+    monkeypatch.setattr(decompose, "_sift_step", poisoning)
     config = RunConfig(dataset_path="mem", feature_set_ids=(2,), classifiers=("knn",))
     offset = reads[2][20 // CHANNEL_COUNT]
     with pytest.raises(InvariantViolation) as exc:

@@ -41,6 +41,17 @@ class TestScoreTrial:
         with pytest.raises(InvariantViolation, match="cannot score empty vectors"):
             score_trial([], [])
 
+    def test_labels_other_than_0_1_and_non_vectors_refused(self):
+        # a bin labelled 2 is neither a hit nor a miss: it must not score
+        for pred, truth, name in (([2, 1], [1, 1], "pred"), ([1, 1], [1, -1], "truth"),
+                                  ([0.5, 1], [1, 1], "pred")):
+            with pytest.raises(InvariantViolation, match=f"^{name} labels must be 0 or 1$"):
+                score_trial(pred, truth)
+        for pred, truth in (([[1]], [[1]]), ([1], [[1]]), (1, 1)):
+            with pytest.raises(InvariantViolation, match="must be 1-D"):
+                score_trial(pred, truth)
+        assert score_trial([True, False], [1.0, 0.0]).f1 == 1.0
+
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=40),
            st.integers(0, 2**31 - 1))
     def test_f1_symmetric_under_swap(self, truth, seed):

@@ -229,6 +229,16 @@ class TestPredict:
                 with pytest.raises(InvariantViolation, match="expected 4 features, got 5"):
                     predict(model, np.zeros(shape))
 
+    def test_input_neither_row_nor_matrix_refused(self):
+        # (1, 3, 3) is no matrix of 3-wide rows: logreg's X @ w would give
+        # it a (1, 3) array of labels
+        X, y = blobs(n_per_class=30, dim=3)
+        for kind in ("random_forest", "knn", "logreg"):
+            model = train(ClassifierSpec(kind=kind, seed=1), X, y)
+            for shape in ((), (2, 3, 1), (1, 3, 3)):
+                with pytest.raises(InvariantViolation, match="feature row or matrix"):
+                    predict(model, np.zeros(shape))
+
 
 class TestDeterminismAndProperties:
     def test_forest_byte_stable(self):
