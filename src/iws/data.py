@@ -79,7 +79,7 @@ class Trial:
                 f"0 < onset ({self.onset_sample}) < ending ({self.ending_sample}) < n ({n})"
             )
         object.__setattr__(self, "samples", arr)
-        arr.setflags(write=False)  # shared across threads; must not mutate
+        arr.setflags(write=False)  # every fold reads these samples: none may write them
 
     @property
     def n_samples(self):

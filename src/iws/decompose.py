@@ -131,14 +131,15 @@ def idwt_bior22(bands):
 # those that end, and rows from the feed start in the slots after them.
 # ---------------------------------------------------------------------------
 
-def _extremum_masks(x):
-    """Strict interior maxima and minima of each row, as two boolean masks."""
-    maxima = np.zeros(x.shape, dtype=bool)
-    minima = np.zeros(x.shape, dtype=bool)
+def _extrema(x):
+    """Strict interior extrema of each row of ``x``, as one (2 * n_rows, n)
+    mask: the maxima of every row, then the minima of every row."""
+    k = x.shape[0]
+    extrema = np.zeros((2 * k, x.shape[1]), dtype=bool)
     mid, left, right = x[:, 1:-1], x[:, :-2], x[:, 2:]
-    maxima[:, 1:-1] = (mid > left) & (mid > right)
-    minima[:, 1:-1] = (mid < left) & (mid < right)
-    return maxima, minima
+    extrema[:k, 1:-1] = (mid > left) & (mid > right)
+    extrema[k:, 1:-1] = (mid < left) & (mid < right)
+    return extrema
 
 
 def _zero_crossings(x):
@@ -220,33 +221,29 @@ def _spline_rows(t, v, n_knots, xs, seg):
     return y
 
 
-def _envelopes(x, maxima, minima, n_max, n_min):
+def _envelopes(x, extrema, counts):
     """Upper then lower envelope of each row of ``x``, as one (2 * n_rows, n)
-    stack: the splines through the samples where ``maxima`` hold (``n_max``
-    of them, at least one per row), then where ``minima`` hold (``n_min``),
-    first/last extremum mirrored, at every sample."""
-    n_rows, n = x.shape
-    counts = np.concatenate([n_max, n_min])
-    # the extrema as flat row-major indices into x, for their values, and into
-    # the (2 * n_rows, n) stack of both masks: each envelope's are contiguous
-    at = [np.flatnonzero(maxima), np.flatnonzero(minima)]
-    values = x.ravel()[np.concatenate(at)]
-    flat = np.concatenate([at[0], at[1] + x.size])
+    stack: row i of the stack is the spline through the samples where row i
+    of ``extrema`` (``_extrema(x)``) holds, ``counts[i]`` of them and at least
+    one, first/last extremum mirrored, at every sample."""
+    n = x.shape[1]
+    # the extrema as flat row-major indices into the mask stack: each
+    # envelope's are contiguous, and modulo x.size they index x
+    flat = np.flatnonzero(extrema)
+    values = x.ravel()[flat % x.size]
     r, col = np.divmod(flat, n)
     ends = np.cumsum(counts)
     first, last = ends - counts, ends - 1  # each envelope's first and last extremum
     # knot 0 mirrors the first extremum left of sample 0 and knot counts + 1 the
     # last one right of sample n - 1, so sample s lies in segment cum[s]
-    cum = np.empty((2 * n_rows, n), dtype=np.int32)  # narrower than intp: half the time
-    np.cumsum(maxima, axis=1, out=cum[:n_rows])
-    np.cumsum(minima, axis=1, out=cum[n_rows:])
+    cum = np.cumsum(extrema, axis=1, dtype=np.int32)  # narrower than intp: half the time
     m = int(counts.max()) + 2
-    t = np.broadcast_to(np.arange(2 * n, 2 * n + m, dtype=np.float64), (2 * n_rows, m)).copy()
-    v = np.zeros((2 * n_rows, m))
+    t = np.broadcast_to(np.arange(2 * n, 2 * n + m, dtype=np.float64), (counts.size, m)).copy()
+    v = np.zeros((counts.size, m))
     knot = r * m + cum.ravel()[flat]
     t.ravel()[knot] = col
     v.ravel()[knot] = values
-    rows = np.arange(2 * n_rows)
+    rows = np.arange(counts.size)
     t[:, 0] = -col[first]
     v[:, 0] = values[first]
     t[rows, counts + 1] = 2 * (n - 1) - col[last]
@@ -256,7 +253,8 @@ def _envelopes(x, maxima, minima, n_max, n_min):
 
 class EmdRows:
     """EMD of an (n_rows, n) signal stack: the one record ``sift_blocks`` makes
-    when it reads the stack, fills in as the stack's rows end and yields."""
+    when it reads the stack, fills in as the stack's rows end and yields.  A
+    row without IMFs (never sifted, or none found) is its own ``selected`` pair."""
 
     def __init__(self, rows, start, keep_all):
         n_rows, n = rows.shape
@@ -266,14 +264,13 @@ class EmdRows:
         self.tolerance = SIFT_TOLERANCE * scale
         self.todo = np.flatnonzero(scale > 0.0)  # rows to sift that have not started yet
         self.left = self.todo.size  # rows to sift that have not ended yet
-        self.constant = scale == 0.0  # rows with zero spread, never sifted
         # (n_rows, MAX_IMFS, n), row r in its first counts[r] slots, and (n_rows, n),
         # each row minus its IMFs: both None unless kept
         self.imfs = np.zeros((n_rows, MAX_IMFS, n)) if keep_all else None
         self.residuals = rows.copy() if keep_all else None
         self.counts = np.zeros(n_rows, dtype=np.intp)  # IMFs per row; 0: no oscillation
         self.capped = np.zeros(n_rows, dtype=bool)  # last sift ran into, or would, the cap
-        self.selected = np.zeros((n_rows, 2, n))  # the two IMFs closest to each row
+        self.selected = np.stack([rows, rows], axis=1)  # the two IMFs closest to each row
         self.finite = np.ones(n_rows, dtype=bool)  # rows whose IMFs are all finite
 
 
@@ -308,7 +305,7 @@ def _closest_pairs(signals, imfs, counts):
 
     ``imfs`` is (n_rows, n_slots, n) with row r's IMFs in its first
     ``counts[r]`` slots.  A row with one IMF gets it twice, so feature widths
-    stay constant, and a row with none gets zeros.
+    stay constant, and a row with none gets its own signal twice.
     """
     dist = minkowski_distance(signals[:, None], imfs)
     dist[np.arange(imfs.shape[1]) >= counts[:, None]] = np.inf
@@ -316,22 +313,23 @@ def _closest_pairs(signals, imfs, counts):
     pairs = np.sort(order.take([0, 1], axis=1, mode="clip"), axis=1)
     pairs[counts == 1] = 0
     selected = np.take_along_axis(imfs, pairs[:, :, None], axis=1)
-    selected[counts == 0] = 0.0
+    selected[counts == 0] = signals[counts == 0, None]
     return selected
 
 
 def _sift_step(live):
-    """One sift iteration of every row of ``live``, in place.  Returns the
-    rows that end, and those of them that ran into the sift-iteration cap or
-    stalled on the way to it."""
-    h = live["h"]
-    maxima, minima = _extremum_masks(h)
-    n_max, n_min = maxima.sum(axis=1), minima.sum(axis=1)
+    """One sift iteration of every row of ``live``, written into the arrays of
+    ``live`` (none is rebound).  Returns the rows that end, and those of them
+    that ran into the sift-iteration cap or stalled on the way to it."""
+    h, iterations = live["h"], live["iterations"]
+    k = h.shape[0]
+    extrema = _extrema(h)
+    counts = extrema.sum(axis=1)  # maxima of each row, then minima
+    n_max, n_min = counts[:k], counts[k:]
     failed = (n_max == 0) | (n_min == 0)  # the sift fails: the row ends
     if failed.any():  # the others sift in the next step
         return failed, np.zeros(failed.size, dtype=bool)
-    k = h.shape[0]
-    env = _envelopes(h, maxima, minima, n_max, n_min)
+    env = _envelopes(h, extrema, counts)
     mean_env = 0.5 * (env[:k] + env[k:])
     emit = ((np.abs(n_max + n_min - _zero_crossings(h)) <= 1)
             & (np.max(np.abs(mean_env), axis=1) <= live["tolerance"]))
@@ -339,18 +337,19 @@ def _sift_step(live):
     # a row's step depends only on its own iterate and tolerance: one that
     # leaves every bit of the iterate as it was would repeat until the cap
     unchanged = np.all(step.view(np.uint64) == h.view(np.uint64), axis=1)
-    live["iterations"] = np.where(emit, 0, live["iterations"] + 1)
-    capped = ~emit & (unchanged | (live["iterations"] == MAX_SIFT_ITERATIONS))
+    iterations += 1
+    iterations[emit] = 0
+    capped = ~emit & (unchanged | (iterations == MAX_SIFT_ITERATIONS))
     ended = capped.copy()
     e = np.flatnonzero(emit)
     if e.size:
-        imf, residual, counts = h[e], live["residual"], live["counts"]
+        imf, residual, n_imfs = h[e], live["residual"], live["counts"]
         residual[e] = residual[e] - imf
-        live["imfs"][e, counts[e]] = imf
-        counts[e] += 1
-        res_max, res_min = _extremum_masks(residual[e])
-        ended[e] = (res_max.sum(axis=1) + res_min.sum(axis=1) < 2) | (counts[e] == MAX_IMFS)
-    live["h"] = np.where(emit[:, None], live["residual"], step)
+        live["imfs"][e, n_imfs[e]] = imf
+        n_imfs[e] += 1
+        n_res = _extrema(residual[e]).reshape(2, e.size, -1).sum(axis=(0, 2))
+        ended[e] = (n_res < 2) | (n_imfs[e] == MAX_IMFS)
+    h[...] = np.where(emit[:, None], live["residual"], step)
     return ended, capped
 
 
@@ -400,7 +399,6 @@ def sift_blocks(blocks, keep_all=False):
             return
         sifting = {key: value[:live] for key, value in state.items()}
         ended, capped = _sift_step(sifting)
-        state["h"][:live], state["iterations"][:live] = sifting["h"], sifting["iterations"]
         e = np.flatnonzero(ended)
         if not e.size:
             continue
@@ -435,9 +433,9 @@ def emd(signal):
     monotonic input), and InvariantViolation when an IMF is non-finite.
     """
     x = _check_signal(np.asarray(signal, dtype=np.float64))
-    out = next(sift_blocks(iter([x[None]]), keep_all=True))
-    if out.constant[0]:
+    if np.std(x) == 0.0:
         raise DecompositionFailure("constant signal has no oscillatory component")
+    out = next(sift_blocks(iter([x[None]]), keep_all=True))
     if not out.counts[0]:
         raise DecompositionFailure("no IMF satisfied the sifting conditions")
     if not out.finite[0]:

@@ -4,7 +4,6 @@ import csv
 import json
 import os
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -129,8 +128,7 @@ def build_report(subject_results, config_echo, seed) -> dict:
 
 def write_report(report, path) -> None:
     """Atomic write (temp file + rename) so interruptions never truncate."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -138,8 +136,9 @@ def write_report(report, path) -> None:
 
 
 def write_report_csv(report, path) -> None:
-    """Flatten to one row per subject x feature_set x classifier for plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """One row per subject x feature_set x classifier, for plotting; atomic like write_report."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature_set_id", "classifier", "subject_id",
                          "mean_f1", "std_f1", "mean_precision", "std_precision",
@@ -153,6 +152,7 @@ def write_report_csv(report, path) -> None:
                     agg["precision"]["mean"], agg["precision"]["std"],
                     agg["recall"]["mean"], agg["recall"]["std"],
                 ])
+    os.replace(tmp, path)
 
 
 # JSON schema for the report document (draft-07 subset), used by tests and

@@ -241,15 +241,11 @@ def _fs1_rows(rows):
 
 
 def _fs2_values(rows, dec, where):
-    """FS2 of each row from its EMD ``dec``."""
+    """FS2 of each row from ``dec.selected`` (a row without IMFs: its window twice)."""
     if not dec.finite.all():
         raise InvariantViolation(
             f"{where(int(np.argmin(dec.finite)))}: coefficient set imf: non-finite values")
-    selected = dec.selected
-    # no oscillatory component: fill both slots from the raw window
-    fallback = dec.counts == 0
-    selected[fallback] = rows[fallback, None]
-    imf_rows = selected.reshape(-1, rows.shape[1])  # row r's slots at 2r, 2r + 1
+    imf_rows = dec.selected.reshape(-1, rows.shape[1])  # row r's slots at 2r, 2r + 1
     h1, h2 = _hurst_pair(imf_rows, lambda i: where(i // 2))
     values = np.stack([
         _teager_rows(imf_rows),
@@ -316,8 +312,9 @@ def stack_matrices(stacks, feature_set_ids):
     For set 2 the rows of all stacks sift through one EMD queue
     (``sift_blocks``): a stack is read when the queue has room for its rows,
     and its matrices are built once its last row has ended, so an error names
-    the first stack that has one.  The EMD warning is logged once, with the
-    totals of all stacks, when the last stack has been handed back.
+    the first stack that has one.  The EMD summary is logged once, with the
+    totals of all stacks, after the last stack: as a warning when some row
+    had no IMF (its window stands in for them), else at INFO.
     """
     if not set(feature_set_ids) <= FEATURE_SET_WIDTHS.keys():
         raise InvariantViolation(f"stack_matrices handles sets 1-4, got {sorted(feature_set_ids)}")
@@ -342,8 +339,9 @@ def stack_matrices(stacks, feature_set_ids):
             no_imf += int((dec.counts == 0).sum())
             capped += int(dec.capped.sum())
     if no_imf or capped:
-        log.warning("emd on %d rows: %d produced no IMF and use the window itself, "
-                    "%d stopped at the sift-iteration cap", n_rows, no_imf, capped)
+        log.log(logging.WARNING if no_imf else logging.INFO,
+                "emd on %d rows: %d produced no IMF and use the window itself, "
+                "%d stopped at the sift-iteration cap", n_rows, no_imf, capped)
 
 
 def extract_features(instance, feature_set_id: int) -> np.ndarray:

@@ -135,8 +135,13 @@ class TestEmd:
         with pytest.raises(DecompositionFailure):
             emd(np.linspace(0.0, 1.0, 64))
 
-    def test_constant_input_fails(self):
-        with pytest.raises(DecompositionFailure):
+    def test_constant_input_fails(self, monkeypatch):
+        def no_sifting(*args):
+            raise AssertionError("a constant signal was sifted")
+
+        monkeypatch.setattr(decompose, "sift_blocks", no_sifting)  # refused before sifting
+        with pytest.raises(DecompositionFailure,
+                           match="^constant signal has no oscillatory component$"):
             emd(np.ones(64))
 
     def test_completeness(self, rng):

@@ -226,8 +226,7 @@ def assert_matches_oracle(rows):
         assert out.capped[r] == capped, r
         if values is None:
             assert out.counts[r] == 0, r
-            assert out.constant[r] == (np.std(x) == 0.0), r
-            assert not np.any(out.selected[r]), r
+            assert np.array_equal(out.selected[r], np.stack([x, x])), r
             continue
         assert out.counts[r] == len(values), r
         for slot, v in enumerate(values):
@@ -243,9 +242,11 @@ def assert_matches_oracle(rows):
 # ---------------------------------------------------------------------------
 
 def test_mixed_batch_matches_oracle():
-    out = assert_matches_oracle(mixed_rows(11, 60))
+    rows = mixed_rows(11, 60)
+    out = assert_matches_oracle(rows)
     assert (out.counts == 0).sum() == 24  # every monotonic and constant row
-    assert out.constant.sum() == 12
+    constant = np.std(rows, axis=1) == 0.0
+    assert constant.sum() == 12 and not out.counts[constant].any()
     assert len(set(out.counts[out.counts > 0])) > 2  # rows end after different IMF counts
 
 

@@ -14,7 +14,7 @@ from iws.data import CHANNEL_COUNT, SynthConfig, generate_synthetic_dataset
 from iws.errors import InvariantViolation
 from iws.experiment import RunConfig
 
-FIELDS = ("counts", "constant", "capped", "selected", "finite")
+FIELDS = ("counts", "capped", "selected", "finite")
 
 
 def queue_rows(seed, n_rows):
@@ -63,7 +63,8 @@ def test_selection_matches_select_imf_pairs(reference):
     chosen = np.take_along_axis(ref.imfs, pairs[:, :, None], axis=1)
     has_imf = ref.counts > 0
     assert np.array_equal(ref.selected[has_imf], chosen[has_imf])
-    assert not ref.selected[~has_imf].any()
+    # a row without IMFs, sifted (the ramp) or not (the constant), holds itself twice
+    assert np.array_equal(ref.selected[~has_imf], np.stack([rows[~has_imf]] * 2, axis=1))
 
 
 def test_closest_pairs_ties_keep_the_earlier_imf():
@@ -85,7 +86,7 @@ def test_closest_pairs_ties_keep_the_earlier_imf():
     pairs = select_imf_pairs(np.broadcast_to(x, (4, 4)), slots, counts)
     assert pairs.tolist() == [[0, 0], [0, 1], [1, 2], [1, 2]]
     none = decompose._closest_pairs(x[None], slots[:1], np.array([0]))
-    assert none.tolist() == [[[0.0] * 4] * 2]  # a row without IMFs gets zeros
+    assert none.tolist() == [[x.tolist()] * 2]  # a row without IMFs gets its signal
 
 
 @pytest.mark.parametrize("budget,cuts", [(1, (5, 6, 60, 95)), (7, ()), (7, (30, 60)),
@@ -106,6 +107,20 @@ def test_result_independent_of_order_stacking_and_width(reference, monkeypatch, 
     for field in FIELDS:
         got = np.concatenate([getattr(o, field) for o in lean])[back]
         assert np.array_equal(got, getattr(ref, field)), field
+
+
+def test_sift_step_writes_the_queue_in_place():
+    # a step writes into the arrays of the slots it is given and binds none
+    # anew, so the queue's own arrays hold every change
+    rows = queue_rows(23, 12)[8:]  # colored noise only: the step sifts every row
+    state = decompose._slots(64)
+    decompose._start_rows(state, slice(0, 4), np.arange(4), rows,
+                          decompose.SIFT_TOLERANCE * np.std(rows, axis=1))
+    live = {key: value[:4] for key, value in state.items()}
+    arrays = dict(live)
+    decompose._sift_step(live)
+    assert all(live[key] is arrays[key] for key in arrays)
+    assert not np.array_equal(state["h"][:4], rows) and state["iterations"][:4].any()
 
 
 def test_feed_read_as_the_queue_drains(monkeypatch):
@@ -154,11 +169,13 @@ def window_stacks(dataset):
 def test_subject_pass_equals_one_trial_calls(headline_subject, caplog):
     stacks = window_stacks(headline_subject)
     assert sum(len(offsets) for _, offsets in stacks) * CHANNEL_COUNT == 1750
-    with caplog.at_level("WARNING", logger="iws.features"):
+    with caplog.at_level("INFO", logger="iws.features"):
         passed = list(features.stack_matrices(iter(stacks), (2,)))
-    warnings = [r.getMessage() for r in caplog.records if r.getMessage().startswith("emd")]
-    assert warnings == ["emd on 1750 rows: 0 produced no IMF and use the window itself, "
-                        "96 stopped at the sift-iteration cap"]
+    records = [(r.levelname, r.getMessage()) for r in caplog.records
+               if r.getMessage().startswith("emd")]
+    # capped rows keep their IMFs, so the summary is no warning
+    assert records == [("INFO", "emd on 1750 rows: 0 produced no IMF and use the window "
+                                "itself, 96 stopped at the sift-iteration cap")]
     assert len(passed) == len(stacks)
     for got, stack in zip(passed, stacks):
         [alone] = features.stack_matrices([stack], (2,))

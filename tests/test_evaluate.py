@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -155,6 +156,27 @@ class TestReportFiles:
         write_report(report, tmp_path / "r.json")
         back = json.loads((tmp_path / "r.json").read_text())
         assert back["seed"] == 1
+
+    def test_interrupted_csv_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        (tmp_path / "r.csv").write_bytes(b"an earlier run's summary\r\n")
+        writer = csv.writer
+
+        def failing_writer(fh):
+            inner, rows = writer(fh), []
+
+            class Failing:
+                def writerow(self, row):
+                    rows.append(row)
+                    if len(rows) == 3:
+                        raise KeyboardInterrupt
+                    return inner.writerow(row)
+
+            return Failing()
+
+        monkeypatch.setattr(csv, "writer", failing_writer)
+        with pytest.raises(KeyboardInterrupt):
+            write_report_csv(build_report(toy_results(3), {"seed": 1}, 1), tmp_path / "r.csv")
+        assert (tmp_path / "r.csv").read_bytes() == b"an earlier run's summary\r\n"
 
     def test_csv_flattening(self, tmp_path):
         report = build_report(toy_results(3), {"seed": 1}, 1)

@@ -337,6 +337,19 @@ def test_emd_silent_without_fallback_or_cap(caplog):
     assert not [r for r in caplog.records if r.getMessage().startswith("emd")]
 
 
+def test_emd_cap_stops_alone_are_no_warning(caplog):
+    # a capped row keeps the IMFs it has: only a row without IMFs changes its
+    # features (its window stands in), so only that is worth a warning
+    windows = eeg_like_windows(7, 3)
+    dec = sift_stack(windows.transpose(0, 2, 1).reshape(-1, 64))
+    assert dec.capped.any() and dec.counts.min() > 0
+    with caplog.at_level("INFO", logger="iws.features"):
+        one_stack(windows, offsets_for(3), (2,))
+    [record] = [r for r in caplog.records if r.getMessage().startswith("emd")]
+    assert record.levelname == "INFO"
+    assert record.getMessage().startswith(f"emd on {3 * CHANNEL_COUNT} rows: 0 produced no IMF")
+
+
 def test_window_stack_shape_checked():
     with pytest.raises(InvariantViolation):
         one_stack(np.zeros((2, 32, CHANNEL_COUNT)), [0, 13], (1,))
