@@ -6,13 +6,12 @@ failure, 4 numerical failure.
 """
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
 from . import data, evaluate, experiment, postprocess
-from .errors import ConfigError, InvariantViolation, IwsError, NumericalFailure
+from .errors import ConfigError, InvariantViolation, IwsError, MalformedFile, NumericalFailure
 
 log = logging.getLogger(__name__)
 
@@ -23,12 +22,11 @@ EXIT_NUMERICAL = 4
 
 def _load_json(path, what):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return data.read_json(path)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}")
-    except ValueError as exc:  # bad syntax, bad bytes or an over-long integer
-        raise ConfigError(f"{what} file {path} is not valid JSON: {exc}")
+    except MalformedFile as exc:  # bad syntax, bad bytes or an over-long integer
+        raise ConfigError(f"{what} file {exc}")
 
 
 def _build_config(cls, doc, what):

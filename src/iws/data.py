@@ -183,9 +183,38 @@ class SynthConfig:
 
 
 # ---------------------------------------------------------------------------
-# Trial file I/O.  Format: one JSON object per trial; numbers use full double
+# File I/O.  read_json and write_text open every file iws reads or writes.
+# Trial format: one JSON object per trial; numbers use full double
 # precision (repr round-trip), so read(write(t)) is bit-for-bit equal.
 # ---------------------------------------------------------------------------
+
+def read_json(path):
+    """The JSON document in ``path``, read as UTF-8; one that does not parse
+    (bad syntax, bad bytes, an integer past Python's digit limit) raises
+    MalformedFile naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise MalformedFile(f"{path}: not valid JSON ({exc})") from exc
+
+
+def write_text(path, text) -> None:
+    """Write ``text`` to ``path`` as UTF-8, line ends as given, through
+    ``<path>.tmp`` and a rename: if any step fails, an interrupt included,
+    the temp file is removed and ``path`` is left as it was."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:  # never created
+            pass
+        raise
+
 
 _JSON_NUMBERS = frozenset((int, float))  # what json.load makes of a number; bool excluded
 
@@ -199,8 +228,7 @@ def write_trial_file(trial: Trial, path) -> None:
         "ending_sample": int(trial.ending_sample),
         "samples": trial.samples.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
+    write_text(path, json.dumps(doc))
 
 
 def _require(doc, key, kind, where):
@@ -215,11 +243,7 @@ def _require(doc, key, kind, where):
 
 def read_trial_file(path) -> Trial:
     where = str(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # also an integer past Python's digit limit
-            raise MalformedFile(f"{where}: not valid JSON ({exc})") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise MalformedFile(f"{where}: top-level value must be an object")
     subject_id = _require(doc, "subject_id", str, where)
@@ -266,6 +290,8 @@ def write_dataset(datasets, out_dir) -> None:
     """Write each trial as <subject>_<index>.json plus a manifest.json index."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the manifest commits the dataset: gone before the first trial file, written last
+    (out_dir / "manifest.json").unlink(missing_ok=True)
     manifest = {"schema_version": _SCHEMA_VERSION, "subjects": []}
     for ds in datasets:
         files = []
@@ -276,21 +302,14 @@ def write_dataset(datasets, out_dir) -> None:
         manifest["subjects"].append(
             {"subject_id": ds.subject_id, "protocol_tag": ds.protocol_tag, "files": files}
         )
-    tmp = out_dir / "manifest.json.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-    os.replace(tmp, out_dir / "manifest.json")
+    write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2))
 
 
 def read_dataset(in_dir):
     """Load a dataset directory back into a list of SubjectDataset."""
     in_dir = Path(in_dir)
     manifest_path = in_dir / "manifest.json"
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as exc:  # also an integer past Python's digit limit
-            raise MalformedFile(f"{manifest_path}: not valid JSON ({exc})") from exc
+    manifest = read_json(manifest_path)
     where = str(manifest_path)
     if not isinstance(manifest, dict):
         raise MalformedFile(f"{where}: top-level value must be an object")

@@ -1,12 +1,13 @@
 """Precision/Recall/F1 scoring of bin-label vectors and report assembly."""
 
 import csv
+import io
 import json
-import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import write_text
 from .errors import InvariantViolation
 
 REPORT_SCHEMA_VERSION = 1
@@ -127,32 +128,27 @@ def build_report(subject_results, config_echo, seed) -> dict:
 
 
 def write_report(report, path) -> None:
-    """Atomic write (temp file + rename) so interruptions never truncate."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    """Write the report as indented, key-sorted JSON, atomically (``data.write_text``)."""
+    write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def write_report_csv(report, path) -> None:
     """One row per subject x feature_set x classifier, for plotting; atomic like write_report."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_set_id", "classifier", "subject_id",
-                         "mean_f1", "std_f1", "mean_precision", "std_precision",
-                         "mean_recall", "std_recall"])
-        for block in report["results"]:
-            for sub in block["subjects"]:
-                agg = sub["aggregate"]
-                writer.writerow([
-                    block["feature_set_id"], block["classifier"], sub["subject_id"],
-                    agg["f1"]["mean"], agg["f1"]["std"],
-                    agg["precision"]["mean"], agg["precision"]["std"],
-                    agg["recall"]["mean"], agg["recall"]["std"],
-                ])
-    os.replace(tmp, path)
+    rows = io.StringIO()
+    writer = csv.writer(rows)
+    writer.writerow(["feature_set_id", "classifier", "subject_id",
+                     "mean_f1", "std_f1", "mean_precision", "std_precision",
+                     "mean_recall", "std_recall"])
+    for block in report["results"]:
+        for sub in block["subjects"]:
+            agg = sub["aggregate"]
+            writer.writerow([
+                block["feature_set_id"], block["classifier"], sub["subject_id"],
+                agg["f1"]["mean"], agg["f1"]["std"],
+                agg["precision"]["mean"], agg["precision"]["std"],
+                agg["recall"]["mean"], agg["recall"]["std"],
+            ])
+    write_text(path, rows.getvalue())
 
 
 # JSON schema for the report document (draft-07 subset), used by tests and

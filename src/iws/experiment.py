@@ -133,9 +133,9 @@ def run_subject(dataset, config: RunConfig, subject_index: int):
         splits = np.cumsum([grids[i].test_offsets.size for i in test_pos])[:-1]  # per test trial
         y_train = np.concatenate([grids[i].labels for i in train_pos])
         for s in inputs:  # one input set's z-scored rows at a time
-            scaler = features.scaler_fit(table[s][train_rows])
-            scaled = [features.scaler_apply(scaler, table[s][rows])
-                      for rows in (train_rows, test_rows)]
+            train = table[s][train_rows]
+            scaler = features.scaler_fit(train)
+            scaled = [features.scaler_apply(scaler, X) for X in (train, table[s][test_rows])]
             for fs in [f for f in config.feature_set_ids if _input_set(f) == s]:
                 X_train, X_test = scaled
                 if fs == 5:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.signal import lfilter, periodogram
 
+from iws import data
 from iws.data import (
     CHANNEL_COUNT,
     SubjectDataset,
@@ -19,6 +21,7 @@ from iws.data import (
     read_trial_file,
     trial_filename,
     write_dataset,
+    write_text,
     write_trial_file,
 )
 from iws.errors import ConfigError, InvariantViolation, MalformedFile
@@ -38,6 +41,32 @@ def same_trial(a, b):
     return (a.subject_id == b.subject_id and a.onset_sample == b.onset_sample
             and a.ending_sample == b.ending_sample and a.samples.shape == b.samples.shape
             and np.array_equal(a.samples, b.samples))
+
+
+def interrupt_replace(monkeypatch, name=None):
+    """Make ``os.replace`` raise KeyboardInterrupt when it renames onto a file
+    called ``name`` (onto any file if None); other renames go through."""
+    replace = os.replace
+
+    def interrupted(src, dst):
+        if name is None or os.path.basename(dst) == name:
+            raise KeyboardInterrupt
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interrupted)
+
+
+class TestFiles:
+    def test_write_text_writes_utf8_with_line_ends_as_given(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_text(path, "s\u00e9\r\nx\n")
+        assert path.read_bytes() == b"s\xc3\xa9\r\nx\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.txt"]
+
+    def test_write_text_into_a_missing_directory_raises_its_oserror(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            write_text(tmp_path / "missing" / "f.txt", "x")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrialInvariants:
@@ -105,6 +134,16 @@ class TestTrialFiles:
         path = tmp_path / "t.json"
         write_trial_file(t, path)
         assert path.read_bytes() == json.dumps(doc).encode()
+
+    def test_interrupted_rename_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.json"
+        write_trial_file(make_trial(seed=1), path)
+        before = path.read_bytes()
+        interrupt_replace(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            write_trial_file(make_trial(seed=2), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
 
     def test_marker_violation_on_read(self, tmp_path):
         t = make_trial()
@@ -361,6 +400,42 @@ class TestDatasetDirectory:
             json.dump(doc, oracle)
             written = (tmp_path / "ds" / trial_filename(dataset.subject_id, i)).read_text()
             assert written == oracle.getvalue(), i
+
+    def test_interrupted_manifest_rename_leaves_no_manifest(self, tmp_path, monkeypatch):
+        cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=320,
+                          iws_length_range=(64, 128), snr=2.0, seed=13)
+        datasets = generate_synthetic_dataset(cfg)
+        write_dataset(datasets, tmp_path)
+        interrupt_replace(monkeypatch, "manifest.json")
+        with pytest.raises(KeyboardInterrupt):
+            write_dataset(datasets, tmp_path)
+        # the old manifest went first, and the new one never arrived
+        assert sorted(p.name for p in tmp_path.iterdir()) == EIGHT_FILES
+
+    def test_interrupted_regenerate_does_not_read(self, tmp_path, monkeypatch):
+        # dataset B interrupted at its 4th trial file over dataset A must not
+        # read as B's first three trials followed by A's last five
+        def dataset(seed):
+            return generate_synthetic_dataset(SynthConfig(
+                n_subjects=1, trials_per_subject=8, trial_length_samples=320,
+                iws_length_range=(64, 128), snr=2.0, seed=seed))
+
+        write_dataset(dataset(13), tmp_path)
+        write_trial_file, written = data.write_trial_file, []
+
+        def interrupted(trial, path):
+            if len(written) == 3:
+                raise KeyboardInterrupt
+            written.append(path)
+            write_trial_file(trial, path)
+
+        monkeypatch.setattr(data, "write_trial_file", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_dataset(dataset(14), tmp_path)
+        assert len(written) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == EIGHT_FILES
+        with pytest.raises(OSError):
+            read_dataset(tmp_path)
 
     def test_manifest_lists_files(self, tmp_path):
         cfg = SynthConfig(n_subjects=1, trials_per_subject=8, trial_length_samples=320,

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -177,6 +178,21 @@ class TestReportFiles:
         with pytest.raises(KeyboardInterrupt):
             write_report_csv(build_report(toy_results(3), {"seed": 1}, 1), tmp_path / "r.csv")
         assert (tmp_path / "r.csv").read_bytes() == b"an earlier run's summary\r\n"
+        assert not (tmp_path / "r.csv.tmp").exists()
+
+    @pytest.mark.parametrize("write", [write_report, write_report_csv])
+    def test_interrupted_rename_leaves_the_old_file(self, tmp_path, monkeypatch, write):
+        target = tmp_path / "r.out"
+        target.write_bytes(b"an earlier run's output\r\n")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write(build_report(toy_results(3), {"seed": 1}, 1), target)
+        assert target.read_bytes() == b"an earlier run's output\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.out"]
 
     def test_csv_flattening(self, tmp_path):
         report = build_report(toy_results(3), {"seed": 1}, 1)
